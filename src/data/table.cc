@@ -113,10 +113,23 @@ std::vector<Table> Table::SplitByPartition(const std::string& attr) const {
 
 Vec Table::Vectorize() const {
   Vec x(schema_.TotalDomainSize(), 0.0);
-  std::vector<uint32_t> row(schema_.num_attrs());
-  for (std::size_t r = 0; r < num_rows_; ++r) {
-    for (std::size_t a = 0; a < row.size(); ++a) row[a] = columns_[a][r];
-    x[schema_.FlattenIndex(row)] += 1.0;
+  // Row-major cell indices (Schema::FlattenIndex order), accumulated one
+  // column at a time over a cache-sized block of rows, then scattered.
+  // Counts are sums of 1.0, exact in any order.
+  constexpr std::size_t kBlock = 4096;
+  std::vector<std::size_t> cell(std::min(kBlock, num_rows_));
+  for (std::size_t r0 = 0; r0 < num_rows_; r0 += kBlock) {
+    const std::size_t len = std::min(kBlock, num_rows_ - r0);
+    std::fill(cell.begin(), cell.begin() + len, 0);
+    for (std::size_t a = 0; a < columns_.size(); ++a) {
+      const std::size_t domain = schema_.attr(a).domain_size;
+      const uint32_t* col = columns_[a].data() + r0;
+      for (std::size_t i = 0; i < len; ++i) {
+        EK_CHECK_LT(col[i], domain);
+        cell[i] = cell[i] * domain + col[i];
+      }
+    }
+    for (std::size_t i = 0; i < len; ++i) x[cell[i]] += 1.0;
   }
   return x;
 }

@@ -30,12 +30,28 @@ uint64_t ChildSeed(uint64_t parent_seed, uint64_t child_index) {
 }
 }  // namespace
 
+PreparedTable::PreparedTable(Table table)
+    : table_(std::move(table)), counts_(table_.Vectorize()) {}
+
+std::shared_ptr<const PreparedTable> PreparedTable::Make(Table table) {
+  return std::shared_ptr<const PreparedTable>(
+      new PreparedTable(std::move(table)));
+}
+
 ProtectedKernel::ProtectedKernel(Table table, double eps_total, uint64_t seed)
+    : ProtectedKernel(PreparedTable::Make(std::move(table)), eps_total, seed) {}
+
+ProtectedKernel::ProtectedKernel(std::shared_ptr<const PreparedTable> table,
+                                 double eps_total, uint64_t seed)
     : eps_total_(eps_total) {
   EK_CHECK_GT(eps_total, 0.0);
+  EK_CHECK(table != nullptr);
+  // Aliasing shared_ptrs: the root table and counts keep the whole
+  // prepared table alive without copying either.
+  root_counts_ = std::shared_ptr<const Vec>(table, &table->counts_);
   Node root;
   root.is_table = true;
-  root.table = std::move(table);
+  root.table = std::shared_ptr<const Table>(table, &table->table_);
   root.stability = 1.0;
   root.stream_seed = SplitMix64(seed);
   root.stream = std::make_unique<NoiseStream>(NoiseSeed(root.stream_seed));
@@ -80,7 +96,7 @@ const Schema& ProtectedKernel::SourceSchema(SourceId id) const {
 std::size_t ProtectedKernel::VectorSize(SourceId id) const {
   std::lock_guard<std::mutex> lock(mu_);
   EK_CHECK(IsVectorSourceLocked(id));
-  return nodes_[id].vector.size();
+  return nodes_[id].vector->size();
 }
 
 double ProtectedKernel::SourceStability(SourceId id) const {
@@ -164,7 +180,7 @@ StatusOr<SourceId> ProtectedKernel::TWhere(SourceId src, const Predicate& p) {
   Node n;
   n.is_table = true;
   n.stability = 1.0;
-  n.table = parent->table->Where(p);
+  n.table = std::make_shared<const Table>(parent->table->Where(p));
   std::lock_guard<std::mutex> lock(mu_);
   return AddChild(src, std::move(n));
 }
@@ -184,7 +200,7 @@ StatusOr<SourceId> ProtectedKernel::TSelect(
   Node n;
   n.is_table = true;
   n.stability = 1.0;
-  n.table = parent->table->Select(attrs);
+  n.table = std::make_shared<const Table>(parent->table->Select(attrs));
   std::lock_guard<std::mutex> lock(mu_);
   return AddChild(src, std::move(n));
 }
@@ -200,7 +216,7 @@ StatusOr<SourceId> ProtectedKernel::TGroupBy(
   Node n;
   n.is_table = true;
   n.stability = 2.0;  // PINQ: one record moves at most two groups
-  n.table = parent->table->GroupBy(attrs);
+  n.table = std::make_shared<const Table>(parent->table->GroupBy(attrs));
   std::lock_guard<std::mutex> lock(mu_);
   return AddChild(src, std::move(n));
 }
@@ -215,7 +231,11 @@ StatusOr<SourceId> ProtectedKernel::TVectorize(SourceId src) {
   Node n;
   n.is_table = false;
   n.stability = 1.0;
-  n.vector = parent->table->Vectorize();
+  // The root's counts were built with its prepared table; every derived
+  // table vectorizes its own rows.
+  n.vector = src == root() ? root_counts_
+                           : std::make_shared<const Vec>(
+                                 parent->table->Vectorize());
   std::lock_guard<std::mutex> lock(mu_);
   return AddChild(src, std::move(n));
 }
@@ -228,14 +248,15 @@ StatusOr<SourceId> ProtectedKernel::VReduceByPartition(SourceId src,
   {
     std::lock_guard<std::mutex> lock(mu_);
     EK_RETURN_IF_ERROR(CheckVector(src));
-    if (p.num_cells() != nodes_[src].vector.size())
+    if (p.num_cells() != nodes_[src].vector->size())
       return Status::InvalidArgument("partition size mismatch");
     parent = &nodes_[src];
   }
   Node n;
   n.is_table = false;
   n.stability = 1.0;  // P is 0/1 with exactly one 1 per column
-  n.vector = p.ReduceMatrix().Matvec(parent->vector);
+  n.vector = std::make_shared<const Vec>(
+      p.ReduceMatrix().Matvec(*parent->vector));
   std::lock_guard<std::mutex> lock(mu_);
   return AddChild(src, std::move(n));
 }
@@ -245,14 +266,14 @@ StatusOr<SourceId> ProtectedKernel::VTransform(SourceId src, LinOpPtr m) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     EK_RETURN_IF_ERROR(CheckVector(src));
-    if (m->cols() != nodes_[src].vector.size())
+    if (m->cols() != nodes_[src].vector->size())
       return Status::InvalidArgument("transform shape mismatch");
     parent = &nodes_[src];
   }
   Node n;
   n.is_table = false;
   n.stability = m->SensitivityL1();  // L1->L1 operator norm
-  n.vector = m->Apply(parent->vector);
+  n.vector = std::make_shared<const Vec>(m->Apply(*parent->vector));
   std::lock_guard<std::mutex> lock(mu_);
   return AddChild(src, std::move(n));
 }
@@ -263,20 +284,22 @@ StatusOr<std::vector<SourceId>> ProtectedKernel::VSplitByPartition(
   {
     std::lock_guard<std::mutex> lock(mu_);
     EK_RETURN_IF_ERROR(CheckVector(src));
-    if (p.num_cells() != nodes_[src].vector.size())
+    if (p.num_cells() != nodes_[src].vector->size())
       return Status::InvalidArgument("partition size mismatch");
     parent = &nodes_[src];
   }
-  const Vec& x = parent->vector;
+  const Vec& x = *parent->vector;
   auto groups = p.Groups();
   std::vector<Node> staged;
   staged.reserve(groups.size());
   for (const auto& cells : groups) {
+    Vec v;
+    v.reserve(cells.size());
+    for (std::size_t c : cells) v.push_back(x[c]);
     Node child;
     child.is_table = false;
     child.stability = 1.0;
-    child.vector.reserve(cells.size());
-    for (std::size_t c : cells) child.vector.push_back(x[c]);
+    child.vector = std::make_shared<const Vec>(std::move(v));
     staged.push_back(std::move(child));
   }
   // One lock for the whole family: the dummy partition variable of
@@ -309,7 +332,7 @@ StatusOr<Vec> ProtectedKernel::VectorLaplace(SourceId src, const LinOp& m,
   {
     std::lock_guard<std::mutex> lock(mu_);
     EK_RETURN_IF_ERROR(CheckVector(src));
-    if (m.cols() != nodes_[src].vector.size())
+    if (m.cols() != nodes_[src].vector->size())
       return Status::InvalidArgument("measurement shape mismatch");
     EK_RETURN_IF_ERROR(Request(src, eps));
     transcript_.push_back({src, "VectorLaplace[" + m.DebugName() + "]", eps,
@@ -318,7 +341,7 @@ StatusOr<Vec> ProtectedKernel::VectorLaplace(SourceId src, const LinOp& m,
   }
   // The heavy apply runs unlocked: node data is immutable and the deque
   // keeps `node` stable while other branches derive sources.
-  Vec y = m.Apply(node->vector);
+  Vec y = m.Apply(*node->vector);
   if (scale > 0.0) {
     std::lock_guard<std::mutex> lock(node->stream->mu);
     for (double& v : y) v += node->stream->rng.Laplace(scale);
@@ -353,14 +376,14 @@ StatusOr<std::size_t> ProtectedKernel::WorstApprox(SourceId src,
   {
     std::lock_guard<std::mutex> lock(mu_);
     EK_RETURN_IF_ERROR(CheckVector(src));
-    if (workload.cols() != nodes_[src].vector.size() ||
-        xhat.size() != nodes_[src].vector.size())
+    if (workload.cols() != nodes_[src].vector->size() ||
+        xhat.size() != nodes_[src].vector->size())
       return Status::InvalidArgument("workload/estimate shape mismatch");
     EK_RETURN_IF_ERROR(Request(src, eps));
     transcript_.push_back({src, "WorstApprox", eps, 0.0});
     node = &nodes_[src];
   }
-  Vec truth = workload.Apply(node->vector);
+  Vec truth = workload.Apply(*node->vector);
   Vec approx = workload.Apply(xhat);
   std::vector<double> scores(truth.size());
   for (std::size_t i = 0; i < truth.size(); ++i)
@@ -385,7 +408,7 @@ StatusOr<std::size_t> ProtectedKernel::ChooseByVectorScores(
   }
   std::vector<double> scores(f.size());
   for (std::size_t i = 0; i < f.size(); ++i)
-    scores[i] = f[i](node->vector) / sensitivity;
+    scores[i] = f[i](*node->vector) / sensitivity;
   std::lock_guard<std::mutex> lock(node->stream->mu);
   return node->stream->rng.ExponentialMechanism(scores, eps);
 }

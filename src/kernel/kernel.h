@@ -43,6 +43,17 @@
 // records entries in charge order, which under parallel branches is a
 // scheduling-dependent interleaving of the per-branch orders — compare it
 // order-normalized.
+//
+// Shared root table: a PreparedTable is the frozen pair (protected table,
+// its T-Vectorize counts), built once by PreparedTable::Make — the only
+// place the counts are computed — and immutable from then on.  Any
+// number of kernels, on any threads, may hold one concurrently: the
+// root node and TVectorize(root()) alias its table and counts through
+// shared_ptr<const ...> (refcounts are atomic; the data is never
+// written), so opening a kernel costs O(1) in the table's rows.  Every
+// other table source — the results of TWhere/TSelect/TGroupBy — is a
+// table of its own, wrapped once when derived and vectorized by its own
+// TVectorize; only the root reuses the prepared counts.
 #ifndef EKTELO_KERNEL_KERNEL_H_
 #define EKTELO_KERNEL_KERNEL_H_
 
@@ -65,9 +76,32 @@ namespace ektelo {
 
 using SourceId = std::size_t;
 
+/// A protected table frozen for sharing across kernels: the table plus
+/// its T-Vectorize counts.  Make() is the only way to build one, and it
+/// computes the counts itself, so the counts always belong to the table.
+/// Both stay private to the kernel; only the public schema is exposed.
+class PreparedTable {
+ public:
+  static std::shared_ptr<const PreparedTable> Make(Table table);
+
+  /// Schema (public: domains are data-independent).
+  const Schema& schema() const { return table_.schema(); }
+
+ private:
+  friend class ProtectedKernel;
+  explicit PreparedTable(Table table);
+
+  Table table_;
+  Vec counts_;  // table_.Vectorize()
+};
+
 class ProtectedKernel {
  public:
-  /// Init(T, eps_tot): wraps the protected table as the root source.
+  /// Init(T, eps_tot): wraps a prepared protected table as the root
+  /// source.  The table and its counts are shared, not copied.
+  ProtectedKernel(std::shared_ptr<const PreparedTable> table,
+                  double eps_total, uint64_t seed);
+  /// Init(T, eps_tot) on a table of the caller's; prepares it first.
   ProtectedKernel(Table table, double eps_total, uint64_t seed);
 
   SourceId root() const { return 0; }
@@ -170,8 +204,12 @@ class ProtectedKernel {
     std::optional<SourceId> parent;
     double stability = 1.0;  // w.r.t. parent
     double budget = 0.0;     // B(sv)
-    std::optional<Table> table;
-    Vec vector;
+    /// Set on table sources; immutable, and shared with the prepared
+    /// table at the root.
+    std::shared_ptr<const Table> table;
+    /// Set on vector sources; immutable, and shared with the prepared
+    /// counts for TVectorize(root()).
+    std::shared_ptr<const Vec> vector;
     /// Lineage seed: a pure function of (kernel seed, path of child
     /// indices from the root), from which both this source's noise stream
     /// and its children's seeds derive.
@@ -199,6 +237,7 @@ class ProtectedKernel {
   bool IsVectorSourceLocked(SourceId id) const;
 
   double eps_total_;
+  std::shared_ptr<const Vec> root_counts_;  // the prepared root counts
   mutable std::mutex mu_;  // guards nodes_ structure, budgets, transcript
   // Deque: references to existing nodes stay valid while new sources are
   // appended, so measurements read immutable node data without the lock.

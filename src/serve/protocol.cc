@@ -173,13 +173,19 @@ bool DecodeTextReply(const std::vector<uint8_t>& bytes, std::string* text) {
 Status WriteFrame(int fd, MsgType type, const std::vector<uint8_t>& payload) {
   if (payload.size() > kMaxPayloadBytes)
     return Status::InvalidArgument("frame payload too large");
-  store::ByteWriter w;
-  w.U32(kFrameMagic);
-  w.U8(uint8_t(type));
-  w.U32(uint32_t(payload.size()));
-  w.Raw(payload.data(), payload.size());
-  w.U64(store::Checksum64(payload));
-  return net::SendAll(fd, w.bytes().data(), w.bytes().size());
+  // Header, payload and checksum trailer go out in one gather write:
+  // the payload is sent from the caller's buffer, never copied.
+  store::ByteWriter header;
+  header.U32(kFrameMagic);
+  header.U8(uint8_t(type));
+  header.U32(uint32_t(payload.size()));
+  store::ByteWriter trailer;
+  trailer.U64(store::Checksum64(payload));
+  const net::ByteSpan spans[] = {
+      {header.bytes().data(), header.bytes().size()},
+      {payload.data(), payload.size()},
+      {trailer.bytes().data(), trailer.bytes().size()}};
+  return net::SendAllV(fd, spans, 3);
 }
 
 namespace {

@@ -151,7 +151,9 @@ struct Server::Impl {
   // ---- fixed at Start ----
   ServerOptions opts;
   struct Tenant {
-    Table table;
+    /// Frozen at Start: the table and its counts are built once and
+    /// shared by every execution's kernel.
+    std::shared_ptr<const PreparedTable> table;
     uint64_t seed = 0;
   };
   std::unordered_map<std::string, Tenant> tenants;
@@ -302,7 +304,7 @@ struct Server::Impl {
       return "eps exceeds the per-request ceiling";
     if (req.mode > 2) return "bad matrix mode";
     const std::size_t domain =
-        tenants.at(req.tenant).table.schema().TotalDomainSize();
+        tenants.at(req.tenant).table->schema().TotalDomainSize();
     if (!req.dims.empty()) {
       std::size_t n = 1;
       for (std::size_t d : req.dims) {
@@ -723,8 +725,8 @@ StatusOr<std::unique_ptr<Server>> Server::Start(
         !im.ledger->CreateTenant(t.name, t.eps_total))
       return Status::Internal("cannot register tenant " + t.name);
     im.tenant_order.push_back(t.name);
-    im.tenants.emplace(t.name,
-                       Impl::Tenant{std::move(t.table), t.seed});
+    im.tenants.emplace(
+        t.name, Impl::Tenant{PreparedTable::Make(std::move(t.table)), t.seed});
   }
 
   StatusOr<net::UnixListener> listener = net::UnixListener::Bind(

@@ -33,14 +33,17 @@
 //   send reply
 //
 // Determinism: a reply's estimate bytes are a pure function of (tenant
-// seed, tenant table, request content).  Each execution constructs a
-// fresh ProtectedKernel seeded by SplitMix64 over the tenant seed and
-// the request's structural hash (plan, eps, dims, ranges, totals, mode
-// — NOT the request id), so identical requests draw identical noise
-// streams and distinct requests draw unrelated ones.  Replies are
-// therefore bitwise identical across EKTELO_THREADS settings, worker
-// counts, scheduling orders, and coalescing on/off — the serving-layer
-// extension of the kernel's parallel-invariance contract.
+// seed, tenant table, request content).  Tenant tables are frozen at
+// Start: each is prepared once (PreparedTable: the table plus its
+// T-Vectorize counts), and every execution opens a fresh ProtectedKernel
+// over that shared state, in O(1) of the table's rows.  The kernel is
+// seeded by SplitMix64 over the tenant seed and the request's structural
+// hash (plan, eps, dims, ranges, totals, mode — NOT the request id), so
+// identical requests draw identical noise streams and distinct requests
+// draw unrelated ones.  Replies are therefore bitwise identical across
+// EKTELO_THREADS settings, worker counts, scheduling orders, and
+// coalescing on/off — the serving-layer extension of the kernel's
+// parallel-invariance contract.
 //
 // Coalescing: concurrent identical-structure requests elect one leader
 // execution (followers wait and share the reply), and completed answers
@@ -70,6 +73,7 @@ namespace ektelo::serve {
 /// One tenant the daemon serves: a protected table, a root noise seed,
 /// and the initial budget registered in the ledger on first start
 /// (an existing ledger entry always wins — budgets are durable).
+/// Server::Start takes ownership of the table and freezes it.
 struct TenantSpec {
   std::string name;
   Table table;

@@ -12,6 +12,7 @@
 #include <signal.h>
 #include <sys/socket.h>
 #include <sys/time.h>
+#include <sys/uio.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -182,18 +183,46 @@ Status SetSendTimeout(int fd, int timeout_ms) {
 }
 
 Status SendAll(int fd, const uint8_t* data, std::size_t n) {
-  std::size_t sent = 0;
-  while (sent < n) {
+  const ByteSpan span{data, n};
+  return SendAllV(fd, &span, 1);
+}
+
+Status SendAllV(int fd, const ByteSpan* spans, std::size_t count) {
+  if (count > kMaxSendSpans)
+    return Status::InvalidArgument("too many send spans");
+  iovec iov[kMaxSendSpans];
+  std::size_t live = 0;  // iov[0, live) is what remains to send
+  for (std::size_t i = 0; i < count; ++i) {
+    if (spans[i].size == 0) continue;
+    iov[live].iov_base = const_cast<uint8_t*>(spans[i].data);
+    iov[live].iov_len = spans[i].size;
+    ++live;
+  }
+  iovec* next = iov;
+  while (live > 0) {
+    msghdr msg{};
+    msg.msg_iov = next;
+    msg.msg_iovlen = live;
     // MSG_NOSIGNAL: a peer that hung up yields EPIPE instead of killing
     // the process with SIGPIPE.
-    const ssize_t rc = ::send(fd, data + sent, n - sent, MSG_NOSIGNAL);
+    const ssize_t rc = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
     if (rc < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK)
         return Status::DeadlineExceeded("send timeout");
-      return Errno("send");
+      return Errno("sendmsg");
     }
-    sent += std::size_t(rc);
+    // Drop the fully sent spans and advance into a partly sent one.
+    std::size_t sent = std::size_t(rc);
+    while (live > 0 && sent >= next->iov_len) {
+      sent -= next->iov_len;
+      ++next;
+      --live;
+    }
+    if (live > 0) {
+      next->iov_base = static_cast<uint8_t*>(next->iov_base) + sent;
+      next->iov_len -= sent;
+    }
   }
   return Status::Ok();
 }
@@ -257,6 +286,7 @@ StatusOr<int> ConnectUnix(const std::string&, int) { return Unsupported(); }
 Status SetRecvTimeout(int, int) { return Unsupported(); }
 Status SetSendTimeout(int, int) { return Unsupported(); }
 Status SendAll(int, const uint8_t*, std::size_t) { return Unsupported(); }
+Status SendAllV(int, const ByteSpan*, std::size_t) { return Unsupported(); }
 Status RecvAll(int, uint8_t*, std::size_t) { return Unsupported(); }
 void CloseFd(int) {}
 void IgnoreSigpipe() {}

@@ -71,6 +71,18 @@ Status SetSendTimeout(int fd, int timeout_ms);
 /// kDeadlineExceeded when a send timeout armed on the fd expires.
 Status SendAll(int fd, const uint8_t* data, std::size_t n);
 
+/// One contiguous run of bytes for SendAllV.
+struct ByteSpan {
+  const uint8_t* data;
+  std::size_t size;
+};
+
+/// Writes the spans back to back, as if concatenated, with gather I/O
+/// (sendmsg) instead of a staging copy.  At most kMaxSendSpans spans;
+/// errors as SendAll.
+inline constexpr std::size_t kMaxSendSpans = 8;
+Status SendAllV(int fd, const ByteSpan* spans, std::size_t count);
+
 /// Reads exactly n bytes.  kUnavailable on clean EOF at a frame boundary
 /// (n bytes requested, zero read), kInternal on mid-buffer EOF or error,
 /// kDeadlineExceeded when a receive timeout armed on the fd expires.

@@ -1,15 +1,28 @@
 // Tests for the protected kernel: Algorithm 2 budget semantics (sequential
 // composition, stability scaling, parallel composition across partitions,
 // atomic refusal), automatic sensitivity calibration, and the statistical
-// behaviour of the measurement operators.
+// behaviour of the measurement operators.  Kernels opened over a shared
+// PreparedTable must match kernels built from a plain Table bitwise, read
+// derived tables' own counts, and run concurrently over one prepared
+// table.
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <thread>
+#include <tuple>
+#include <vector>
 
+#include "data/generators.h"
 #include "data/table.h"
 #include "gtest/gtest.h"
+#include "kernel/handles.h"
 #include "kernel/kernel.h"
 #include "matrix/combinators.h"
 #include "matrix/implicit_ops.h"
 #include "matrix/partition.h"
+#include "plans/registry.h"
+#include "util/thread_pool.h"
+#include "workload/workloads.h"
 
 namespace ektelo {
 namespace {
@@ -267,6 +280,188 @@ TEST(KernelTest, TranscriptRecordsOperations) {
   ASSERT_EQ(k.transcript().size(), 1u);
   EXPECT_EQ(k.transcript()[0].eps, 0.5);
   EXPECT_NE(k.transcript()[0].op.find("Identity"), std::string::npos);
+}
+
+// ---- Prepared tables ----
+
+// An 8x8 grid over two attributes, one row per unit of count.
+Table GridTable(const Vec& hist) {
+  Table t(Schema({{"x", 8}, {"y", 8}}));
+  for (std::size_t i = 0; i < hist.size(); ++i) {
+    const long count = std::lround(hist[i]);
+    for (long c = 0; c < count; ++c)
+      t.AppendRow({uint32_t(i / 8), uint32_t(i % 8)});
+  }
+  return t;
+}
+
+struct PlanRun {
+  Vec xhat;
+  double budget = 0.0;
+  std::vector<std::tuple<std::string, double, double>> transcript;
+};
+
+// Runs `plan` from the root of `kernel`; the transcript comes back
+// order-normalized (parallel branches interleave entries).
+PlanRun RunPlan(const Plan& plan, ProtectedKernel* kernel, std::size_t n,
+                double total) {
+  Rng rng(17);
+  std::vector<std::size_t> dims;
+  switch (plan.domain()) {
+    case DomainKind::k1D:
+      dims = {n};
+      break;
+    case DomainKind::k2D:
+      dims = {8, 8};
+      break;
+    case DomainKind::kMultiDim:
+      dims = {16, 2, 2};
+      break;
+  }
+  const auto ranges = RandomRanges(20, n, 16, &rng);
+  const auto w = RangeQueryOp(ranges, n);
+  auto x = ProtectedTable::Root(kernel).Vectorize();
+  EK_CHECK(x.ok());
+  BudgetScope scope(kernel->eps_total());
+  PlanInput in;
+  in.dims = dims;
+  in.ranges = ranges;
+  in.workload = w;
+  in.workload_factors = {w};
+  in.known_total = total;
+  in.rng = &rng;
+  in.stripe_dim = 0;
+  StatusOr<Vec> xhat = plan.Execute(*x, scope, in);
+  EXPECT_TRUE(xhat.ok()) << xhat.status().ToString();
+  PlanRun r;
+  if (xhat.ok()) r.xhat = std::move(*xhat);
+  r.budget = kernel->BudgetConsumed();
+  for (const auto& e : kernel->transcript())
+    r.transcript.emplace_back(e.op, e.eps, e.noise_scale);
+  std::sort(r.transcript.begin(), r.transcript.end());
+  return r;
+}
+
+TEST(PreparedTableTest, EveryPlanMatchesTheTableConstructorBitwise) {
+  Rng rng(5);
+  const Vec line = MakeHistogram1D(Shape1D::kStep, 64, 2000.0, &rng);
+  const Vec grid = MakeHistogram2D(8, 8, 2000.0, &rng);
+  const std::vector<std::pair<std::string, Table>> tables = {
+      {"1D", TableFromHistogram(line, "v")}, {"2D", GridTable(grid)}};
+  const double eps = 0.5;
+  for (const auto& [label, table] : tables) {
+    SCOPED_TRACE(label);
+    // One prepared table serves every plan and thread count below.
+    const auto prepared = PreparedTable::Make(table);
+    const std::size_t n = table.schema().TotalDomainSize();
+    const double total = double(table.NumRows());
+    for (std::size_t threads : {std::size_t{0}, std::size_t{4}}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      ThreadPool::Global().Resize(threads);
+      for (const Plan* plan : PlanRegistry::Global().Catalog()) {
+        SCOPED_TRACE(plan->name());
+        ProtectedKernel from_table(table, eps, 424242);
+        ProtectedKernel from_prepared(prepared, eps, 424242);
+        const PlanRun a = RunPlan(*plan, &from_table, n, total);
+        const PlanRun b = RunPlan(*plan, &from_prepared, n, total);
+        ASSERT_EQ(a.xhat.size(), b.xhat.size());
+        for (std::size_t i = 0; i < a.xhat.size(); ++i)
+          ASSERT_EQ(a.xhat[i], b.xhat[i]) << "component " << i;
+        EXPECT_EQ(a.budget, b.budget);
+        EXPECT_EQ(a.transcript, b.transcript);
+      }
+    }
+  }
+  ThreadPool::Global().Resize(ThreadPool::DefaultThreadCount());
+}
+
+// Near-exact read-out of a vector source: eps so large that the Laplace
+// noise sits far below the count resolution.
+Vec ReadOut(ProtectedKernel* k, SourceId x) {
+  auto y = k->VectorLaplace(x, *MakeIdentityOp(k->VectorSize(x)), 1e9);
+  EK_CHECK(y.ok());
+  return *y;
+}
+
+void ExpectCounts(const Vec& got, const Vec& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i)
+    EXPECT_NEAR(got[i], want[i], 1e-3) << "cell " << i;
+}
+
+TEST(PreparedTableTest, DerivedTablesVectorizeTheirOwnRows) {
+  // The prepared counts belong to the root only: a Where, Select or
+  // GroupBy result answering from them would release the wrong data.
+  Table t(Schema({{"a", 3}, {"b", 4}}));
+  for (uint32_t i = 0; i < 30; ++i) t.AppendRow({i % 3, (i * 7) % 4});
+  const Predicate a_is_1 = Predicate::True().And("a", CmpOp::kEq, 1);
+  const auto prepared = PreparedTable::Make(t);
+  ProtectedKernel k(prepared, 1e12, 19);
+
+  auto root = k.TVectorize(k.root());
+  ASSERT_TRUE(root.ok());
+  ExpectCounts(ReadOut(&k, *root), t.Vectorize());
+
+  auto where = k.TWhere(k.root(), a_is_1);
+  ASSERT_TRUE(where.ok());
+  auto xw = k.TVectorize(*where);
+  ASSERT_TRUE(xw.ok());
+  ExpectCounts(ReadOut(&k, *xw), t.Where(a_is_1).Vectorize());
+
+  auto sel = k.TSelect(k.root(), {"b"});
+  ASSERT_TRUE(sel.ok());
+  auto xs = k.TVectorize(*sel);
+  ASSERT_TRUE(xs.ok());
+  ExpectCounts(ReadOut(&k, *xs), t.Select({"b"}).Vectorize());
+
+  auto sel_of_where = k.TSelect(*where, {"b"});
+  ASSERT_TRUE(sel_of_where.ok());
+  auto xsw = k.TVectorize(*sel_of_where);
+  ASSERT_TRUE(xsw.ok());
+  ExpectCounts(ReadOut(&k, *xsw), t.Where(a_is_1).Select({"b"}).Vectorize());
+
+  auto grouped = k.TGroupBy(k.root(), {"a"});
+  ASSERT_TRUE(grouped.ok());
+  auto xg = k.TVectorize(*grouped);
+  ASSERT_TRUE(xg.ok());
+  ExpectCounts(ReadOut(&k, *xg), t.GroupBy({"a"}).Vectorize());
+}
+
+TEST(PreparedTableTest, KernelsShareOnePreparedTableAcrossThreads) {
+  Rng rng(23);
+  const Table t =
+      TableFromHistogram(MakeHistogram1D(Shape1D::kZipf, 32, 500.0, &rng),
+                         "v");
+  const auto prepared = PreparedTable::Make(t);
+  const Predicate low = Predicate::True().And("v", CmpOp::kLt, 16);
+  // One execution: root vectorize + measure, and a derived source.
+  auto run = [&](uint64_t seed) {
+    ProtectedKernel k(prepared, 1.0, seed);
+    auto x = k.TVectorize(k.root());
+    EK_CHECK(x.ok());
+    auto y = k.VectorLaplace(*x, *MakeIdentityOp(32), 0.5);
+    EK_CHECK(y.ok());
+    auto where = k.TWhere(k.root(), low);
+    EK_CHECK(where.ok());
+    auto count = k.NoisyCount(*where, 0.5);
+    EK_CHECK(count.ok());
+    y->push_back(*count);
+    return std::move(*y);
+  };
+  constexpr int kRuns = 40;
+  std::vector<Vec> serial;
+  for (int i = 0; i < kRuns; ++i) serial.push_back(run(100 + i));
+
+  std::vector<Vec> concurrent(kRuns);
+  std::thread even([&] {
+    for (int i = 0; i < kRuns; i += 2) concurrent[i] = run(100 + i);
+  });
+  std::thread odd([&] {
+    for (int i = 1; i < kRuns; i += 2) concurrent[i] = run(100 + i);
+  });
+  even.join();
+  odd.join();
+  for (int i = 0; i < kRuns; ++i) EXPECT_EQ(concurrent[i], serial[i]);
 }
 
 }  // namespace

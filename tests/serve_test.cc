@@ -2,10 +2,13 @@
 // admission, restart durability (spent budget survives bit-for-bit),
 // exhaustion refused before any kernel-side charge, identical-request
 // coalescing hitting one execution, bitwise response determinism across
-// EKTELO_THREADS settings, malformed-frame rejection, and queue-full
-// backpressure.
+// EKTELO_THREADS settings, malformed-frame rejection, queue-full
+// backpressure, the frame bytes on the wire, and a golden digest of the
+// replies to a fixed request set.
 #include <atomic>
 #include <chrono>
+#include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <set>
@@ -13,12 +16,16 @@
 #include <thread>
 #include <vector>
 
+#include <sys/socket.h>
+
 #include "gtest/gtest.h"
 #include "data/generators.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/client.h"
+#include "serve/protocol.h"
 #include "serve/server.h"
+#include "store/serialize.h"
 #include "util/failpoint.h"
 #include "util/net.h"
 #include "util/rng.h"
@@ -569,6 +576,135 @@ TEST(Server, PrometheusStatsEndpointExposesServeCounters) {
       std::string::npos);
   (*server)->Stop();
   Cleanup(opts);
+}
+
+// A 16x16 grid tenant over a two-attribute table, for the 2D plans.
+TenantSpec MakeGridTenant(const std::string& name, uint64_t seed,
+                          double eps_total) {
+  constexpr std::size_t kSide = 16;
+  Rng rng{seed};
+  const Vec hist = MakeHistogram2D(kSide, kSide, /*scale=*/3000.0, &rng);
+  Table table(Schema({{"x", kSide}, {"y", kSide}}));
+  for (std::size_t i = 0; i < hist.size(); ++i) {
+    const auto count = static_cast<std::size_t>(std::llround(hist[i]));
+    for (std::size_t c = 0; c < count; ++c)
+      table.AppendRow({uint32_t(i / kSide), uint32_t(i % kSide)});
+  }
+  return TenantSpec{name, std::move(table), seed, eps_total};
+}
+
+// FNV-1a over raw bytes: a digest defined here, so no library change
+// can move it without also moving the replies.
+uint64_t Fnv1a(uint64_t h, const void* data, std::size_t n) {
+  const auto* p = static_cast<const uint8_t*>(data);
+  for (std::size_t i = 0; i < n; ++i) h = (h ^ p[i]) * 0x100000001B3ull;
+  return h;
+}
+
+// Pins the server's answers: a digest of the reply bits for twelve fixed
+// requests over one 1D and one 2D tenant.  A change to the kernel, the
+// plans or the serve path that alters any released estimate fails here.
+// On a deliberate change, update kGolden from the failure message.
+TEST(Server, GoldenReplyDigest) {
+  constexpr uint64_t kGolden = 0xdc802597cbda387bull;
+  const std::vector<RangeQuery> line = {{0, 127}, {3, 40}, {64, 64},
+                                        {90, 120}};
+  const std::vector<RangeQuery> grid = {{0, 255}, {17, 80}, {128, 200}};
+  struct Shape {
+    const char* tenant;
+    const char* plan;
+    double eps;
+    std::vector<std::size_t> dims;
+    std::size_t stripe_dim;
+  };
+  const Shape shapes[] = {
+      {"line", "Identity", 0.1, {128}, 0},
+      {"line", "H2", 0.1, {128}, 0},
+      {"line", "HB", 0.2, {128}, 0},
+      {"line", "Privelet", 0.1, {128}, 0},
+      {"line", "DAWA", 0.2, {128}, 0},
+      {"line", "MWEM", 0.3, {128}, 0},
+      {"grid", "Identity", 0.1, {16, 16}, 0},
+      {"grid", "UniformGrid", 0.2, {16, 16}, 0},
+      {"grid", "QuadTree", 0.1, {16, 16}, 0},
+      {"grid", "HB-Striped", 0.2, {16, 16}, 1},
+      {"grid", "DAWA-Striped", 0.1, {16, 16}, 0},
+      {"grid", "AdaptiveGrid", 0.2, {16, 16}, 0},
+  };
+
+  ServerOptions opts = BaseOptions("golden");
+  std::vector<TenantSpec> tenants;
+  tenants.push_back(MakeTenant("line", 41, 10.0));
+  tenants.push_back(MakeGridTenant("grid", 47, 10.0));
+  const double line_total = double(tenants[0].table.NumRows());
+  auto server = Server::Start(opts, std::move(tenants));
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  auto client = Client::Connect(opts.socket_path);
+  ASSERT_TRUE(client.ok());
+
+  uint64_t digest = 0xCBF29CE484222325ull;
+  uint64_t id = 0;
+  for (const Shape& s : shapes) {
+    SCOPED_TRACE(std::string(s.plan) + "@" + s.tenant);
+    InvokeRequest req;
+    req.request_id = ++id;
+    req.tenant = s.tenant;
+    req.plan = s.plan;
+    req.eps = s.eps;
+    req.dims = s.dims;
+    req.ranges = std::string(s.tenant) == "line" ? line : grid;
+    req.stripe_dim = s.stripe_dim;
+    if (std::string(s.plan) == "MWEM") req.known_total = line_total;
+    auto reply = client->Invoke(req);
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    ASSERT_EQ(reply->code, ReplyCode::kOk) << reply->message;
+    const uint64_t n = reply->estimate.size();
+    digest = Fnv1a(digest, &n, sizeof(n));
+    digest = Fnv1a(digest, reply->estimate.data(), n * sizeof(double));
+  }
+  (*server)->Stop();
+  Cleanup(opts);
+
+  char hex[24];
+  std::snprintf(hex, sizeof(hex), "0x%016llx", (unsigned long long)digest);
+  EXPECT_EQ(digest, kGolden) << "reply digest is " << hex;
+}
+
+// The frame layout on the wire, byte for byte: a 9-byte header (magic,
+// type, payload length, little-endian), the payload, and its 8-byte
+// checksum.  The large payload overflows the socket buffer, so the
+// gather write resumes mid-span.
+TEST(Protocol, WriteFrameBytesOnTheWire) {
+  for (std::size_t n : {std::size_t{0}, std::size_t{5},
+                        std::size_t{700} << 10}) {
+    SCOPED_TRACE("payload bytes=" + std::to_string(n));
+    std::vector<uint8_t> payload(n);
+    for (std::size_t i = 0; i < n; ++i) payload[i] = uint8_t(i * 131 % 251);
+    std::vector<uint8_t> want = {0x45, 0x4B, 0x46, 0x52,
+                                 uint8_t(MsgType::kInvokeReply)};
+    for (int b = 0; b < 4; ++b) want.push_back(uint8_t(n >> (8 * b)));
+    want.insert(want.end(), payload.begin(), payload.end());
+    const uint64_t sum = store::Checksum64(payload);
+    for (int b = 0; b < 8; ++b) want.push_back(uint8_t(sum >> (8 * b)));
+
+    int fds[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    Status sent;
+    std::thread writer(
+        [&] { sent = WriteFrame(fds[0], MsgType::kInvokeReply, payload); });
+    std::vector<uint8_t> got(want.size());
+    const Status read = net::RecvAll(fds[1], got.data(), got.size());
+    writer.join();
+    net::CloseFd(fds[0]);
+    ASSERT_TRUE(sent.ok()) << sent.ToString();
+    ASSERT_TRUE(read.ok()) << read.ToString();
+    // Nothing beyond the frame: the peer sees EOF right after it.
+    uint8_t extra;
+    EXPECT_EQ(net::RecvAll(fds[1], &extra, 1).code(),
+              StatusCode::kUnavailable);
+    net::CloseFd(fds[1]);
+    EXPECT_TRUE(got == want);
+  }
 }
 
 TEST(Client, ConnectTimeoutToBacklogOnlySocketIsBounded) {
