@@ -1,31 +1,20 @@
-// Rewrite-engine A/B/C: the inference-heavy catalog plans (the MWEM
+// Rewrite-engine A/B: the inference-heavy catalog plans (the MWEM
 // family, the HB/DAWA striped plans, and workload-reduction
 // configurations) run end-to-end with the rewrite engine + OperatorCache
-// OFF, in `rules` mode, and in `search` mode — identical seeds,
-// identical inputs.  The run emits two files:
+// OFF and ON (`rules`) — identical seeds, identical inputs.  The run
+// writes BENCH_rewrite.json: per-plan wall times, speedups, max relative
+// deviation and the geomean.
 //
-//   BENCH_rewrite.json         the historical off-vs-rules rows (shape
-//                              unchanged: per-plan wall times, speedups,
-//                              max relative deviation, geomean)
-//   BENCH_rewrite_search.json  search-vs-rules rows, the composed-vs-
-//                              materialize decision row, and cold-vs-
-//                              warm canonicalization timings against a
-//                              throwaway disk tier
-//
-// Any mode disagreement beyond 1e-9 relative exits nonzero.
+// Any off/rules disagreement beyond 1e-9 relative exits nonzero.
 //
 //   ./bench_rewrite_speedup           # committed-preset domains
 //   ./bench_rewrite_speedup --quick   # CI smoke preset (small domains)
 #include <cmath>
 #include <cstring>
-#include <filesystem>
-#include <memory>
 
 #include "bench_util.h"
 #include "matrix/range_ops.h"
 #include "matrix/rewrite.h"
-#include "matrix/search.h"
-#include "store/artifact_store.h"
 #include "workload/reduction.h"
 
 using namespace ektelo;
@@ -35,10 +24,8 @@ namespace {
 
 struct RowResult {
   double off_s = 0.0;
-  double on_s = 0.0;       // rules mode
-  double search_s = 0.0;   // search mode
+  double on_s = 0.0;
   double max_rel_diff = 0.0;
-  double search_rel_diff = 0.0;  // search vs rules output deviation
   bool ok = true;
 };
 
@@ -54,25 +41,24 @@ double MaxRelDiff(const Vec& a, const Vec& b) {
 /// a few milliseconds; a single sample at that scale is dominated by
 /// scheduler noise, and the acceptance geomean is computed over these
 /// rows.  The cache is cleared before *every* rep, so each sample pays
-/// the full cold canonicalization/search cost — reps remove OS jitter,
-/// not the work under measurement (the cold->warm row measures caching).
+/// the full cold canonicalization cost — reps remove OS jitter, not the
+/// work under measurement.
 int g_time_reps = 3;
 
 /// Runs `fn` (which returns an estimate vector) with the toggle off,
-/// then in `rules` mode, then in `search` mode, and reports times + the
-/// worst relative output deviations between modes.
+/// then on, and reports times + the worst relative output deviation.
 RowResult TimeAb(const std::function<Vec()>& fn) {
   RowResult r;
-  Vec off, on, searched;
-  Vec* const outs[3] = {&off, &on, &searched};
-  double best[3] = {0.0, 0.0, 0.0};
-  // Reps are interleaved across modes (off, rules, search, off, ...)
-  // rather than run as three sequential blocks: clock-speed drift over
-  // the row then hits every mode equally instead of always landing on
-  // whichever mode runs last.
+  Vec off, on;
+  Vec* const outs[2] = {&off, &on};
+  double best[2] = {0.0, 0.0};
+  // Reps are interleaved across modes (off, on, off, ...) rather than
+  // run as two sequential blocks: clock-speed drift over the row then
+  // hits both modes equally instead of always landing on whichever mode
+  // runs last.
   for (int rep = 0; rep < g_time_reps; ++rep) {
-    for (int mode = 0; mode < 3; ++mode) {
-      SetRewriteMode(mode);
+    for (int mode = 0; mode < 2; ++mode) {
+      SetRewriteEnabled(mode);
       OperatorCache::Global().Clear();
       WallTimer t;
       *outs[mode] = fn();
@@ -82,14 +68,12 @@ RowResult TimeAb(const std::function<Vec()>& fn) {
   }
   r.off_s = best[0];
   r.on_s = best[1];
-  r.search_s = best[2];
-  SetRewriteMode(-1);
-  if (on.size() != off.size() || searched.size() != off.size()) {
+  SetRewriteEnabled(-1);
+  if (on.size() != off.size()) {
     r.ok = false;
     return r;
   }
   r.max_rel_diff = MaxRelDiff(off, on);
-  r.search_rel_diff = MaxRelDiff(on, searched);
   return r;
 }
 
@@ -127,15 +111,13 @@ int main(int argc, char** argv) {
   const double eps = 0.5;
   Rng rng(42);
   JsonRecords json;
-  JsonRecords json_search;
   double log_sum = 0.0, log_sum_catalog = 0.0;
-  double log_sum_search_catalog = 0.0;
   std::size_t rows = 0, rows_catalog = 0;
-  double worst_diff = 0.0, worst_search_diff = 0.0;
+  double worst_diff = 0.0;
 
-  std::printf("Rewrite engine A/B/C (quick=%d)\n\n", quick ? 1 : 0);
-  std::printf("%-34s %10s %10s %10s %8s %12s\n", "plan", "off(s)", "rules(s)",
-              "search(s)", "speedup", "max_rel_diff");
+  std::printf("Rewrite engine A/B (quick=%d)\n\n", quick ? 1 : 0);
+  std::printf("%-34s %10s %10s %8s %12s\n", "plan", "off(s)", "rules(s)",
+              "speedup", "max_rel_diff");
 
   // `catalog` rows are end-to-end registered/parameterized plans; the
   // acceptance geomean is computed over those alone.  Non-catalog rows
@@ -148,19 +130,15 @@ int main(int argc, char** argv) {
       std::exit(1);
     }
     const double speedup = r.off_s / r.on_s;
-    const double search_speedup = r.on_s / r.search_s;
     log_sum += std::log(speedup);
     ++rows;
     if (catalog) {
       log_sum_catalog += std::log(speedup);
-      log_sum_search_catalog += std::log(search_speedup);
       ++rows_catalog;
     }
     worst_diff = std::max(worst_diff, r.max_rel_diff);
-    worst_search_diff = std::max(worst_search_diff, r.search_rel_diff);
-    std::printf("%-34s %10.4f %10.4f %10.4f %7.2fx %12.3e\n", name.c_str(),
-                r.off_s, r.on_s, r.search_s, speedup,
-                std::max(r.max_rel_diff, r.search_rel_diff));
+    std::printf("%-34s %10.4f %10.4f %7.2fx %12.3e\n", name.c_str(), r.off_s,
+                r.on_s, speedup, r.max_rel_diff);
     std::fflush(stdout);
     json.StartRecord();
     json.Field("kind", catalog ? "plan" : "ablation");
@@ -169,13 +147,6 @@ int main(int argc, char** argv) {
     json.Field("seconds_on", r.on_s);
     json.Field("speedup", speedup);
     json.Field("max_rel_diff", r.max_rel_diff);
-    json_search.StartRecord();
-    json_search.Field("kind", catalog ? "plan" : "ablation");
-    json_search.Field("plan", name);
-    json_search.Field("rules_seconds", r.on_s);
-    json_search.Field("search_seconds", r.search_s);
-    json_search.Field("speedup", search_speedup);
-    json_search.Field("rel_diff", r.search_rel_diff);
   };
 
   // ---- MWEM family: per-round measurement unions are the rewrite
@@ -285,147 +256,13 @@ int main(int argc, char** argv) {
          /*catalog=*/false);
   }
 
-  // ---- Composed-vs-materialize decision row: a range workload composed
-  // ---- with a column-grouping expansion matrix, applied many times.
-  // ---- `rules` keeps the product composed (sparse-fuse needs two
-  // ---- SparseOp factors); `search` materializes the small fused CSR,
-  // ---- trading one bounded matmul for much cheaper repeated applies.
-  double decision_rules_s = 0.0, decision_search_s = 0.0;
-  {
-    const std::size_t dn = quick ? 2048 : 8192;  // fine domain
-    const std::size_t dm = quick ? 48 : 96;      // workload ranges
-    const std::size_t dg = dn / 16;              // column groups
-    const int dreps = quick ? 2000 : 4000;       // applies per pass
-    std::vector<Interval> ranges;
-    for (const auto& q : RandomRanges(dm, dn, dn / 4, &rng))
-      ranges.push_back({q.lo, q.hi});
-    std::vector<Triplet> trips;
-    trips.reserve(dn);
-    for (std::size_t c = 0; c < dn; ++c)
-      trips.push_back({c, c / 16, 1.0});
-    CsrMatrix s_csr = CsrMatrix::FromTriplets(dn, dg, std::move(trips));
-    Rng drng(23);
-    Vec x(dg);
-    for (auto& v : x) v = drng.Normal();
-    auto decision_fn = [&]() -> Vec {
-      // Rebuild fresh operator instances each pass so per-instance
-      // caches never leak across modes.
-      LinOpPtr w = MakeRangeSetOp(ranges, dn);
-      LinOpPtr prod = MaybeRewrite(MakeProduct(std::move(w), MakeSparse(s_csr)));
-      Vec acc(prod->rows(), 0.0);
-      for (int rep = 0; rep < dreps; ++rep) {
-        Vec y = prod->Apply(x);
-        for (std::size_t i = 0; i < y.size(); ++i) acc[i] += y[i];
-      }
-      return acc;
-    };
-    RowResult r = TimeAb(decision_fn);
-    decision_rules_s = r.on_s;
-    decision_search_s = r.search_s;
-    worst_diff = std::max(worst_diff, r.max_rel_diff);
-    worst_search_diff = std::max(worst_search_diff, r.search_rel_diff);
-    std::printf("%-34s %10.4f %10.4f %10.4f %7.2fx %12.3e\n",
-                "composed-vs-materialize (decision)", r.off_s, r.on_s,
-                r.search_s, r.on_s / r.search_s,
-                std::max(r.max_rel_diff, r.search_rel_diff));
-    json_search.StartRecord();
-    json_search.Field("kind", "decision");
-    json_search.Field("plan", "composed-vs-materialize");
-    json_search.Field("rules_seconds", r.on_s);
-    json_search.Field("search_seconds", r.search_s);
-    json_search.Field("speedup", r.on_s / r.search_s);
-    json_search.Field("rel_diff", r.search_rel_diff);
-  }
-
-  // ---- Cold-vs-warm canonicalization against a throwaway disk tier: a
-  // ---- cold process pays the full beam search per tree; a warm process
-  // ---- loads the persisted canonical tree by structural hash instead.
-  {
-    namespace fs = std::filesystem;
-    const std::string dir = "ektelo_rewrite_bench.tmp";
-    std::error_code ec;
-    fs::remove_all(dir, ec);
-    const int k_trees = quick ? 8 : 24;
-    const std::size_t cn = quick ? 512 : 2048;
-    auto build_trees = [&] {
-      // Composed range workloads over a grouping matrix — trees whose
-      // canonicalization does real work: the search's materialize
-      // decision multiplies the factors into a fused CSR cold, while a
-      // warm process decodes the persisted fused leaf by structural
-      // hash and skips the matmul (and the search) entirely.
-      std::vector<LinOpPtr> trees;
-      Rng trng(99);
-      for (int t = 0; t < k_trees; ++t) {
-        std::vector<Interval> iv;
-        for (const auto& q : RandomRanges(96, cn, cn / 4, &trng))
-          iv.push_back({q.lo, q.hi});
-        std::vector<Triplet> trips;
-        for (std::size_t c = 0; c < cn; ++c)
-          trips.push_back({c, c / 16, 1.0});
-        trees.push_back(MakeProduct(
-            MakeRangeSetOp(std::move(iv), cn),
-            MakeSparse(
-                CsrMatrix::FromTriplets(cn, cn / 16, std::move(trips)))));
-      }
-      return trees;
-    };
-    auto attach_tier = [&] {
-      store::DiskStoreOptions opts;
-      opts.hash_version = kHashVersion;
-      auto tier = store::DiskArtifactStore::Open(dir, opts);
-      EK_CHECK(tier != nullptr);
-      OperatorCache::Global().SetDiskTier(std::move(tier));
-    };
-    SetRewriteMode(2);
-    OperatorCache::Global().Clear();
-    attach_tier();
-    std::vector<LinOpPtr> cold_trees = build_trees();
-    WallTimer tc;
-    for (const LinOpPtr& t : cold_trees) (void)MaybeRewrite(t);
-    const double cold_s = tc.Elapsed();
-    // Simulate a fresh process: flush + detach the tier, drop the memory
-    // cache, reopen the same directory, rebuild identical trees.
-    OperatorCache::Global().FlushDiskTier();
-    OperatorCache::Global().SetDiskTier(nullptr);
-    OperatorCache::Global().Clear();
-    attach_tier();
-    const std::size_t tree_disk_before =
-        OperatorCache::Global().stats().tree_disk_hits;
-    std::vector<LinOpPtr> warm_trees = build_trees();
-    WallTimer tw;
-    for (const LinOpPtr& t : warm_trees) (void)MaybeRewrite(t);
-    const double warm_s = tw.Elapsed();
-    const std::size_t tree_disk_hits =
-        OperatorCache::Global().stats().tree_disk_hits - tree_disk_before;
-    OperatorCache::Global().SetDiskTier(nullptr);
-    OperatorCache::Global().Clear();
-    SetRewriteMode(-1);
-    fs::remove_all(dir, ec);
-    std::printf("%-34s %10s %10.4f %10.4f %7.2fx  (disk tree hits %zu/%d)\n",
-                "canonicalization cold->warm", "-", cold_s, warm_s,
-                cold_s / warm_s, tree_disk_hits, k_trees);
-    json_search.StartRecord();
-    json_search.Field("kind", "canonicalization");
-    json_search.Field("plan", "cold-vs-warm");
-    json_search.Field("trees", double(k_trees));
-    json_search.Field("cold_seconds", cold_s);
-    json_search.Field("warm_seconds", warm_s);
-    json_search.Field("warm_speedup", cold_s / warm_s);
-    json_search.Field("tree_disk_hits", double(tree_disk_hits));
-  }
-
   const double geomean = std::exp(log_sum / double(rows));
   const double geomean_catalog =
       std::exp(log_sum_catalog / double(rows_catalog));
-  const double geomean_search =
-      std::exp(log_sum_search_catalog / double(rows_catalog));
   std::printf("\ngeometric-mean rules-vs-off speedup: %.2fx over %zu catalog"
               " plans (%.2fx over all %zu rows; worst off/rules deviation"
               " %.3e)\n",
               geomean_catalog, rows_catalog, geomean, rows, worst_diff);
-  std::printf("geometric-mean search-vs-rules speedup: %.2fx over %zu catalog"
-              " plans (worst search/rules deviation %.3e)\n",
-              geomean_search, rows_catalog, worst_search_diff);
   json.StartRecord();
   json.Field("kind", "summary");
   json.Field("preset", quick ? "quick" : "default");
@@ -434,18 +271,8 @@ int main(int argc, char** argv) {
   json.Field("geomean_speedup_catalog_plans", geomean_catalog);
   json.Field("geomean_speedup_all_rows", geomean);
   json.Field("worst_rel_diff", worst_diff);
-  json_search.StartRecord();
-  json_search.Field("kind", "summary");
-  json_search.Field("preset", quick ? "quick" : "default");
-  json_search.Field("catalog_rows", double(rows_catalog));
-  json_search.Field("geomean_search_vs_rules_catalog", geomean_search);
-  json_search.Field("decision_rules_seconds", decision_rules_s);
-  json_search.Field("decision_search_seconds", decision_search_s);
-  json_search.Field("worst_rel_diff", worst_search_diff);
 
   if (json.WriteFile("BENCH_rewrite.json"))
     std::printf("wrote BENCH_rewrite.json\n");
-  if (json_search.WriteFile("BENCH_rewrite_search.json"))
-    std::printf("wrote BENCH_rewrite_search.json\n");
-  return worst_diff <= 1e-9 && worst_search_diff <= 1e-9 ? 0 : 1;
+  return worst_diff <= 1e-9 ? 0 : 1;
 }

@@ -1,170 +1,10 @@
 #include "matrix/cost.h"
 
-#include <algorithm>
-
 #include "matrix/combinators.h"
 #include "matrix/implicit_ops.h"
 #include "matrix/range_ops.h"
 
 namespace ektelo {
-namespace {
-
-// Bytes of one double / one CSR entry (value + column index).
-constexpr double kF64 = 8.0;
-constexpr double kCsrEntry = 8.0 + 4.0;
-
-double CsrNnz(const CsrMatrix& m) { return double(m.nnz()); }
-
-// Streaming in/out vector traffic every Apply pays.
-double VecBytes(const LinOp& op) {
-  return kF64 * double(op.rows() + op.cols());
-}
-
-}  // namespace
-
-OpCost EstimateOpCost(const LinOp& op) {
-  const double m = double(op.rows());
-  const double n = double(op.cols());
-  OpCost c;
-
-  if (auto* d = dynamic_cast<const DenseOp*>(&op)) {
-    (void)d;
-    c.apply_flops = 2.0 * m * n;
-    c.apply_bytes = kF64 * m * n + VecBytes(op);
-    c.footprint_bytes = kF64 * m * n;
-    return c;
-  }
-  if (auto* s = dynamic_cast<const SparseOp*>(&op)) {
-    const double nnz = CsrNnz(s->csr());
-    c.apply_flops = 2.0 * nnz;
-    c.apply_bytes = kCsrEntry * nnz + kF64 * m + VecBytes(op);
-    c.footprint_bytes = kCsrEntry * nnz + kF64 * (m + 1.0);
-    return c;
-  }
-  if (dynamic_cast<const IdentityOp*>(&op) != nullptr) {
-    c.apply_bytes = VecBytes(op);  // a copy; no arithmetic
-    return c;
-  }
-  if (dynamic_cast<const OnesOp*>(&op) != nullptr) {
-    c.apply_flops = n + m;  // one reduction, one broadcast-add
-    c.apply_bytes = VecBytes(op);
-    return c;
-  }
-  if (dynamic_cast<const PrefixOp*>(&op) != nullptr ||
-      dynamic_cast<const SuffixOp*>(&op) != nullptr) {
-    c.apply_flops = n;  // running sum
-    c.apply_bytes = VecBytes(op);
-    return c;
-  }
-  if (dynamic_cast<const WaveletOp*>(&op) != nullptr) {
-    double levels = 1.0;
-    for (std::size_t k = op.cols(); k > 1; k >>= 1) levels += 1.0;
-    c.apply_flops = 2.0 * n * levels;
-    c.apply_bytes = VecBytes(op) * levels;  // pack/unpack per level
-    return c;
-  }
-  if (auto* r = dynamic_cast<const RangeSetOp*>(&op)) {
-    // Prefix-sum of x then two lookups per range.
-    c.apply_flops = n + 2.0 * double(r->ranges().size());
-    c.apply_bytes = VecBytes(op) + kF64 * n;
-    c.footprint_bytes = 16.0 * double(r->ranges().size());
-    return c;
-  }
-  if (auto* r = dynamic_cast<const RectangleSetOp*>(&op)) {
-    // 2D prefix sums over the grid then four lookups per rectangle.
-    c.apply_flops = 2.0 * n + 4.0 * double(r->rects().size());
-    c.apply_bytes = VecBytes(op) + 2.0 * kF64 * n;
-    c.footprint_bytes = 32.0 * double(r->rects().size());
-    return c;
-  }
-  if (auto* t = dynamic_cast<const TransposeOp*>(&op)) {
-    return EstimateOpCost(*t->child());
-  }
-  if (auto* s = dynamic_cast<const ScaleOp*>(&op)) {
-    OpCost ch = EstimateOpCost(*s->child());
-    ch.apply_flops += m;  // scale the output
-    ch.apply_bytes += VecBytes(op);
-    return ch;
-  }
-  if (auto* w = dynamic_cast<const RowWeightOp*>(&op)) {
-    OpCost ch = EstimateOpCost(*w->child());
-    ch.apply_flops += m;
-    ch.apply_bytes += VecBytes(op) + kF64 * m;
-    ch.footprint_bytes += kF64 * m;
-    return ch;
-  }
-  if (auto* p = dynamic_cast<const ProductOp*>(&op)) {
-    const OpCost ca = EstimateOpCost(*p->a());
-    const OpCost cb = EstimateOpCost(*p->b());
-    c.apply_flops = ca.apply_flops + cb.apply_flops;
-    // The intermediate B x is written then read back.
-    c.apply_bytes =
-        ca.apply_bytes + cb.apply_bytes + 2.0 * kF64 * double(p->b()->rows());
-    c.footprint_bytes = ca.footprint_bytes + cb.footprint_bytes;
-    return c;
-  }
-  if (auto* k = dynamic_cast<const KroneckerOp*>(&op)) {
-    // vec-trick: nB applies of A plus nA... precisely, (A ⊗ B)x evaluates
-    // B against na columns and A against mb columns (Table 3).
-    const OpCost ca = EstimateOpCost(*k->a());
-    const OpCost cb = EstimateOpCost(*k->b());
-    const double na = double(k->a()->cols());
-    const double mb = double(k->b()->rows());
-    c.apply_flops = na * cb.apply_flops + mb * ca.apply_flops;
-    c.apply_bytes = na * cb.apply_bytes + mb * ca.apply_bytes;
-    c.footprint_bytes = ca.footprint_bytes + cb.footprint_bytes;
-    return c;
-  }
-  if (auto* g = dynamic_cast<const GramOp*>(&op)) {
-    // x -> M^T (M x): two passes over the child.
-    OpCost ch = EstimateOpCost(*g->child());
-    c.apply_flops = 2.0 * ch.apply_flops;
-    c.apply_bytes = 2.0 * ch.apply_bytes;
-    c.footprint_bytes = ch.footprint_bytes;
-    return c;
-  }
-  {
-    // VStack / HStack / Sum all evaluate every child once per apply.
-    const std::vector<LinOpPtr>* children = nullptr;
-    if (auto* v = dynamic_cast<const VStackOp*>(&op)) children = &v->children();
-    if (auto* h = dynamic_cast<const HStackOp*>(&op)) children = &h->children();
-    if (auto* s = dynamic_cast<const SumOp*>(&op)) children = &s->children();
-    if (children != nullptr) {
-      for (const LinOpPtr& ch : *children) {
-        const OpCost cc = EstimateOpCost(*ch);
-        c.apply_flops += cc.apply_flops;
-        c.apply_bytes += cc.apply_bytes;
-        c.footprint_bytes += cc.footprint_bytes;
-      }
-      c.apply_bytes += VecBytes(op);
-      return c;
-    }
-  }
-
-  // Unknown subclass: score as dense — the conservative upper bound, so
-  // the search never *prefers* a tree because it could not model it.
-  c.apply_flops = 2.0 * m * n;
-  c.apply_bytes = kF64 * m * n + VecBytes(op);
-  c.footprint_bytes = kF64 * m * n;
-  return c;
-}
-
-double ApplySeconds(const OpCost& c) {
-  return std::max(c.apply_flops / kRooflineFlopsPerSec,
-                  c.apply_bytes / kRooflineBytesPerSec);
-}
-
-double TreeScore(const LinOp& op) { return ApplySeconds(EstimateOpCost(op)); }
-
-double SparseLeafApplySeconds(std::size_t rows, std::size_t cols,
-                              double nnz) {
-  // Mirrors the SparseOp branch of EstimateOpCost exactly.
-  OpCost c;
-  c.apply_flops = 2.0 * nnz;
-  c.apply_bytes =
-      kCsrEntry * nnz + kF64 * double(rows) + kF64 * double(rows + cols);
-  return ApplySeconds(c);
-}
 
 std::size_t ApproxRetainedBytes(const LinOp& op) {
   if (auto* d = dynamic_cast<const DenseOp*>(&op))

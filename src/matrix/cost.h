@@ -1,32 +1,16 @@
-// Analytic cost model for LinOp expression trees: the single queryable
-// policy behind the rewrite engine's decisions (matrix/rules.h proposes
-// candidates, matrix/search.h picks among them by these estimates).
-//
-// Every operator kind gets closed-form estimates of the work one
-// Apply/ApplyT performs — floating-point operations and bytes touched —
-// plus the bytes of materialized state the tree pins while alive.  A
-// scalar score converts {flops, bytes} to roofline seconds using rates
-// measured on this codebase's own kernels (the single-thread scalar rows
-// of BENCH_parallel_scaling.json), so "cheaper" means cheaper on the
-// machine model the SIMD benchmarks validated, not an abstract flop
-// count.
-//
-// The hard guards that used to live as magic numbers inside the rewrite
-// pass (the sparse-fuse flop budget, the no-denser-than-factors rule)
-// are named constants here so both the fixed-order rules pass and the
-// beam search apply exactly the same policy.
+// Cost policy for LinOp expression trees: the named guards of the
+// rewrite pass's sparse-fuse rule (matrix/rules.h) and the retained-byte
+// estimate that sizes the OperatorCache's byte bound (matrix/rewrite.h).
 #ifndef EKTELO_MATRIX_COST_H_
 #define EKTELO_MATRIX_COST_H_
 
 #include <cstddef>
-#include <cstdint>
 
 #include "matrix/linop.h"
 
 namespace ektelo {
 
 // ------------------------------------------------------------- guards
-// (formerly inline literals in rewrite.cc's Producted)
 
 /// Budget for eagerly multiplying two CSR leaves during rewriting: the
 /// update count of the row-wise product (CsrMatrix::MatmulUpdateBound)
@@ -51,106 +35,13 @@ inline bool SparseFuseKeepsDensity(std::size_t fused_nnz, std::size_t nnz_a,
          kSparseFuseMaxDensityRatio * double(nnz_a + nnz_b);
 }
 
-// ------------------------------------------------------- search knobs
-
-/// Beam width of the rewrite search: candidates kept per node.
-inline constexpr std::size_t kSearchBeamWidth = 4;
-
-/// Update-count budget for materializations the *search* proposes (a
-/// composed-vs-materialize decision multiplies real matrices while
-/// searching, so it is bounded tighter than the rules-mode fuse).
-inline constexpr std::size_t kSearchMaterializeMaxUpdates =
-    std::size_t{1} << 22;
-
-/// A candidate pinning more materialized bytes than this is discarded
-/// regardless of its per-apply score.
-inline constexpr double kSearchMaxFootprintBytes = 64.0 * double(1 << 20);
-
-/// Monotone-cost pruning: per-apply cost is monotone under composition
-/// (a node costs at least the children it evaluates), so a candidate
-/// subtree scoring worse than this multiple of the beam's best cannot
-/// be rescued by any enclosing context that evaluates it — it is pruned.
-inline constexpr double kSearchPruneRatio = 8.0;
-
-/// The search replaces the fixed-order rules tree only when a candidate
-/// is predicted at least this much cheaper (score < ratio * rules
-/// score).  Everything within the margin keeps the rules tree, so
-/// `search` mode degrades to `rules` — never to a model-noise coin flip.
-inline constexpr double kSearchImprovementRatio = 0.9;
-
-/// Byte budget for the beam searcher's cross-call memo (beams plus the
-/// canonicalizer memo behind them).  Iterative plans mint one strictly
-/// larger measurement union per round; memoizing the whole sequence
-/// pins every round's merged tree, so each new round's merge allocates
-/// cold pages instead of recycling the rounds the plan abandoned —
-/// measured as a ~4x slowdown of the merge itself.  When the tracked
-/// bytes exceed this budget the memo is dropped wholesale (between
-/// searches, so no in-flight beam reference dangles); what it held is
-/// either trivially recomputed (leaf beams) or dead (old unions).
-inline constexpr std::size_t kSearchMemoMaxBytes = std::size_t{4} << 20;
-
-/// Trees predicted to apply in under this many roofline seconds are not
-/// searched at all — SearchRewrite falls straight through to the rules
-/// pass.  The search can save at most the tree's own per-apply cost, so
-/// below this floor the best possible win is smaller than the hashing,
-/// caching and scoring the search itself costs (striped plans' per-
-/// stripe operators are the motivating case).  Trees at or above the
-/// floor — composed-vs-materialize decisions, measurement-union stacks —
-/// go through the full beam search and the canonical-tree cache.
-inline constexpr double kSearchMinApplySeconds = 1.2e-5;
-
-// -------------------------------------------------- roofline calibration
-//
-// Single-thread scalar rates measured by bench_parallel_scaling on this
-// repo's own kernels (committed BENCH_parallel_scaling.json):
-//
-//   dense_matmat / scalar:   5.25 GFLOP/s   (compute-bound row)
-//   haar_analysis / scalar:  1.90 GB/s      (memory-bound row; the CSR
-//                            rows sit at 0.8-1.7 GB/s of *unique* bytes)
-//
-// Estimated seconds for one apply = max(flops / rate, bytes / rate):
-// the classic roofline.  Only ratios between candidate trees matter to
-// the search, so the scalar baseline is the right calibration point —
-// SIMD and threading scale both sides of a comparison similarly.
-
-inline constexpr double kRooflineFlopsPerSec = 5.25e9;
-inline constexpr double kRooflineBytesPerSec = 1.90e9;
-
-// ------------------------------------------------------------ estimates
-
-/// Analytic cost of one operator (tree) evaluation.
-struct OpCost {
-  double apply_flops = 0.0;      ///< flops of one Apply (mat-vec)
-  double apply_bytes = 0.0;      ///< bytes touched by one Apply
-  double footprint_bytes = 0.0;  ///< materialized state the tree pins
-};
-
-/// Recursive closed-form estimate for any built-in operator kind.
-/// Unknown LinOp subclasses are scored as if dense (the conservative
-/// upper bound), so the search never prefers a tree because it failed to
-/// model it.  Deterministic: a pure function of the tree's structure.
-OpCost EstimateOpCost(const LinOp& op);
-
-/// Roofline seconds for one Apply of a tree with cost `c`.
-double ApplySeconds(const OpCost& c);
-
-/// The search objective: ApplySeconds(EstimateOpCost(op)).  Lower is
-/// better; ties are broken toward the fixed-order rules tree.
-double TreeScore(const LinOp& op);
-
-/// The score a `rows x cols` CSR leaf with `nnz` stored entries *would*
-/// get from EstimateOpCost — same formula, no matrix required.  Lets a
-/// materialize rule reject a proposal analytically instead of paying
-/// O(nnz) to construct a candidate the beam would immediately discard
-/// (exact for Kronecker flattening, where fused nnz = nnz(A) * nnz(B)).
-double SparseLeafApplySeconds(std::size_t rows, std::size_t cols, double nnz);
+// ------------------------------------------------------------ footprint
 
 /// Approximate bytes a tree pins while someone holds it alive: leaf
 /// payloads (dense data, CSR arrays, interval/rectangle lists) plus a
 /// fixed per-node overhead.  Shared subtrees are counted once per
 /// reference — over-, never under-counting against a byte bound.  Used
-/// by OperatorCache and the beam searcher to budget what their caches
-/// keep resident.
+/// by OperatorCache to budget what it keeps resident.
 std::size_t ApproxRetainedBytes(const LinOp& op);
 
 }  // namespace ektelo

@@ -1,6 +1,5 @@
 #include "matrix/rewrite.h"
 
-#include <typeinfo>
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
@@ -17,7 +16,6 @@
 #include "matrix/implicit_ops.h"
 #include "matrix/range_ops.h"
 #include "matrix/rules.h"
-#include "matrix/search.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "store/artifact_store.h"
@@ -34,85 +32,34 @@ namespace {
 
 std::atomic<int> g_force{-1};
 
-RewriteMode EnvMode() {
-  static const RewriteMode mode = [] {
+bool EnvEnabled() {
+  static const bool enabled = [] {
     const char* v = std::getenv("EKTELO_REWRITE");
-    if (v != nullptr && (std::strcmp(v, "0") == 0 || std::strcmp(v, "off") == 0))
-      return RewriteMode::kOff;
-    if (v != nullptr && std::strcmp(v, "search") == 0)
-      return RewriteMode::kSearch;
-    // Unset, "1", "rules", and historically any non-"0" value: rules.
-    return RewriteMode::kRules;
+    // Unset, "1", "rules", and historically any non-"0" value: on.
+    return v == nullptr ||
+           (std::strcmp(v, "0") != 0 && std::strcmp(v, "off") != 0);
   }();
-  return mode;
+  return enabled;
 }
 
 }  // namespace
 
-RewriteMode GetRewriteMode() {
+bool RewriteEnabled() {
   const int f = g_force.load(std::memory_order_relaxed);
-  if (f == 0) return RewriteMode::kOff;
-  if (f == 1) return RewriteMode::kRules;
-  if (f == 2) return RewriteMode::kSearch;
-  return EnvMode();
+  if (f == 0) return false;
+  if (f == 1) return true;
+  return EnvEnabled();
 }
 
-void SetRewriteMode(int force) {
-  g_force.store(force < 0 || force > 2 ? -1 : force,
+void SetRewriteEnabled(int force) {
+  g_force.store(force == 0 || force == 1 ? force : -1,
                 std::memory_order_relaxed);
 }
 
-bool RewriteEnabled() { return GetRewriteMode() != RewriteMode::kOff; }
-
-void SetRewriteEnabled(int force) { SetRewriteMode(force); }
-
 LinOpPtr Rewrite(LinOpPtr op) { return rules::Canonicalize(op); }
 
-LinOpPtr SearchRewrite(LinOpPtr op) {
-  if (!op) return op;
-  // A tree this cheap per apply cannot repay a search: the most it could
-  // ever save is its own score, which is already below what the hashing
-  // and cache traffic cost.  Fall straight through to the rules pass.
-  if (TreeScore(*op) < kSearchMinApplySeconds) return rules::Canonicalize(op);
-  // No Product/Kron anywhere means the beam provably returns the rules
-  // tree (see SearchCanImprove) — skip the search and cache entirely.
-  if (!SearchCanImprove(*op)) return rules::Canonicalize(op);
-  LinOpPtr canon;
-  if (auto cached = OperatorCache::Global().CanonicalTreeLookup(op)) {
-    canon = std::move(*cached);
-  } else {
-    bool improved = false;
-    canon = SearchCanonicalize(op, &improved);
-    // Only a genuine improvement is worth remembering: a winner the
-    // fixed-order rules pass would rebuild anyway (every iterative
-    // plan's one-shot measurement union) is pure cache traffic — the
-    // entry pins the tree, the disk tier encodes it, and nothing ever
-    // looks either up again.
-    if (improved) OperatorCache::Global().CanonicalTreeStore(op, canon);
-  }
-  if (canon == op) return op;
-  // A cached winner structurally identical to the input (kind first —
-  // different concrete types are never StructuralEq, and hashing a big
-  // freshly-built winner is O(tree); then hash — both sides memoize
-  // theirs) yields the input itself, preserving its per-instance
-  // sensitivity/hash caches exactly like a no-op rules pass.
-  if (typeid(*canon) == typeid(*op) &&
-      canon->StructuralHash() == op->StructuralHash() &&
-      canon->StructuralEq(*op))
-    return op;
-  return canon;
-}
-
 LinOpPtr MaybeRewrite(LinOpPtr op) {
-  switch (GetRewriteMode()) {
-    case RewriteMode::kOff:
-      return op;
-    case RewriteMode::kSearch:
-      return SearchRewrite(std::move(op));
-    case RewriteMode::kRules:
-      break;
-  }
-  return Rewrite(std::move(op));
+  return RewriteEnabled() ? Rewrite(std::move(op)) : op;
 }
 
 // ------------------------------------------------- hash persistability
@@ -140,7 +87,9 @@ enum CacheKind : int {
   kKindDenseWrap = 6,
   kKindGramOp = 7,
   kKindNormSq = 8,
-  kKindCanonTree = 9,
+  // 9 was the retired canonical-tree kind; never reuse it, so records
+  // left in existing stores can only miss, and age out under the
+  // store's byte budget.
 };
 
 // ---- disk-tier payload envelope: every persisted artifact embeds the
@@ -214,7 +163,6 @@ struct OperatorCache::Impl {
   std::size_t max_bytes = std::size_t{256} << 20;
   std::size_t bytes = 0;
   std::size_t sens_entries = 0;
-  std::size_t tree_bytes = 0;  // bytes pinned by kKindCanonTree entries
 
   // Traffic counters live in obs::Counter objects so the process-wide
   // instance binds them straight into the metrics registry (the single
@@ -223,13 +171,10 @@ struct OperatorCache::Impl {
   // private per-instance counters with the same since-construction
   // semantics.  Sharded counters are thread-safe on their own; the
   // increments below just happen to also sit under mu.
-  std::unique_ptr<obs::Counter[]> owned_counters{new obs::Counter[8]};
+  std::unique_ptr<obs::Counter[]> owned_counters{new obs::Counter[6]};
   obs::Counter* hits = &owned_counters[0];
   obs::Counter* misses = &owned_counters[1];
   obs::Counter* evictions = &owned_counters[2];
-  // Canonical-tree subset counters (tree_hits <= hits, likewise disk).
-  obs::Counter* tree_hits = &owned_counters[3];
-  obs::Counter* tree_disk_hits = &owned_counters[4];
 
   void BindGlobalMetrics();
   // Persistent second tier (EKTELO_CACHE_DIR / SetDiskTier).  Held by
@@ -241,9 +186,9 @@ struct OperatorCache::Impl {
   // Swapped together with `disk`; jobs capture their own shared_ptr to
   // the store, so a queue outliving a tier swap stays safe.
   std::shared_ptr<store::WriteBehindQueue> wb;
-  obs::Counter* disk_hits = &owned_counters[5];
-  obs::Counter* disk_misses = &owned_counters[6];
-  obs::Counter* disk_writes = &owned_counters[7];
+  obs::Counter* disk_hits = &owned_counters[3];
+  obs::Counter* disk_misses = &owned_counters[4];
+  obs::Counter* disk_writes = &owned_counters[5];
   // Drops accumulated from queues already retired by SetDiskTier; the
   // live queue's drop count is added on top in stats().
   std::size_t disk_write_drops_base = 0;
@@ -285,21 +230,8 @@ struct OperatorCache::Impl {
       }
     bytes -= victim->bytes;
     if (IsSensitivityKind(victim->kind)) --sens_entries;
-    if (victim->kind == kKindCanonTree) tree_bytes -= victim->bytes;
     lru.erase(victim);
     evictions->Inc();
-  }
-
-  /// Byte budget for canonical-tree entries, proportional to the cache
-  /// bound (4 MiB at the 256 MiB default).  Iterative plans (MWEM's
-  /// growing measurement unions) insert one strictly larger one-shot
-  /// tree per round; pinning the whole sequence makes every later
-  /// round's merge allocate cold pages instead of recycling the rounds
-  /// the plan just abandoned — measured as a ~4x slowdown of the merge
-  /// itself.  Evicting from memory loses nothing durable: winners are
-  /// still spilled to the disk tier, which is what warm restarts read.
-  std::size_t MaxTreeBytes() const {
-    return std::max<std::size_t>(max_bytes >> 6, std::size_t{1} << 20);
   }
 
   /// Must hold mu.
@@ -311,10 +243,6 @@ struct OperatorCache::Impl {
   /// Must hold mu.
   void Insert(Entry e) {
     if (e.bytes > max_bytes) return;  // larger than the whole cache
-    // A tree bigger than the whole tree budget would evict every other
-    // tree and be evicted itself by the next insert; skip memory and
-    // let the disk tier serve it.
-    if (e.kind == kKindCanonTree && e.bytes > MaxTreeBytes()) return;
     const bool sens = IsSensitivityKind(e.kind);
     if (sens) {
       // Sensitivity entries are cheap, high-volume (every shared node of
@@ -334,21 +262,8 @@ struct OperatorCache::Impl {
       ++sens_entries;
     }
     bytes += e.bytes;
-    if (e.kind == kKindCanonTree) tree_bytes += e.bytes;
     lru.push_front(std::move(e));
     index.emplace(IndexKey(lru.front().hash, lru.front().kind), lru.begin());
-    // Keep canonical trees within their sub-budget: evict the
-    // least-recently-used tree entry (never the one just inserted).
-    while (tree_bytes > MaxTreeBytes()) {
-      auto victim = lru.end();
-      for (auto it = std::prev(lru.end()); it != lru.begin(); --it)
-        if (it->kind == kKindCanonTree) {
-          victim = it;
-          break;
-        }
-      if (victim == lru.end()) break;
-      Evict(victim);
-    }
     EvictUntilBounded();
   }
 
@@ -390,7 +305,6 @@ struct OperatorCache::Impl {
       auto it = Find(hash, kind, *key);
       if (it != lru.end()) {
         hits->Inc();
-        if (kind == kKindCanonTree) tree_hits->Inc();
         probe.Attr("tier", "mem");
         return get(*it);
       }
@@ -411,7 +325,6 @@ struct OperatorCache::Impl {
       std::lock_guard<std::mutex> lock(mu);
       if (decoded) {
         disk_hits->Inc();
-        if (kind == kKindCanonTree) tree_disk_hits->Inc();
         probe.Attr("tier", "disk");
         auto it = Find(hash, kind, *key);
         if (it != lru.end()) return get(*it);
@@ -585,12 +498,6 @@ void OperatorCache::Impl::BindGlobalMetrics() {
   disk_writes = &r.GetCounter(name, help, "tier=\"disk\",event=\"write\"");
   evictions = &r.GetCounter("ektelo_cache_evictions",
                             "In-memory operator-cache LRU evictions");
-  const char* tree_help =
-      "Canonical-tree cache hits (each one is a beam search skipped)";
-  tree_hits = &r.GetCounter("ektelo_cache_tree_hits", tree_help,
-                            "tier=\"mem\"");
-  tree_disk_hits =
-      &r.GetCounter("ektelo_cache_tree_hits", tree_help, "tier=\"disk\"");
 }
 
 OperatorCache::OperatorCache() : impl_(new Impl) {}
@@ -761,95 +668,6 @@ LinOpPtr OperatorCache::DenseWrapped(const LinOpPtr& op) {
       });
 }
 
-std::optional<LinOpPtr> OperatorCache::CanonicalTreeLookup(
-    const LinOpPtr& op) {
-  const uint64_t hash = op->StructuralHash();
-  obs::Span probe("cache.probe", "cache", &ProbeSeconds());
-  probe.Attr("kind", static_cast<double>(kKindCanonTree));
-  {
-    std::lock_guard<std::mutex> lock(impl_->mu);
-    auto it = impl_->Find(hash, kKindCanonTree, *op);
-    if (it != impl_->lru.end()) {
-      impl_->hits->Inc();
-      impl_->tree_hits->Inc();
-      return it->wrapped;
-    }
-    impl_->misses->Inc();
-  }
-  auto d = impl_->DiskSnapshot();
-  if (d == nullptr || !StructuralHashPersistable(*op)) return std::nullopt;
-  std::vector<uint8_t> payload;
-  std::optional<LinOpPtr> decoded;
-  const bool got = d->Get({hash, uint32_t(kKindCanonTree)}, &payload);
-  if (got) {
-    store::ByteReader r(payload);
-    LinOpPtr tree;
-    if (DecodeEnvelopeExpect(*op, kSubTree, &r))
-      tree = store::DecodeLinOpTree(&r);
-    if (tree && r.remaining() == 0 && tree->rows() == op->rows() &&
-        tree->cols() == op->cols())
-      decoded = std::move(tree);
-  }
-  // A checksum-valid record the decoder rejects (shape-guard collision,
-  // stale encoding) is dropped so a recompute can re-store a good one.
-  if (got && !decoded) d->Drop({hash, uint32_t(kKindCanonTree)});
-  std::lock_guard<std::mutex> lock(impl_->mu);
-  if (!decoded) {
-    impl_->disk_misses->Inc();
-    return std::nullopt;
-  }
-  impl_->disk_hits->Inc();
-  impl_->tree_disk_hits->Inc();
-  auto it = impl_->Find(hash, kKindCanonTree, *op);
-  if (it != impl_->lru.end()) return it->wrapped;
-  impl_->InsertValue(
-      op, hash, kKindCanonTree,
-      [](Impl::Entry& e, const LinOpPtr& v) {
-        e.wrapped = v;
-        e.bytes = ApproxRetainedBytes(*v);
-      },
-      *decoded);
-  return decoded;
-}
-
-void OperatorCache::CanonicalTreeStore(const LinOpPtr& op,
-                                       const LinOpPtr& tree) {
-  const uint64_t hash = op->StructuralHash();
-  {
-    std::lock_guard<std::mutex> lock(impl_->mu);
-    auto it = impl_->Find(hash, kKindCanonTree, *op);
-    if (it == impl_->lru.end())
-      impl_->InsertValue(
-          op, hash, kKindCanonTree,
-          [](Impl::Entry& e, const LinOpPtr& v) {
-            e.wrapped = v;
-            e.bytes = ApproxRetainedBytes(*v);
-          },
-          tree);
-  }
-  auto d = impl_->DiskSnapshot();
-  if (d == nullptr || !StructuralHashPersistable(*op)) return;
-  Impl* impl = impl_.get();
-  auto spill = [impl, d, op, tree, hash] {
-    // The codec fails closed on any node it cannot round-trip (unknown
-    // subclass, unstable hash, depth bound), in which case the winning
-    // tree stays memory-cached only.
-    store::ByteWriter w;
-    EncodeEnvelope(*op, kSubTree, &w);
-    if (store::EncodeLinOpTree(*tree, &w) &&
-        d->Put({hash, uint32_t(kKindCanonTree)}, w.bytes())) {
-      std::lock_guard<std::mutex> lock(impl->mu);
-      impl->disk_writes->Inc();
-    }
-  };
-  auto q = impl_->WbSnapshot();
-  if (q) {
-    (void)q->Enqueue(std::move(spill));  // full queue = counted drop
-  } else {
-    spill();
-  }
-}
-
 double OperatorCache::Sensitivity(const LinOp& op, int which,
                                   const std::function<double()>& compute) {
   const int kind = which == 1 ? kKindSensL1 : kKindSensL2;
@@ -1008,8 +826,6 @@ OperatorCache::Stats OperatorCache::stats() const {
   s.hits = impl_->hits->Value();
   s.misses = impl_->misses->Value();
   s.evictions = impl_->evictions->Value();
-  s.tree_hits = impl_->tree_hits->Value();
-  s.tree_disk_hits = impl_->tree_disk_hits->Value();
   s.entries = impl_->lru.size();
   s.bytes = impl_->bytes;
   s.disk_hits = impl_->disk_hits->Value();
@@ -1031,7 +847,6 @@ void OperatorCache::Clear() {
   impl_->index.clear();
   impl_->bytes = 0;
   impl_->sens_entries = 0;
-  impl_->tree_bytes = 0;
 }
 
 }  // namespace ektelo

@@ -2,17 +2,13 @@
 // process-wide OperatorCache (Halide-flavored separation of what an
 // operator *means* from how it is *evaluated*).
 //
-// The engine is three layers, selected by EKTELO_REWRITE:
+// EKTELO_REWRITE switches the engine on or off:
 //
 //   rules    (default) the fixed-order bottom-up canonicalizing pass in
-//            matrix/rules.h — bitwise-identical to the historical
-//            Rewrite() behavior;
-//   search   cost-guided beam search over rule applications
-//            (matrix/search.h scoring with matrix/cost.h), with winning
-//            canonical trees cached — and, via the disk tier, persisted
-//            (store/tree_codec.h) — by structural hash, so warm
-//            processes load the canonical tree instead of re-searching;
-//   off      no rewriting and no cache consumers, for A/B comparisons.
+//            matrix/rules.h, guarded by the named policy in
+//            matrix/cost.h;
+//   off      no rewriting and no cache consumers, the reference side of
+//            the A/B tests and benches.
 //
 // Plans compose operators in whatever shape is natural to write —
 // per-round measurement stacks, Scale/Transpose wrappers, products with
@@ -84,7 +80,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 
 #include "matrix/linop.h"
 
@@ -94,42 +89,23 @@ namespace store {
 class DiskArtifactStore;
 }  // namespace store
 
-/// The rewrite engine's operating mode.  EKTELO_REWRITE selects it:
-/// "0" or "off" -> kOff; "search" -> kSearch; unset, "1", "rules" or any
-/// other value -> kRules (the historical default — any value other than
-/// "0" has always meant "on").
-enum class RewriteMode { kOff = 0, kRules = 1, kSearch = 2 };
-
-RewriteMode GetRewriteMode();
-
-/// Runtime override of EKTELO_REWRITE: 0 = off, 1 = rules, 2 = search,
-/// -1 = follow the environment again.  Used by the A/B benches and the
-/// mode equivalence tests.
-void SetRewriteMode(int force);
-
 /// Whether the rewrite engine (and the OperatorCache consumers gated on
-/// it) is active: GetRewriteMode() != kOff.
+/// it) is active.  EKTELO_REWRITE selects it: "0" or "off" -> off;
+/// unset or any other value -> on (`rules`).
 bool RewriteEnabled();
 
-/// Back-compat alias for SetRewriteMode: 1 = force rules mode, 0 = force
-/// off, -1 = follow the environment again.
+/// Runtime override of EKTELO_REWRITE: 1 = force on, 0 = force off,
+/// -1 = follow the environment again.  Used by the A/B benches and the
+/// equivalence tests.
 void SetRewriteEnabled(int force);
 
 /// Canonicalize an operator tree with the fixed-order rules pass
-/// (unconditionally — callers wanting the mode switch use MaybeRewrite).
+/// (unconditionally — callers wanting the toggle use MaybeRewrite).
 /// Returns the original pointer when no rule fires, so per-instance
 /// caches survive a no-op pass.
 LinOpPtr Rewrite(LinOpPtr op);
 
-/// Beam-search canonicalization through the canonical-tree cache: a
-/// structurally-equal tree seen before (this process, or — with a disk
-/// tier — any process) returns the cached winner without searching.
-/// Returns the original pointer when the winner is structurally
-/// identical to the input.
-LinOpPtr SearchRewrite(LinOpPtr op);
-
-/// Mode dispatch: op unchanged (kOff), Rewrite (kRules), or
-/// SearchRewrite (kSearch).
+/// Rewrite(op) when the engine is enabled, op unchanged otherwise.
 LinOpPtr MaybeRewrite(LinOpPtr op);
 
 /// True when `op`'s StructuralHash is a pure function of its construction
@@ -159,11 +135,6 @@ class OperatorCache {
     /// Writes the bounded write-behind queue refused (full / shutting
     /// down).  A drop only costs a future recompute, never correctness.
     std::size_t disk_write_drops = 0;
-    /// Canonical-tree artifacts served from memory / promoted from the
-    /// disk tier (subset of hits / disk_hits): each one is a beam search
-    /// a warm process skipped.
-    std::size_t tree_hits = 0;
-    std::size_t tree_disk_hits = 0;
     /// Disk-tier health snapshot (store::DiskArtifactStore::Stats).
     /// disk_degraded means the tier tripped into sticky memory-only mode
     /// after a post-open device error; the cache keeps serving from
@@ -211,21 +182,6 @@ class OperatorCache {
   /// (store/tree_codec.h) when the derived Gram is structured — only the
   /// plain lazy GramOp wrapper, free to re-derive, stays memory-only.
   LinOpPtr GramOperator(const LinOpPtr& op);
-
-  /// Previously chosen canonical tree for `op` (the search-mode fast
-  /// path): probes memory under op's structural hash, then the disk
-  /// tier via the tree codec (a verified disk hit is promoted into
-  /// memory).  Returns nullopt on a full miss — the caller then runs
-  /// the search itself.
-  std::optional<LinOpPtr> CanonicalTreeLookup(const LinOpPtr& op);
-
-  /// Records `tree` as the chosen canonical form of `op`: cached in
-  /// memory and, when every node is process-stable, persisted to the
-  /// disk tier so a warm process loads it instead of re-searching.
-  /// Callers only store *improvements* — a winner the fixed-order rules
-  /// pass would rebuild anyway is pure cache traffic with nothing to
-  /// save (iterative plans mint thousands of such one-shot unions).
-  void CanonicalTreeStore(const LinOpPtr& op, const LinOpPtr& tree);
 
   /// Memoized spectral-norm-squared estimate of a Gram operator (the
   /// NNLS Lipschitz constant), keyed by {gram's structural hash, iters}.

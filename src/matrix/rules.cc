@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <optional>
+#include <memory>
+#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "matrix/combinators.h"
 #include "matrix/cost.h"
@@ -65,9 +68,50 @@ DenseMatrix VConcatDense(const std::vector<LinOpPtr>& run) {
   return m;
 }
 
-}  // namespace
-
 // ----------------------------------------------------- Canonicalizer
+
+/// The fixed-order canonicalizing pass.  Run() memoizes by node
+/// identity, so shared subtrees rewrite once, and returns the *original*
+/// pointer when nothing fires — preserving the per-instance
+/// sensitivity/hash caches of an already-canonical tree.
+///
+/// Each canonical constructor (Scaled, Producted, ...) re-applies the
+/// local rules for one node kind on already-rewritten children, never
+/// recursing into Run, so termination is by structural descent only.
+class Canonicalizer {
+ public:
+  LinOpPtr Run(const LinOpPtr& op);
+
+ private:
+  LinOpPtr Scaled(LinOpPtr child, double c);
+  LinOpPtr RowWeighted(LinOpPtr child, Vec w);
+  LinOpPtr Transposed(const LinOpPtr& child);
+  LinOpPtr Producted(LinOpPtr a, LinOpPtr b, bool binary_hint);
+  LinOpPtr Kroned(LinOpPtr a, LinOpPtr b);
+  LinOpPtr VStacked(std::vector<LinOpPtr> children);
+  LinOpPtr HStacked(std::vector<LinOpPtr> children);
+  LinOpPtr Summed(std::vector<LinOpPtr> children);
+
+  LinOpPtr Dispatch(const LinOpPtr& op);
+  std::vector<LinOpPtr> RunAll(const std::vector<LinOpPtr>& cs);
+
+  /// True when `out` is an n-ary node of the same class as `orig` whose
+  /// children are exactly the (rewritten-in-place) originals.
+  template <typename NaryOp>
+  bool SameChildren(const LinOpPtr& out,
+                    const std::shared_ptr<const NaryOp>& orig,
+                    const std::vector<LinOpPtr>& rewritten) {
+    auto oo = As<NaryOp>(out);
+    if (!oo || oo->children().size() != orig->children().size()) return false;
+    for (std::size_t i = 0; i < rewritten.size(); ++i)
+      if (rewritten[i] != orig->children()[i] ||
+          oo->children()[i] != rewritten[i])
+        return false;
+    return true;
+  }
+
+  std::unordered_map<const LinOp*, std::pair<LinOpPtr, LinOpPtr>> memo_;
+};
 
 LinOpPtr Canonicalizer::Run(const LinOpPtr& op) {
   auto it = memo_.find(op.get());
@@ -505,6 +549,8 @@ std::vector<LinOpPtr> Canonicalizer::RunAll(const std::vector<LinOpPtr>& cs) {
   return out;
 }
 
+}  // namespace
+
 LinOpPtr Canonicalize(const LinOpPtr& op) {
   if (!op) return op;
   Canonicalizer c;
@@ -512,176 +558,6 @@ LinOpPtr Canonicalize(const LinOpPtr& op) {
   EK_CHECK_EQ(out->rows(), op->rows());
   EK_CHECK_EQ(out->cols(), op->cols());
   return out;
-}
-
-// ------------------------------------------------------------ rules
-
-namespace {
-
-/// nnz of a leaf whose sparse materialization is cheap and exactly
-/// sized without doing it: the precondition for a materialize proposal.
-std::optional<std::size_t> CheapNnz(const LinOpPtr& op) {
-  if (auto sp = As<SparseOp>(op)) return sp->csr().nnz();
-  if (As<IdentityOp>(op)) return op->rows();
-  if (As<OnesOp>(op)) return op->rows() * op->cols();
-  if (auto rs = As<RangeSetOp>(op)) {
-    std::size_t nnz = 0;
-    for (const Interval& iv : rs->ranges()) nnz += iv.hi - iv.lo + 1;
-    return nnz;
-  }
-  if (auto rc = As<RectangleSetOp>(op)) {
-    std::size_t nnz = 0;
-    for (const Rectangle& r : rc->rects())
-      nnz += (r.x_hi - r.x_lo + 1) * (r.y_hi - r.y_lo + 1);
-    return nnz;
-  }
-  return std::nullopt;
-}
-
-/// Scale-collapse: re-canonicalize a Scale node (constant folding into
-/// leaves, nested-scale collapse, row-weight absorption).
-class ScaleCollapseRule final : public Rule {
- public:
-  const char* name() const override { return "scale-collapse"; }
-  std::vector<LinOpPtr> Apply(const LinOpPtr& node) const override {
-    auto s = As<ScaleOp>(node);
-    if (!s) return {};
-    Canonicalizer c;
-    return {c.Scaled(s->child(), s->scale())};
-  }
-};
-
-/// Transpose-push: distribute a transpose into the child (products
-/// reverse, Kron factors transpose, stacks swap orientation).
-class TransposePushRule final : public Rule {
- public:
-  const char* name() const override { return "transpose-push"; }
-  std::vector<LinOpPtr> Apply(const LinOpPtr& node) const override {
-    auto t = As<TransposeOp>(node);
-    if (!t) return {};
-    Canonicalizer c;
-    return {c.Transposed(t->child())};
-  }
-};
-
-/// Row-weight fusion: fold nested weights/scales and bake weights into
-/// materialized leaves.
-class RowWeightFuseRule final : public Rule {
- public:
-  const char* name() const override { return "row-weight-fuse"; }
-  std::vector<LinOpPtr> Apply(const LinOpPtr& node) const override {
-    auto rw = As<RowWeightOp>(node);
-    if (!rw) return {};
-    Canonicalizer c;
-    return {c.RowWeighted(rw->child(), rw->weights())};
-  }
-};
-
-/// Kron-fuse: identity elimination and the mixed-product identity on
-/// Kronecker and Product nodes.
-class KronFuseRule final : public Rule {
- public:
-  const char* name() const override { return "kron-fuse"; }
-  std::vector<LinOpPtr> Apply(const LinOpPtr& node) const override {
-    Canonicalizer c;
-    if (auto k = As<KroneckerOp>(node)) return {c.Kroned(k->a(), k->b())};
-    return {};
-  }
-};
-
-/// Sparse-fuse: canonical Product reconstruction — identity elimination,
-/// scale hoisting, mixed-product fusion and the guarded CSR multiply.
-class SparseFuseRule final : public Rule {
- public:
-  const char* name() const override { return "sparse-fuse"; }
-  std::vector<LinOpPtr> Apply(const LinOpPtr& node) const override {
-    auto p = As<ProductOp>(node);
-    if (!p) return {};
-    Canonicalizer c;
-    return {c.Producted(p->a(), p->b(), p->is_nonneg_binary())};
-  }
-};
-
-/// Stack-merge: flatten and run-merge the n-ary combinators.
-class StackMergeRule final : public Rule {
- public:
-  const char* name() const override { return "stack-merge"; }
-  std::vector<LinOpPtr> Apply(const LinOpPtr& node) const override {
-    Canonicalizer c;
-    if (auto v = As<VStackOp>(node)) return {c.VStacked(v->children())};
-    if (auto h = As<HStackOp>(node)) return {c.HStacked(h->children())};
-    if (auto s = As<SumOp>(node)) return {c.Summed(s->children())};
-    return {};
-  }
-};
-
-/// Product-materialize: the composed-vs-materialize decision the fixed
-/// order cannot make.  When both factors have cheap exact sparse forms
-/// (RangeSet/Rectangle/Identity/Ones included — kinds the in-place
-/// sparse-fuse never touches), propose the multiplied-out CSR leaf and
-/// let the cost model decide whether O(nnz) beats the composed apply.
-class ProductMaterializeRule final : public Rule {
- public:
-  const char* name() const override { return "product-materialize"; }
-  std::vector<LinOpPtr> Apply(const LinOpPtr& node) const override {
-    auto p = As<ProductOp>(node);
-    if (!p) return {};
-    const auto na = CheapNnz(p->a());
-    const auto nb = CheapNnz(p->b());
-    if (!na || !nb || *na > kSearchMaterializeMaxUpdates ||
-        *nb > kSearchMaterializeMaxUpdates)
-      return {};
-    const CsrMatrix ma = p->a()->MaterializeSparse();
-    const CsrMatrix mb = p->b()->MaterializeSparse();
-    if (ma.MatmulUpdateBound(mb) > kSearchMaterializeMaxUpdates) return {};
-    return {MakeSparse(ma.Matmul(mb))};
-  }
-};
-
-/// Kron-materialize: flatten a small Kronecker product to its CSR form
-/// (nnz is exactly nnz(A) * nnz(B)) when within budget — pays off when
-/// the factors are tiny and the vec-trick's two passes dominate.
-class KronMaterializeRule final : public Rule {
- public:
-  const char* name() const override { return "kron-materialize"; }
-  std::vector<LinOpPtr> Apply(const LinOpPtr& node) const override {
-    auto k = As<KroneckerOp>(node);
-    if (!k) return {};
-    const auto na = CheapNnz(k->a());
-    const auto nb = CheapNnz(k->b());
-    if (!na || !nb || *na == 0 || *nb == 0) return {};
-    if (*na > kSearchMaterializeMaxUpdates / *nb) return {};
-    // Fused nnz is exactly nnz(A) * nnz(B), so the candidate's score is
-    // known before building it.  A flattening that cannot beat the node
-    // it replaces would never be chosen by the beam — skip the O(nnz)
-    // construction instead of building a candidate just to discard it.
-    const double fused_nnz = double(*na) * double(*nb);
-    if (SparseLeafApplySeconds(node->rows(), node->cols(), fused_nnz) >=
-        TreeScore(*node))
-      return {};
-    return {MakeSparse(node->MaterializeSparse())};
-  }
-};
-
-}  // namespace
-
-const std::vector<const Rule*>& AllRules() {
-  static const std::vector<const Rule*>* all = [] {
-    auto* v = new std::vector<const Rule*>;
-    static const ScaleCollapseRule scale_collapse;
-    static const TransposePushRule transpose_push;
-    static const RowWeightFuseRule row_weight_fuse;
-    static const KronFuseRule kron_fuse;
-    static const SparseFuseRule sparse_fuse;
-    static const StackMergeRule stack_merge;
-    static const ProductMaterializeRule product_materialize;
-    static const KronMaterializeRule kron_materialize;
-    v->assign({&scale_collapse, &transpose_push, &row_weight_fuse, &kron_fuse,
-               &sparse_fuse, &stack_merge, &product_materialize,
-               &kron_materialize});
-    return v;
-  }();
-  return *all;
 }
 
 }  // namespace rules

@@ -1,108 +1,23 @@
-// The rewrite *rules* layer: local algebraic transforms over LinOp trees,
-// split out of the old monolithic rewrite pass (matrix/rewrite.h keeps the
-// mode toggle, caching and the public Rewrite()/MaybeRewrite() entry
-// points; matrix/search.h layers a cost-guided beam search on top).
-//
-// Two forms of the same rule set live here:
-//
-//  * Canonicalizer — the fixed-order bottom-up pass that *commits* each
-//    rule in place (identity elimination, scale/row-weight hoisting, the
-//    Kronecker mixed-product identity, guarded CSR fusion, stack
-//    flattening and run merging).  This is `EKTELO_REWRITE=rules`, and it
-//    is bitwise-identical to the pre-split rewrite pass: same rule order,
-//    same guards (now named in matrix/cost.h), same trees out.
-//
-//  * Rule — the candidate-generating form: Apply(node) *proposes*
-//    alternative trees instead of committing, leaving the choice to the
-//    cost model.  This is what lets the search decide data-dependent
-//    questions the fixed order cannot — e.g. whether Product(RangeSet, P)
-//    should stay composed (O(n+m) per apply) or materialize to a small
-//    CSR leaf (O(nnz)).
+// The rewrite *rules*: local algebraic transforms over LinOp trees,
+// applied by one fixed-order bottom-up canonicalizing pass (identity
+// elimination, scale/row-weight hoisting, the Kronecker mixed-product
+// identity, guarded CSR fusion, stack flattening and run merging).
+// matrix/rewrite.h keeps the on/off toggle, the OperatorCache and the
+// public Rewrite()/MaybeRewrite() entry points; the sparse-fuse guards
+// the pass applies are named in matrix/cost.h.
 #ifndef EKTELO_MATRIX_RULES_H_
 #define EKTELO_MATRIX_RULES_H_
 
-#include <memory>
-#include <unordered_map>
-#include <utility>
-#include <vector>
-
-#include "linalg/vec.h"
 #include "matrix/linop.h"
 
 namespace ektelo {
 namespace rules {
 
-/// Downcast helper shared by the rules and search layers.
-template <typename T>
-std::shared_ptr<const T> OpAs(const LinOpPtr& p) {
-  return std::dynamic_pointer_cast<const T>(p);
-}
-
-/// The fixed-order canonicalizing pass (formerly rewrite.cc's Rewriter).
-/// Run() memoizes by node identity, so shared subtrees rewrite once, and
-/// returns the *original* pointer when nothing fires — preserving the
-/// per-instance sensitivity/hash caches of an already-canonical tree.
-///
-/// The canonical constructors are public: each re-applies the local rules
-/// for one node kind on already-rewritten children (never recursing into
-/// Run, so termination is by structural descent only).  The beam search
-/// builds its candidates through these same constructors, which is what
-/// keeps `search` a superset of `rules` rather than a divergent rewriter.
-class Canonicalizer {
- public:
-  LinOpPtr Run(const LinOpPtr& op);
-
-  LinOpPtr Scaled(LinOpPtr child, double c);
-  LinOpPtr RowWeighted(LinOpPtr child, Vec w);
-  LinOpPtr Transposed(const LinOpPtr& child);
-  LinOpPtr Producted(LinOpPtr a, LinOpPtr b, bool binary_hint);
-  LinOpPtr Kroned(LinOpPtr a, LinOpPtr b);
-  LinOpPtr VStacked(std::vector<LinOpPtr> children);
-  LinOpPtr HStacked(std::vector<LinOpPtr> children);
-  LinOpPtr Summed(std::vector<LinOpPtr> children);
-
- private:
-  LinOpPtr Dispatch(const LinOpPtr& op);
-  std::vector<LinOpPtr> RunAll(const std::vector<LinOpPtr>& cs);
-
-  /// True when `out` is an n-ary node of the same class as `orig` whose
-  /// children are exactly the (rewritten-in-place) originals.
-  template <typename NaryOp>
-  bool SameChildren(const LinOpPtr& out,
-                    const std::shared_ptr<const NaryOp>& orig,
-                    const std::vector<LinOpPtr>& rewritten) {
-    auto oo = OpAs<NaryOp>(out);
-    if (!oo || oo->children().size() != orig->children().size()) return false;
-    for (std::size_t i = 0; i < rewritten.size(); ++i)
-      if (rewritten[i] != orig->children()[i] ||
-          oo->children()[i] != rewritten[i])
-        return false;
-    return true;
-  }
-
-  std::unordered_map<const LinOp*, std::pair<LinOpPtr, LinOpPtr>> memo_;
-};
-
 /// One full fixed-order pass over a tree (the body of ektelo::Rewrite).
+/// Shared subtrees rewrite once, and the original pointer comes back for
+/// any subtree no rule changes, so per-instance sensitivity/hash caches
+/// of an already-canonical tree survive.
 LinOpPtr Canonicalize(const LinOpPtr& op);
-
-/// A candidate-generating transform: given one node (whose children the
-/// search has already processed), propose zero or more alternative trees
-/// computing the same matrix.  Proposals are suggestions — the cost model
-/// ranks them and the beam keeps the cheapest few.  Implementations must
-/// be deterministic and must preserve the represented matrix exactly up
-/// to floating-point reassociation.
-class Rule {
- public:
-  virtual ~Rule() = default;
-  virtual const char* name() const = 0;
-  virtual std::vector<LinOpPtr> Apply(const LinOpPtr& node) const = 0;
-};
-
-/// The built-in rule registry, in a fixed deterministic order:
-/// scale-collapse, transpose-push, row-weight-fuse, kron-fuse,
-/// sparse-fuse, stack-merge, product-materialize, kron-materialize.
-const std::vector<const Rule*>& AllRules();
 
 }  // namespace rules
 }  // namespace ektelo

@@ -5,7 +5,7 @@
 // EKTELO's core claim is transparency — plans are inspectable operator
 // compositions with explicit accounting — and this layer extends that
 // to the *running system*: every subsystem built over PRs 1-9 (serve
-// lifecycle, plan pipeline, rewrite/search, cache tiers, solvers,
+// lifecycle, plan pipeline, rewrite, cache tiers, solvers,
 // ledger I/O, write-behind, ParallelFor) reports into one registry
 // under one naming scheme, replacing three generations of ad-hoc stats
 // structs as the single source of truth.

@@ -120,9 +120,6 @@ std::vector<uint8_t> EncodeStatsReply(const StatsReply& stats) {
   w.U64(stats.coalesced);
   w.U64(stats.cache_disk_hits);
   w.U64(stats.cache_hits);
-  w.U64(stats.rewrite_searches);
-  w.U64(stats.beam_expansions);
-  w.U64(stats.tree_hits);
   w.U64(stats.refused_durability);
   w.U64(stats.refused_deadline);
   w.U64(stats.disk_degraded);
@@ -144,9 +141,8 @@ bool DecodeStatsReply(const std::vector<uint8_t>& bytes, StatsReply* stats) {
       !r.U64(&stats->refused_budget) || !r.U64(&stats->refused_queue) ||
       !r.U64(&stats->refused_bad) || !r.U64(&stats->executions) ||
       !r.U64(&stats->coalesced) || !r.U64(&stats->cache_disk_hits) ||
-      !r.U64(&stats->cache_hits) || !r.U64(&stats->rewrite_searches) ||
-      !r.U64(&stats->beam_expansions) || !r.U64(&stats->tree_hits) ||
-      !r.U64(&stats->refused_durability) || !r.U64(&stats->refused_deadline) ||
+      !r.U64(&stats->cache_hits) || !r.U64(&stats->refused_durability) ||
+      !r.U64(&stats->refused_deadline) ||
       !r.U64(&stats->disk_degraded) || !r.U64(&stats->disk_io_errors) ||
       !r.U64(&stats->disk_write_drops) ||
       !r.U64(&n) || r.remaining() / 24 < n)

@@ -115,9 +115,6 @@ struct StatsReply {
   uint64_t coalesced = 0;          // requests answered without one
   uint64_t cache_disk_hits = 0;    // OperatorCache tier stats snapshot
   uint64_t cache_hits = 0;
-  uint64_t rewrite_searches = 0;   // beam-search canonicalizations run
-  uint64_t beam_expansions = 0;    // candidates generated across beams
-  uint64_t tree_hits = 0;          // canonical trees served from cache
   uint64_t refused_durability = 0; // ledger append failed; failed closed
   uint64_t refused_deadline = 0;   // queued past the request deadline
   uint64_t disk_degraded = 0;      // 1 when the disk cache tier went

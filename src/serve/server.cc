@@ -24,7 +24,6 @@
 #include "kernel/handles.h"
 #include "kernel/kernel.h"
 #include "matrix/rewrite.h"
-#include "matrix/search.h"
 #include "obs/export.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
@@ -581,10 +580,6 @@ struct Server::Impl {
     const OperatorCache::Stats cs = OperatorCache::Global().stats();
     s.cache_hits = cs.hits;
     s.cache_disk_hits = cs.disk_hits;
-    const SearchStats ss = GetSearchStats();
-    s.rewrite_searches = ss.searches;
-    s.beam_expansions = ss.expansions;
-    s.tree_hits = cs.tree_hits + cs.tree_disk_hits;
     s.disk_degraded = cs.disk_degraded ? 1 : 0;
     s.disk_io_errors = cs.disk_io_errors;
     s.disk_write_drops = cs.disk_write_drops;

@@ -35,7 +35,7 @@ enum NodeTag : uint8_t {
   kTagGram = 18,
 };
 
-// Canonical trees are shallow (stack merging flattens them), so a deep
+// Persisted trees are shallow (stack merging flattens them), so a deep
 // nest signals a runaway or hostile payload; the bound also keeps the
 // recursive decoder stack-safe.
 constexpr std::size_t kMaxDepth = 64;

@@ -1,10 +1,11 @@
-// Tag+payload serialization of canonical operator trees.
+// Tag+payload serialization of operator trees.
 //
-// The rewrite search (matrix/search.h) spends real time choosing a
-// canonical tree; this codec makes the winner durable so a warm process
-// loads it from the artifact store instead of re-searching.  Every
-// built-in operator kind gets a one-byte tag and a self-delimiting
-// payload; combinators recurse over their children.  The encoding is
+// OperatorCache::GramOperator (matrix/rewrite.h) uses this codec to
+// persist a *structured* derived Gram (a Kronecker of child Grams, a
+// scaled Gram, ...) to the disk tier, so a warm process loads it instead
+// of re-deriving it.  Every built-in operator kind gets a one-byte tag
+// and a self-delimiting payload; combinators recurse over their
+// children.  The encoding is
 // deterministic and bit-exact (doubles by IEEE bit pattern, via the
 // store/serialize.h primitives), so encode → decode → encode reproduces
 // identical bytes.

@@ -1,28 +1,12 @@
-// Analytic cost model (matrix/cost.h): the named guard constants that
-// replaced the rewrite pass's magic numbers, their boundary behavior,
-// and the sanity/monotonicity of the per-kind estimates the beam search
-// ranks candidates by — including the composed-vs-materialize decision
-// direction the search bench exercises end to end.
-#include <cstring>
-
+// Rewrite cost policy (matrix/cost.h): the named sparse-fuse guards the
+// rules pass applies, their boundary behavior, and the retained-byte
+// estimate that sizes the OperatorCache's byte bound.
 #include "gtest/gtest.h"
 #include "matrix/combinators.h"
 #include "matrix/cost.h"
-#include "matrix/implicit_ops.h"
-#include "matrix/range_ops.h"
-#include "util/rng.h"
 
 namespace ektelo {
 namespace {
-
-CsrMatrix RandomCsr(std::size_t m, std::size_t n, Rng* rng,
-                    double density = 0.3) {
-  std::vector<Triplet> t;
-  for (std::size_t i = 0; i < m; ++i)
-    for (std::size_t j = 0; j < n; ++j)
-      if (rng->Uniform() < density) t.push_back({i, j, rng->Normal()});
-  return CsrMatrix::FromTriplets(m, n, std::move(t));
-}
 
 // ------------------------------------------------------------- guards
 
@@ -46,127 +30,18 @@ TEST(CostGuardsTest, GuardConstantsKeepTheirContractedValues) {
   // contract: changing them changes which trees `rules` mode emits.
   EXPECT_EQ(kSparseFuseMaxUpdates, std::size_t{1} << 24);
   EXPECT_EQ(kSparseFuseMaxDensityRatio, 1.0);
-  EXPECT_GE(kSearchBeamWidth, 2u);
-  EXPECT_LE(kSearchMaterializeMaxUpdates, kSparseFuseMaxUpdates);
-  EXPECT_GT(kSearchPruneRatio, 1.0);
-  EXPECT_GT(kSearchImprovementRatio, 0.0);
-  EXPECT_LT(kSearchImprovementRatio, 1.0);
-  EXPECT_GT(kSearchMinApplySeconds, 0.0);
-  EXPECT_LT(kSearchMinApplySeconds, 1e-3);
-  EXPECT_GT(kRooflineFlopsPerSec, 0.0);
-  EXPECT_GT(kRooflineBytesPerSec, 0.0);
 }
 
-// ----------------------------------------------------------- estimates
+// ----------------------------------------------------------- footprint
 
-TEST(CostModelTest, DenseEstimateIsClosedForm) {
-  const OpCost c = EstimateOpCost(*MakeDense(DenseMatrix(8, 16, 1.0)));
-  EXPECT_DOUBLE_EQ(c.apply_flops, 2.0 * 8 * 16);
-  EXPECT_GE(c.apply_bytes, 8.0 * 8 * 16);  // at least the matrix itself
-  EXPECT_DOUBLE_EQ(c.footprint_bytes, 8.0 * 8 * 16);
-}
-
-TEST(CostModelTest, SparseEstimateTracksNnz) {
-  Rng rng(5);
-  CsrMatrix m = RandomCsr(16, 16, &rng, 0.25);
-  const OpCost c = EstimateOpCost(*MakeSparse(m));
-  EXPECT_DOUBLE_EQ(c.apply_flops, 2.0 * double(m.nnz()));
-}
-
-TEST(CostModelTest, ImplicitOpsBeatTheirDenseEquivalents) {
-  // The whole point of EKTELO's implicit operators: the model must agree
-  // that Prefix/Wavelet/RangeSet are far cheaper than dense n x n.
-  const std::size_t n = 256;
-  const double dense = TreeScore(*MakeDense(DenseMatrix(n, n, 0.5)));
-  EXPECT_LT(TreeScore(*MakeIdentityOp(n)), dense);
-  EXPECT_LT(TreeScore(*MakePrefixOp(n)), dense);
-  EXPECT_LT(TreeScore(*MakeWaveletOp(n)), dense);
-  std::vector<Interval> iv;
-  for (std::size_t i = 0; i + 8 < n; i += 8) iv.push_back({i, i + 7});
-  EXPECT_LT(TreeScore(*MakeRangeSetOp(std::move(iv), n)), dense);
-}
-
-TEST(CostModelTest, CombinatorsAreMonotoneInTheirChildren) {
-  Rng rng(7);
-  LinOpPtr a = MakeSparse(RandomCsr(12, 12, &rng));
-  LinOpPtr b = MakeSparse(RandomCsr(12, 12, &rng));
-  const OpCost ca = EstimateOpCost(*a);
-  const OpCost cb = EstimateOpCost(*b);
-  // A node costs at least the children it evaluates (the monotonicity
-  // the search's pruning rule relies on).
-  EXPECT_GE(EstimateOpCost(*MakeProduct(a, b)).apply_flops,
-            ca.apply_flops + cb.apply_flops);
-  EXPECT_GE(EstimateOpCost(*MakeVStack({a, b})).apply_flops,
-            ca.apply_flops + cb.apply_flops);
-  EXPECT_GE(EstimateOpCost(*MakeSum({a, b})).apply_flops,
-            ca.apply_flops + cb.apply_flops);
-  EXPECT_GE(EstimateOpCost(*MakeScaled(a, 2.0)).apply_flops, ca.apply_flops);
-  EXPECT_DOUBLE_EQ(EstimateOpCost(*MakeTranspose(a)).apply_flops,
-                   ca.apply_flops);
-}
-
-TEST(CostModelTest, KroneckerUsesTheVecTrickNotTheExpandedMatrix) {
-  LinOpPtr a = MakeDense(DenseMatrix(16, 16, 1.0));
-  LinOpPtr b = MakeDense(DenseMatrix(16, 16, 1.0));
-  const double kron = EstimateOpCost(*MakeKronecker(a, b)).apply_flops;
-  // Vec-trick: O(na*flops(B) + mb*flops(A)), nowhere near the (mn)^2
-  // flops of the expanded 256 x 256 dense product.
-  EXPECT_LT(kron, 2.0 * 256 * 256);
-  EXPECT_GE(kron, 2.0 * 2 * 16 * 16);  // at least both factor applies
-}
-
-TEST(CostModelTest, UnknownSubclassScoresAsDense) {
-  // An unmodeled LinOp must be scored conservatively (dense-equivalent),
-  // never as free — the search would otherwise chase what it can't see.
-  class MysteryOp final : public LinOp {
-   public:
-    MysteryOp() : LinOp(4, 4) {}
-    void ApplyRaw(const double*, double*) const override {}
-    void ApplyTRaw(const double*, double*) const override {}
-    std::string DebugName() const override { return "Mystery"; }
-  };
-  MysteryOp op;
-  const OpCost c = EstimateOpCost(op);
-  EXPECT_DOUBLE_EQ(c.apply_flops,
-                   EstimateOpCost(*MakeDense(DenseMatrix(4, 4))).apply_flops);
-}
-
-TEST(CostModelTest, ApplySecondsIsTheRooflineMax) {
-  OpCost compute;  // compute-bound: flops dominate
-  compute.apply_flops = kRooflineFlopsPerSec;
-  compute.apply_bytes = 1.0;
-  EXPECT_DOUBLE_EQ(ApplySeconds(compute), 1.0);
-  OpCost memory;  // memory-bound: bytes dominate
-  memory.apply_flops = 1.0;
-  memory.apply_bytes = kRooflineBytesPerSec;
-  EXPECT_DOUBLE_EQ(ApplySeconds(memory), 1.0);
-}
-
-TEST(CostModelTest, ComposedVsMaterializeDecisionDirection) {
-  // The decision the search bench measures: a range workload composed
-  // with a sparse grouping matrix vs the small fused CSR.  The model
-  // must prefer the fused leaf per apply.
-  const std::size_t n = 1024, g = n / 16;
-  std::vector<Interval> iv;
-  for (std::size_t i = 0; i + 256 < n; i += 16) iv.push_back({i, i + 255});
-  LinOpPtr w = MakeRangeSetOp(std::move(iv), n);
-  std::vector<Triplet> trips;
-  for (std::size_t c = 0; c < n; ++c) trips.push_back({c, c / 16, 1.0});
-  LinOpPtr s = MakeSparse(CsrMatrix::FromTriplets(n, g, std::move(trips)));
-  LinOpPtr composed = MakeProduct(w, s);
-
-  auto* wr = dynamic_cast<const RangeSetOp*>(w.get());
-  ASSERT_NE(wr, nullptr);
-  auto* sp = dynamic_cast<const SparseOp*>(s.get());
-  ASSERT_NE(sp, nullptr);
-  CsrMatrix fused = wr->MaterializeSparse().Matmul(sp->csr());
-  LinOpPtr mat = MakeSparse(std::move(fused));
-  EXPECT_LT(TreeScore(*mat), TreeScore(*composed));
-  // ...and the improvement clears the search's replacement margin.
-  EXPECT_LT(TreeScore(*mat), kSearchImprovementRatio * TreeScore(*composed));
-  // The composed form scores above the min-search floor, so SearchRewrite
-  // actually runs the beam on it rather than falling through to rules.
-  EXPECT_GE(TreeScore(*composed), kSearchMinApplySeconds);
+TEST(RetainedBytesTest, DenseLeafAndProductCountEveryChild) {
+  const std::size_t rows = 8, cols = 16;
+  LinOpPtr a = MakeDense(DenseMatrix(rows, cols, 1.0));
+  EXPECT_EQ(ApproxRetainedBytes(*a), 64 + 8 * rows * cols);
+  LinOpPtr b = MakeDense(DenseMatrix(cols, 4, 1.0));
+  // A Product node adds its own overhead on top of both children.
+  EXPECT_EQ(ApproxRetainedBytes(*MakeProduct(a, b)),
+            64 + (64 + 8 * rows * cols) + (64 + 8 * cols * 4));
 }
 
 }  // namespace

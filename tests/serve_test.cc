@@ -707,6 +707,63 @@ TEST(Protocol, WriteFrameBytesOnTheWire) {
   }
 }
 
+// The stats payload round-trips every field exactly, and the decoder
+// rejects any truncation or trailing byte instead of reading past or
+// short of the layout.
+TEST(Protocol, StatsReplyRoundTrip) {
+  StatsReply s;
+  s.received = 1;
+  s.admitted = 2;
+  s.refused_budget = 3;
+  s.refused_queue = 4;
+  s.refused_bad = 5;
+  s.executions = 6;
+  s.coalesced = 7;
+  s.cache_disk_hits = 8;
+  s.cache_hits = 9;
+  s.refused_durability = 10;
+  s.refused_deadline = 11;
+  s.disk_degraded = 12;
+  s.disk_io_errors = 13;
+  s.disk_write_drops = 14;
+  s.tenants = {{"alice", 1.5, 0.25}, {"bob", 2.0, 0.75}};
+  const std::vector<uint8_t> bytes = EncodeStatsReply(s);
+
+  StatsReply d;
+  ASSERT_TRUE(DecodeStatsReply(bytes, &d));
+  EXPECT_EQ(d.received, s.received);
+  EXPECT_EQ(d.admitted, s.admitted);
+  EXPECT_EQ(d.refused_budget, s.refused_budget);
+  EXPECT_EQ(d.refused_queue, s.refused_queue);
+  EXPECT_EQ(d.refused_bad, s.refused_bad);
+  EXPECT_EQ(d.executions, s.executions);
+  EXPECT_EQ(d.coalesced, s.coalesced);
+  EXPECT_EQ(d.cache_disk_hits, s.cache_disk_hits);
+  EXPECT_EQ(d.cache_hits, s.cache_hits);
+  EXPECT_EQ(d.refused_durability, s.refused_durability);
+  EXPECT_EQ(d.refused_deadline, s.refused_deadline);
+  EXPECT_EQ(d.disk_degraded, s.disk_degraded);
+  EXPECT_EQ(d.disk_io_errors, s.disk_io_errors);
+  EXPECT_EQ(d.disk_write_drops, s.disk_write_drops);
+  ASSERT_EQ(d.tenants.size(), s.tenants.size());
+  for (std::size_t i = 0; i < s.tenants.size(); ++i) {
+    EXPECT_EQ(d.tenants[i].name, s.tenants[i].name);
+    EXPECT_EQ(d.tenants[i].total, s.tenants[i].total);
+    EXPECT_EQ(d.tenants[i].spent, s.tenants[i].spent);
+  }
+
+  for (std::size_t len = 0; len < bytes.size(); ++len) {
+    StatsReply t;
+    EXPECT_FALSE(DecodeStatsReply(
+        std::vector<uint8_t>(bytes.begin(), bytes.begin() + len), &t))
+        << "prefix len " << len;
+  }
+  std::vector<uint8_t> longer = bytes;
+  longer.push_back(0);
+  StatsReply t;
+  EXPECT_FALSE(DecodeStatsReply(longer, &t));
+}
+
 TEST(Client, ConnectTimeoutToBacklogOnlySocketIsBounded) {
   // Nobody is listening at all: connect must fail fast with a status,
   // not hang (ECONNREFUSED on a fresh path; the timeout bounds the rest).

@@ -51,8 +51,7 @@ void ExpectRoundTrip(const LinOpPtr& op) {
   EXPECT_EQ(std::memcmp(again.data(), bytes.data(), bytes.size()), 0);
 }
 
-/// A composite covering every combinator in one tree (the shape the
-/// canonical-tree persistence actually stores).
+/// A composite covering every combinator in one tree.
 LinOpPtr CompositeTree() {
   // Transpose child has rows 4 so the transpose's cols match the stack.
   DenseMatrix d(4, 2);

@@ -284,9 +284,8 @@ int main(int argc, char** argv) {
           "\"refused_queue\":%llu,\"refused_bad\":%llu,"
           "\"refused_durability\":%llu,\"refused_deadline\":%llu,"
           "\"cache_hits\":%llu,\"cache_disk_hits\":%llu,"
-          "\"rewrite_searches\":%llu,\"beam_expansions\":%llu,"
-          "\"tree_hits\":%llu,\"disk_degraded\":%llu,"
-          "\"disk_io_errors\":%llu,\"disk_write_drops\":%llu,"
+          "\"disk_degraded\":%llu,\"disk_io_errors\":%llu,"
+          "\"disk_write_drops\":%llu,"
           "\"tenants\":[",
           (unsigned long long)stats->received,
           (unsigned long long)stats->admitted,
@@ -299,9 +298,6 @@ int main(int argc, char** argv) {
           (unsigned long long)stats->refused_deadline,
           (unsigned long long)stats->cache_hits,
           (unsigned long long)stats->cache_disk_hits,
-          (unsigned long long)stats->rewrite_searches,
-          (unsigned long long)stats->beam_expansions,
-          (unsigned long long)stats->tree_hits,
           (unsigned long long)stats->disk_degraded,
           (unsigned long long)stats->disk_io_errors,
           (unsigned long long)stats->disk_write_drops);
@@ -325,8 +321,7 @@ int main(int argc, char** argv) {
         "received=%llu admitted=%llu executions=%llu coalesced=%llu "
         "refused_budget=%llu refused_queue=%llu refused_bad=%llu "
         "refused_durability=%llu refused_deadline=%llu "
-        "cache_hits=%llu cache_disk_hits=%llu rewrite_searches=%llu "
-        "beam_expansions=%llu tree_hits=%llu disk_degraded=%llu "
+        "cache_hits=%llu cache_disk_hits=%llu disk_degraded=%llu "
         "disk_io_errors=%llu disk_write_drops=%llu\n",
         (unsigned long long)stats->received,
         (unsigned long long)stats->admitted,
@@ -339,9 +334,6 @@ int main(int argc, char** argv) {
         (unsigned long long)stats->refused_deadline,
         (unsigned long long)stats->cache_hits,
         (unsigned long long)stats->cache_disk_hits,
-        (unsigned long long)stats->rewrite_searches,
-        (unsigned long long)stats->beam_expansions,
-        (unsigned long long)stats->tree_hits,
         (unsigned long long)stats->disk_degraded,
         (unsigned long long)stats->disk_io_errors,
         (unsigned long long)stats->disk_write_drops);
