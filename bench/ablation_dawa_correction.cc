@@ -32,12 +32,12 @@ int main(int argc, char** argv) {
         HistEnv env(hist, {n}, eps, 700 + t, &rng);
         // Stage 1 by hand so the correction can be toggled.
         auto noisy = env.kernel.VectorLaplace(
-            env.ctx.x, *MakeIdentityOp(n), eps1);
+            env.x.id(), *MakeIdentityOp(n), eps1);
         if (!noisy.ok()) return 1;
         Partition p = DawaIntervalPartition(
             *noisy, 1.0 / eps1, corrected ? 1.0 / eps1 : 0.0);
         groups[corrected] += double(p.num_groups());
-        auto reduced = env.kernel.VReduceByPartition(env.ctx.x, p);
+        auto reduced = env.kernel.VReduceByPartition(env.x.id(), p);
         auto mapped = MapRangesToIntervalPartition(ranges, p);
         auto strat = GreedyHSelect(mapped, p.num_groups());
         const double sens = strat->SensitivityL1();

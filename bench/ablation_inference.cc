@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
     Vec hist = MakeHistogram1D(shapes[d], n, 1e5, &rng);
     auto w = RangeQueryOp(RandomRanges(500, n, n / 8, &rng), n);
     HistEnv env(hist, {n}, eps, 600 + d, &rng);
-    auto y = env.kernel.VectorLaplace(env.ctx.x, *strategy, eps);
+    auto y = env.kernel.VectorLaplace(env.x.id(), *strategy, eps);
     if (!y.ok()) return 1;
     MeasurementSet mset;
     mset.Add(strategy, *y, sens / eps);

@@ -16,22 +16,24 @@
 
 namespace ektelo::bench {
 
-/// A protected kernel wrapping a histogram, plus the matching PlanContext.
+/// A protected kernel wrapping a histogram: the vector handle, the eps a
+/// plan execution may spend, and the public PlanInput (dims, mode, client
+/// rng) that call sites extend with plan-specific fields.
 struct HistEnv {
   ProtectedKernel kernel;
-  PlanContext ctx;
+  ProtectedVector x;
+  double eps;
+  PlanInput in;
 
   HistEnv(const Vec& hist, std::vector<std::size_t> dims, double eps,
           uint64_t seed, Rng* client_rng,
           MatrixMode mode = MatrixMode::kImplicit)
-      : kernel(TableFromHistogram(hist, "v"), eps, seed) {
-    auto x = kernel.TVectorize(kernel.root());
-    ctx.kernel = &kernel;
-    ctx.x = x.value();
-    ctx.dims = std::move(dims);
-    ctx.eps = eps;
-    ctx.mode = mode;
-    ctx.rng = client_rng;
+      : kernel(TableFromHistogram(hist, "v"), eps, seed),
+        x(&kernel, kernel.TVectorize(kernel.root()).value()),
+        eps(eps) {
+    in.dims = std::move(dims);
+    in.mode = mode;
+    in.rng = client_rng;
   }
 };
 

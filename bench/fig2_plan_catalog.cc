@@ -124,19 +124,15 @@ int main() {
         break;
     }
     HistEnv env(*hist, dims, eps, 4000 + id, &rng, mode);
-    ProtectedVector x(&env.kernel, env.ctx.x);
     BudgetScope scope(eps);
-    PlanInput in;
-    in.dims = dims;
-    in.mode = mode;
-    in.rng = &rng;
+    PlanInput in = env.in;
     in.ranges = ranges;
     in.workload = w_1d;
     in.workload_factors = {w_1d};
     in.known_total = total;
     in.stripe_dim = 0;
     WallTimer timer;
-    StatusOr<Vec> xhat = plan.Execute(x, scope, in);
+    StatusOr<Vec> xhat = plan.Execute(env.x, scope, in);
     const double secs = timer.Elapsed();
     if (!xhat.ok()) {
       std::printf("%-4d %-18s %-34s %-9s %12s\n", id, plan.name().c_str(),

@@ -16,10 +16,14 @@ using namespace ektelo::bench;
 
 namespace {
 
+// A registered plan (or, when `plan` is set, one with non-default
+// options), plus the plan-specific inputs it reads on top of the
+// environment's dims/mode/rng.
 struct PlanSpec {
   const char* name;
   bool two_d;
-  std::function<StatusOr<Vec>(const PlanContext&, Rng*)> run;
+  std::function<void(PlanInput&, Rng*)> inputs;
+  std::unique_ptr<Plan> plan;
 };
 
 }  // namespace
@@ -32,81 +36,30 @@ int main(int argc, char** argv) {
 
   Rng rng(8);
 
+  // The MWEM variants assume the record total known.
+  auto mwem_inputs = [](PlanInput& in, Rng* r) {
+    in.ranges = RandomRanges(100, in.n(), 0, r);
+    in.known_total = 1e5;
+  };
+  auto range_inputs = [](PlanInput& in, Rng* r) {
+    in.ranges = RandomRanges(1000, in.n(), 0, r);
+  };
   std::vector<PlanSpec> plans;
-  plans.push_back({"Identity", true,
-                   [](const PlanContext& c, Rng*) {
-                     return RunIdentityPlan(c);
-                   }});
-  plans.push_back({"Uniform", true,
-                   [](const PlanContext& c, Rng*) {
-                     return RunUniformPlan(c);
-                   }});
-  plans.push_back({"Privelet", true,
-                   [](const PlanContext& c, Rng*) {
-                     return RunPriveletPlan(c);
-                   }});
-  plans.push_back({"H2", true,
-                   [](const PlanContext& c, Rng*) { return RunH2Plan(c); }});
-  plans.push_back({"HB", true,
-                   [](const PlanContext& c, Rng*) { return RunHbPlan(c); }});
-  plans.push_back({"QuadTree", true,
-                   [](const PlanContext& c, Rng*) {
-                     return RunQuadtreePlan(c);
-                   }});
-  plans.push_back({"UniformGrid", true,
-                   [](const PlanContext& c, Rng*) {
-                     return RunUniformGridPlan(c);
-                   }});
-  plans.push_back({"AdaptiveGrid", true,
-                   [](const PlanContext& c, Rng*) {
-                     return RunAdaptiveGridPlan(c);
-                   }});
-  plans.push_back({"AHP", true,
-                   [](const PlanContext& c, Rng*) {
-                     return RunAhpPlan(c);
-                   }});
-  plans.push_back({"MWEM", true,
-                   [](const PlanContext& c, Rng* r) {
-                     auto ranges = RandomRanges(100, c.n(), 0, r);
-                     return RunMwemPlan(c, ranges,
-                                        {.rounds = 10,
-                                         .known_total = 1e5,
-                                         .mw_iterations = 20});
-                   }});
-  plans.push_back({"MWEM variant c", true,
-                   [](const PlanContext& c, Rng* r) {
-                     auto ranges = RandomRanges(100, c.n(), 0, r);
-                     return RunMwemPlan(c, ranges,
-                                        {.rounds = 10,
-                                         .nnls_inference = true,
-                                         .known_total = 1e5});
-                   }});
-  plans.push_back({"MWEM variant d", true,
-                   [](const PlanContext& c, Rng* r) {
-                     auto ranges = RandomRanges(100, c.n(), 0, r);
-                     return RunMwemPlan(c, ranges,
-                                        {.rounds = 10,
-                                         .augment_h2 = true,
-                                         .nnls_inference = true,
-                                         .known_total = 1e5});
-                   }});
+  for (const char* name : {"Identity", "Uniform", "Privelet", "H2", "HB",
+                           "QuadTree", "UniformGrid", "AdaptiveGrid", "AHP"})
+    plans.push_back({name, true, nullptr, nullptr});
+  plans.push_back({"MWEM", true, mwem_inputs,
+                   MakeMwemPlan({.rounds = 10, .mw_iterations = 20})});
+  plans.push_back({"MWEM variant c", true, mwem_inputs, nullptr});
+  plans.push_back({"MWEM variant d", true, mwem_inputs, nullptr});
   plans.push_back({"HDMM", true,
-                   [](const PlanContext& c, Rng*) {
-                     std::vector<LinOpPtr> factors;
-                     for (std::size_t d : c.dims)
-                       factors.push_back(MakePrefixOp(d));
-                     return RunHdmmPlan(c, factors);
-                   }});
-  plans.push_back({"DAWA", false,
-                   [](const PlanContext& c, Rng* r) {
-                     auto ranges = RandomRanges(1000, c.n(), 0, r);
-                     return RunDawaPlan(c, ranges);
-                   }});
-  plans.push_back({"Greedy-H", false,
-                   [](const PlanContext& c, Rng* r) {
-                     auto ranges = RandomRanges(1000, c.n(), 0, r);
-                     return RunGreedyHPlan(c, ranges);
-                   }});
+                   [](PlanInput& in, Rng*) {
+                     for (std::size_t d : in.dims)
+                       in.workload_factors.push_back(MakePrefixOp(d));
+                   },
+                   nullptr});
+  plans.push_back({"DAWA", false, range_inputs, nullptr});
+  plans.push_back({"Greedy-H", false, range_inputs, nullptr});
 
   const MatrixMode modes[] = {MatrixMode::kDense, MatrixMode::kSparse,
                               MatrixMode::kImplicit};
@@ -143,8 +96,13 @@ int main(int argc, char** argv) {
             plan.two_d ? std::vector<std::size_t>{side, side}
                        : std::vector<std::size_t>{n};
         HistEnv env(hist, dims, eps, 7000 + e, &rng, mode);
+        const Plan& p = plan.plan ? *plan.plan
+                                  : PlanRegistry::Global().MustFind(plan.name);
         WallTimer t;
-        auto xhat = plan.run(env.ctx, &rng);
+        PlanInput in = env.in;
+        if (plan.inputs) plan.inputs(in, &rng);
+        BudgetScope scope(env.eps);
+        auto xhat = p.Execute(env.x, scope, in);
         const double secs = t.Elapsed();
         if (!xhat.ok()) {
           std::printf(" %9s", "err");

@@ -102,22 +102,17 @@ int main(int argc, char** argv) {
         ok = xhat.ok();
       } else {
         ProtectedKernel kernel(table, eps, 900 + l);
-        auto x = kernel.TVectorize(kernel.root());
-        PlanContext ctx{.kernel = &kernel, .x = *x, .dims = dims,
-                        .eps = eps, .mode = row.mode, .rng = &rng};
+        ProtectedVector x(&kernel, *kernel.TVectorize(kernel.root()));
+        const std::unique_ptr<Plan> basic =
+            row.basic_sparse ? MakeHbStripedKronPlan(/*materialize_full=*/true)
+                             : nullptr;
+        const Plan& plan =
+            basic ? *basic : PlanRegistry::Global().MustFind(row.plan);
+        BudgetScope scope(eps);
         WallTimer t;
-        StatusOr<Vec> xhat = Status::Internal("unset");
-        switch (row.which) {
-          case 0:
-            xhat = RunDawaStripedPlan(ctx, 0);
-            break;
-          case 2:
-            xhat = RunHbStripedPlan(ctx, 0);
-            break;
-          case 3:
-            xhat = RunHbStripedKronPlan(ctx, 0, row.basic_sparse);
-            break;
-        }
+        StatusOr<Vec> xhat = plan.Execute(
+            x, scope,
+            {.dims = dims, .mode = row.mode, .rng = &rng, .stripe_dim = 0});
         secs = t.Elapsed();
         ok = xhat.ok();
       }

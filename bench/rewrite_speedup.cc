@@ -82,12 +82,11 @@ Vec MustExecute(const Plan& plan, const Vec& hist,
                 uint64_t seed, Rng* client_rng, const PlanInput& base_in) {
   Rng rng = *client_rng;  // same client randomness for both A/B runs
   HistEnv env(hist, dims, eps, seed, &rng);
-  ProtectedVector x(&env.kernel, env.ctx.x);
   BudgetScope scope(eps);
   PlanInput in = base_in;
   in.dims = dims;
   in.rng = &rng;
-  StatusOr<Vec> xhat = plan.Execute(x, scope, in);
+  StatusOr<Vec> xhat = plan.Execute(env.x, scope, in);
   EK_CHECK(xhat.ok());
   return std::move(*xhat);
 }

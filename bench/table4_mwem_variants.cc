@@ -15,23 +15,22 @@ int main(int argc, char** argv) {
   const std::size_t n = 4096;
   const double eps = 0.1;
   const std::size_t n_queries = 1000;
-  const std::size_t rounds = 10;
   const double scale = argc > 1 ? std::atof(argv[1]) : 1e5;
 
   Rng rng(4);
   auto shapes = AllShapes1D();
 
+  // The registered variants run the paper's T = 10 rounds.
   struct Variant {
+    const char* plan;
     const char* selection;
     const char* inference;
-    bool augment;
-    bool nnls;
   };
   const Variant variants[] = {
-      {"worst-approx", "MW", false, false},
-      {"worst-approx + H2", "MW", true, false},
-      {"worst-approx", "NNLS, known total", false, true},
-      {"worst-approx + H2", "NNLS, known total", true, true},
+      {"MWEM", "worst-approx", "MW"},
+      {"MWEM variant b", "worst-approx + H2", "MW"},
+      {"MWEM variant c", "worst-approx", "NNLS, known total"},
+      {"MWEM variant d", "worst-approx + H2", "NNLS, known total"},
   };
 
   double err[4][10];
@@ -44,12 +43,13 @@ int main(int argc, char** argv) {
     auto w_op = RangeQueryOp(ranges, n);
     for (int v = 0; v < 4; ++v) {
       HistEnv env(hist, {n}, eps, 1000 + 17 * d + v, &rng);
+      const Plan& plan = PlanRegistry::Global().MustFind(variants[v].plan);
       WallTimer t;
-      auto xhat = RunMwemPlan(env.ctx, ranges,
-                              {.rounds = rounds,
-                               .augment_h2 = variants[v].augment,
-                               .nnls_inference = variants[v].nnls,
-                               .known_total = total});
+      PlanInput in = env.in;
+      in.ranges = ranges;
+      in.known_total = total;
+      BudgetScope scope(env.eps);
+      auto xhat = plan.Execute(env.x, scope, in);
       time_s[v][d] = t.Elapsed();
       if (!xhat.ok()) {
         std::fprintf(stderr, "variant %d failed on dataset %zu: %s\n", v, d,

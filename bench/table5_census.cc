@@ -50,15 +50,19 @@ int main(int argc, char** argv) {
     std::fflush(stdout);
   };
 
-  {
-    ProtectedKernel kernel(table, eps, 1);
-    auto x = kernel.TVectorize(kernel.root());
-    PlanContext ctx{.kernel = &kernel, .x = *x, .dims = dims, .eps = eps,
-                    .rng = &rng};
+  // Vector plans over the full census domain; the striped ones stripe
+  // along the first attribute (income).
+  auto run_plan = [&](const char* name, uint64_t seed) {
+    ProtectedKernel kernel(table, eps, seed);
+    ProtectedVector x(&kernel, *kernel.TVectorize(kernel.root()));
+    BudgetScope scope(eps);
     WallTimer t;
-    auto xhat = RunIdentityPlan(ctx);
-    report("Identity", xhat, t.Elapsed());
-  }
+    auto xhat = PlanRegistry::Global().MustFind(name).Execute(
+        x, scope, {.dims = dims, .rng = &rng, .stripe_dim = 0});
+    report(name, xhat, t.Elapsed());
+  };
+
+  run_plan("Identity", 1);
   {
     ProtectedKernel kernel(table, eps, 2);
     WallTimer t;
@@ -71,24 +75,8 @@ int main(int argc, char** argv) {
     auto xhat = RunPrivBayesLsPlan(&kernel, schema, eps, &rng);
     report("PrivBayesLS", xhat, t.Elapsed());
   }
-  {
-    ProtectedKernel kernel(table, eps, 4);
-    auto x = kernel.TVectorize(kernel.root());
-    PlanContext ctx{.kernel = &kernel, .x = *x, .dims = dims, .eps = eps,
-                    .rng = &rng};
-    WallTimer t;
-    auto xhat = RunHbStripedPlan(ctx, /*stripe_dim=*/0);
-    report("HB-Striped", xhat, t.Elapsed());
-  }
-  {
-    ProtectedKernel kernel(table, eps, 5);
-    auto x = kernel.TVectorize(kernel.root());
-    PlanContext ctx{.kernel = &kernel, .x = *x, .dims = dims, .eps = eps,
-                    .rng = &rng};
-    WallTimer t;
-    auto xhat = RunDawaStripedPlan(ctx, /*stripe_dim=*/0);
-    report("DAWA-Striped", xhat, t.Elapsed());
-  }
+  run_plan("HB-Striped", 4);
+  run_plan("DAWA-Striped", 5);
 
   std::printf(
       "\npaper (Table 5, x1e-7): Identity 241.8/120.4/189.7, PrivBayes "

@@ -14,11 +14,9 @@ using namespace ektelo::bench;
 namespace {
 
 struct Case {
-  const char* name;
+  const char* name;               // registered plan
   std::vector<std::size_t> dims;  // full-domain shape for the plan
   bool two_d;
-  std::function<StatusOr<Vec>(const PlanContext&,
-                              const std::vector<RangeQuery>&)> run;
 };
 
 }  // namespace
@@ -28,31 +26,10 @@ int main(int argc, char** argv) {
   const int trials = argc > 2 ? std::atoi(argv[2]) : 3;
   Rng rng(6);
 
-  // Group volumes of the active workload partition; empty when running on
-  // the original domain.  DAWA's partition selection normalizes by these
-  // so pre-merged groups still expose uniform-region structure.
-  Vec active_volumes;
-
-  std::vector<Case> cases;
-  cases.push_back({"AHP", {128, 128}, true,
-                   [](const PlanContext& c, const std::vector<RangeQuery>&) {
-                     return RunAhpPlan(c);
-                   }});
-  cases.push_back({"DAWA", {4096}, false,
-                   [&active_volumes](const PlanContext& c,
-                                     const std::vector<RangeQuery>& w) {
-                     DawaPlanOptions opts;
-                     opts.dawa.cell_volumes = active_volumes;
-                     return RunDawaPlan(c, w, opts);
-                   }});
-  cases.push_back({"Identity", {256, 256}, true,
-                   [](const PlanContext& c, const std::vector<RangeQuery>&) {
-                     return RunIdentityPlan(c);
-                   }});
-  cases.push_back({"HB", {4096}, false,
-                   [](const PlanContext& c, const std::vector<RangeQuery>&) {
-                     return RunHbPlan(c);
-                   }});
+  const std::vector<Case> cases = {{"AHP", {128, 128}, true},
+                                   {"DAWA", {4096}, false},
+                                   {"Identity", {256, 256}, true},
+                                   {"HB", {4096}, false}};
 
   std::printf(
       "Table 6: workload-based domain reduction (W=RandomRange, small "
@@ -80,30 +57,43 @@ int main(int argc, char** argv) {
     // Reduced workload as ranges over groups (groups of a 1D range
     // workload are intervals), for plans that need a range workload.
     auto reduced_ranges = MapRangesToIntervalPartition(ranges, p);
+    const Plan& plan = PlanRegistry::Global().MustFind(c.name);
+    // DAWA's partition selection normalizes by group volume, so on the
+    // reduced domain it runs with the workload partition's group sizes
+    // and pre-merged groups still expose uniform-region structure.
+    std::unique_ptr<Plan> volume_aware;
+    if (std::string_view(c.name) == "DAWA") {
+      auto sizes = p.GroupSizes();
+      DawaPlanOptions opts;
+      opts.dawa.cell_volumes.assign(sizes.begin(), sizes.end());
+      volume_aware = MakeDawaPlan(opts);
+    }
+    const Plan& reduced_plan = volume_aware ? *volume_aware : plan;
 
     double err_orig = 0.0, err_red = 0.0, t_orig = 0.0, t_red = 0.0;
     for (int trial = 0; trial < trials; ++trial) {
       {
-        active_volumes.clear();
         HistEnv env(hist, c.dims, eps, 100 + trial, &rng);
         WallTimer t;
-        auto xhat = c.run(env.ctx, ranges);
+        PlanInput in = env.in;
+        in.ranges = ranges;
+        BudgetScope scope(env.eps);
+        auto xhat = plan.Execute(env.x, scope, in);
         t_orig += t.Elapsed();
         if (xhat.ok())
           err_orig += ScaledWorkloadError(*w_op, *xhat, hist);
       }
       {
         // Reduce first: the plan then runs on the reduced vector.
-        auto sizes = p.GroupSizes();
-        active_volumes.assign(sizes.begin(), sizes.end());
         ProtectedKernel kernel(TableFromHistogram(hist, "v"), eps,
                                200 + trial);
-        auto x = kernel.TVectorize(kernel.root());
+        ProtectedVector x(&kernel, *kernel.TVectorize(kernel.root()));
         WallTimer t;
-        auto xr = kernel.VReduceByPartition(*x, p);
-        PlanContext ctx{.kernel = &kernel, .x = *xr,
-                        .dims = {p.num_groups()}, .eps = eps, .rng = &rng};
-        auto xhat_red = c.run(ctx, reduced_ranges);
+        auto xr = x.ReduceByPartition(p);
+        BudgetScope scope(eps);
+        auto xhat_red = reduced_plan.Execute(
+            *xr, scope,
+            {.dims = {p.num_groups()}, .rng = &rng, .ranges = reduced_ranges});
         t_red += t.Elapsed();
         if (xhat_red.ok()) {
           Vec expanded = ExpandEstimate(p, *xhat_red);

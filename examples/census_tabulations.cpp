@@ -49,23 +49,16 @@ int main(int argc, char** argv) {
   };
   std::vector<Row> rows;
 
-  auto run_vector_plan = [&](const std::string& name, auto&& fn) {
+  // Vector plans over the full census domain; the striped ones stripe
+  // along the first attribute (income).
+  for (const char* name : {"Identity", "HB-Striped", "DAWA-Striped"}) {
     ProtectedKernel kernel(table, eps, 100 + rows.size());
-    auto x = kernel.TVectorize(kernel.root());
-    PlanContext ctx{.kernel = &kernel, .x = *x, .dims = dims, .eps = eps,
-                    .rng = &rng};
-    auto xhat = fn(ctx);
+    ProtectedVector x(&kernel, *kernel.TVectorize(kernel.root()));
+    BudgetScope scope(eps);
+    auto xhat = PlanRegistry::Global().Find(name)->Execute(
+        x, scope, {.dims = dims, .rng = &rng, .stripe_dim = 0});
     if (xhat.ok()) rows.push_back({name, std::move(*xhat)});
-  };
-
-  run_vector_plan("Identity",
-                  [](const PlanContext& c) { return RunIdentityPlan(c); });
-  run_vector_plan("HB-Striped", [](const PlanContext& c) {
-    return RunHbStripedPlan(c, /*stripe_dim=*/0);
-  });
-  run_vector_plan("DAWA-Striped", [](const PlanContext& c) {
-    return RunDawaStripedPlan(c, /*stripe_dim=*/0);
-  });
+  }
   {
     ProtectedKernel kernel(table, eps, 500);
     auto xhat = RunPrivBayesPlan(&kernel, schema, eps, &rng);

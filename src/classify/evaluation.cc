@@ -62,7 +62,7 @@ NbEvalResult EvaluateNbClassifier(std::optional<NbPlanKind> plan,
       NbHistograms hists;
       if (plan.has_value()) {
         auto est = EstimateNbHistograms(*plan, train, eps,
-                                        /*kernel_seed=*/rng->raw()(), rng);
+                                        /*kernel_seed=*/rng->raw()());
         EK_CHECK(est.ok());
         hists = std::move(est).value();
       } else {

@@ -76,7 +76,7 @@ NbHistograms ExactNbHistograms(const Table& train) {
 
 StatusOr<NbHistograms> EstimateNbHistograms(NbPlanKind kind,
                                             const Table& train, double eps,
-                                            uint64_t kernel_seed, Rng* rng,
+                                            uint64_t kernel_seed,
                                             const NbPlanOptions& opts) {
   NbSetup s = MakeSetup(train.schema());
   ProtectedKernel kernel(train, eps, kernel_seed);

@@ -17,7 +17,6 @@
 #include "classify/naive_bayes.h"
 #include "data/table.h"
 #include "kernel/kernel.h"
-#include "util/rng.h"
 #include "util/status.h"
 
 namespace ektelo {
@@ -38,7 +37,7 @@ struct NbPlanOptions {
 /// protected training table.
 StatusOr<NbHistograms> EstimateNbHistograms(NbPlanKind kind,
                                             const Table& train, double eps,
-                                            uint64_t kernel_seed, Rng* rng,
+                                            uint64_t kernel_seed,
                                             const NbPlanOptions& opts = {});
 
 /// Exact (non-private) histograms — the "Unperturbed" upper bound.

@@ -28,9 +28,7 @@
 //
 // Custom algorithms compose the same pieces: pipelines from stages
 // (plans/pipeline.h) for select-measure-infer shapes, or a Plan subclass
-// over the typed handles for iterative/parallel control flow.  The old
-// Run*Plan free functions still compile but are deprecated shims over the
-// registry.
+// over the typed handles for iterative/parallel control flow.
 //
 // See examples/ for complete programs.
 #ifndef EKTELO_EKTELO_H_

@@ -24,7 +24,7 @@ struct NnlsOptions {
   /// Optional warm start (projected to >= 0); empty means start at zero.
   /// Iterative plans (MWEM variants c/d) re-solve once per round and
   /// warm-start from the previous round's estimate.
-  Vec x0;
+  Vec x0{};
 };
 
 struct NnlsResult {

@@ -215,21 +215,4 @@ void RegisterGridPlans(PlanRegistry& registry) {
 
 }  // namespace plan_registration
 
-// ------------------------------------------------- deprecated Run* shims
-
-StatusOr<Vec> RunQuadtreePlan(const PlanContext& ctx) {
-  return ExecuteWithContext(PlanRegistry::Global().MustFind("QuadTree"),
-                            ctx);
-}
-
-StatusOr<Vec> RunUniformGridPlan(const PlanContext& ctx,
-                                 const UGridOptions& opts) {
-  return ExecuteWithContext(*MakeUniformGridPlan(opts), ctx);
-}
-
-StatusOr<Vec> RunAdaptiveGridPlan(const PlanContext& ctx,
-                                  const AGridOptions& opts) {
-  return ExecuteWithContext(*MakeAdaptiveGridPlan(opts), ctx);
-}
-
 }  // namespace ektelo

@@ -2,8 +2,7 @@
 // All expect dims = {nx, ny}.
 //
 // Registered in PlanRegistry as "QuadTree", "UniformGrid" and
-// "AdaptiveGrid"; the Run* functions are deprecated shims over the
-// registered plans.  AdaptiveGrid exercises the parallel-composition side
+// "AdaptiveGrid".  AdaptiveGrid exercises the parallel-composition side
 // of the BudgetScope API: its level-2 refinement measures every block of a
 // VSplitByPartition under SplitParallel sub-scopes.
 #ifndef EKTELO_PLANS_GRID_PLANS_H_
@@ -37,13 +36,6 @@ struct AGridOptions {
 /// per-cell second-level grid sized by the first level's noisy counts,
 /// measured in parallel across the partition, then global LS.
 std::unique_ptr<Plan> MakeAdaptiveGridPlan(const AGridOptions& opts = {});
-
-// Deprecated shims (see plans.h).
-StatusOr<Vec> RunQuadtreePlan(const PlanContext& ctx);
-StatusOr<Vec> RunUniformGridPlan(const PlanContext& ctx,
-                                 const UGridOptions& opts = {});
-StatusOr<Vec> RunAdaptiveGridPlan(const PlanContext& ctx,
-                                  const AGridOptions& opts = {});
 
 }  // namespace ektelo
 

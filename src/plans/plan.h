@@ -1,10 +1,5 @@
-// Plan execution context shared by every plan in the Fig. 2 catalog.
-//
-// A plan is a client-space function: it receives a handle to a protected
-// vector source plus public metadata (domain shape, budget, matrix mode)
-// and returns a differentially-private estimate xhat of the full data
-// vector.  All private interaction goes through the ProtectedKernel; the
-// privacy guarantee (Theorem 4.1) therefore holds for arbitrary plan code.
+// Matrix representation modes shared by every plan in the Fig. 2 catalog
+// (the Plan interface itself lives in plans/registry.h).
 //
 // MatrixMode selects the physical representation of measurement matrices
 // (Sec. 10.2's dense/sparse/implicit comparison): plans build implicit
@@ -13,13 +8,7 @@
 #ifndef EKTELO_PLANS_PLAN_H_
 #define EKTELO_PLANS_PLAN_H_
 
-#include <cstddef>
-#include <vector>
-
-#include "kernel/kernel.h"
 #include "matrix/linop.h"
-#include "util/rng.h"
-#include "util/status.h"
 
 namespace ektelo {
 
@@ -30,24 +19,6 @@ const char* MatrixModeName(MatrixMode mode);
 /// Convert an implicit operator to the requested physical representation
 /// (kImplicit is the identity conversion; the others materialize).
 LinOpPtr ApplyMode(LinOpPtr op, MatrixMode mode);
-
-/// DEPRECATED legacy execution context, kept for the Run*Plan shims: new
-/// code passes a typed ProtectedVector handle, a BudgetScope and a
-/// PlanInput to Plan::Execute instead (see plans/registry.h).
-struct PlanContext {
-  ProtectedKernel* kernel = nullptr;
-  SourceId x = 0;                  // protected vector source
-  std::vector<std::size_t> dims;   // public domain shape
-  double eps = 0.1;
-  MatrixMode mode = MatrixMode::kImplicit;
-  Rng* rng = nullptr;              // client-side randomness
-
-  std::size_t n() const {
-    std::size_t total = 1;
-    for (std::size_t d : dims) total *= d;
-    return total;
-  }
-};
 
 }  // namespace ektelo
 

@@ -315,78 +315,4 @@ void RegisterCatalogPlans(PlanRegistry& registry) {
 
 }  // namespace plan_registration
 
-// ------------------------------------------------- deprecated Run* shims
-
-namespace {
-
-const Plan& RegisteredPlan(const char* name) {
-  return PlanRegistry::Global().MustFind(name);
-}
-
-}  // namespace
-
-StatusOr<Vec> RunIdentityPlan(const PlanContext& ctx) {
-  return ExecuteWithContext(RegisteredPlan("Identity"), ctx);
-}
-
-StatusOr<Vec> RunUniformPlan(const PlanContext& ctx) {
-  return ExecuteWithContext(RegisteredPlan("Uniform"), ctx);
-}
-
-StatusOr<Vec> RunPriveletPlan(const PlanContext& ctx) {
-  return ExecuteWithContext(RegisteredPlan("Privelet"), ctx);
-}
-
-StatusOr<Vec> RunH2Plan(const PlanContext& ctx) {
-  return ExecuteWithContext(RegisteredPlan("H2"), ctx);
-}
-
-StatusOr<Vec> RunHbPlan(const PlanContext& ctx) {
-  return ExecuteWithContext(RegisteredPlan("HB"), ctx);
-}
-
-StatusOr<Vec> RunGreedyHPlan(const PlanContext& ctx,
-                             const std::vector<RangeQuery>& workload) {
-  PlanInput in;
-  in.ranges = workload;
-  return ExecuteWithContext(RegisteredPlan("Greedy-H"), ctx, std::move(in));
-}
-
-StatusOr<Vec> RunMwemPlan(const PlanContext& ctx,
-                          const std::vector<RangeQuery>& workload,
-                          const MwemOptions& opts) {
-  PlanInput in;
-  in.ranges = workload;
-  in.known_total = opts.known_total;
-  return ExecuteWithContext(*MakeMwemPlan(opts), ctx, std::move(in));
-}
-
-StatusOr<Vec> RunAhpPlan(const PlanContext& ctx, const AhpPlanOptions& opts) {
-  return ExecuteWithContext(*MakeAhpPlan(opts), ctx);
-}
-
-StatusOr<Vec> RunDawaPlan(const PlanContext& ctx,
-                          const std::vector<RangeQuery>& workload,
-                          const DawaPlanOptions& opts) {
-  PlanInput in;
-  in.ranges = workload;
-  return ExecuteWithContext(*MakeDawaPlan(opts), ctx, std::move(in));
-}
-
-StatusOr<Vec> RunHdmmPlan(const PlanContext& ctx,
-                          const std::vector<LinOpPtr>& workload_factors) {
-  PlanInput in;
-  in.workload_factors = workload_factors;
-  return ExecuteWithContext(RegisteredPlan("HDMM"), ctx, std::move(in));
-}
-
-StatusOr<Vec> RunWorkloadPlan(const PlanContext& ctx, LinOpPtr workload,
-                              bool ls_inference) {
-  PlanInput in;
-  in.workload = std::move(workload);
-  return ExecuteWithContext(
-      RegisteredPlan(ls_inference ? "WorkloadLS" : "Workload"), ctx,
-      std::move(in));
-}
-
 }  // namespace ektelo

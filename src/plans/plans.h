@@ -21,14 +21,9 @@
 // see plans/pipeline.h) and the four MWEM variants are one parameterized
 // loop plan.  `Make*Plan` builds an instance with explicit options; the
 // default-option instances live in PlanRegistry::Global() under their
-// catalog names ("Identity", "DAWA", "MWEM variant b", ...).
-//
-// The `Run*Plan` free functions below are DEPRECATED shims kept for source
-// compatibility: each is a one-liner that wraps the PlanContext into a
-// typed ProtectedVector handle plus a BudgetScope and delegates to the
-// corresponding registered plan.  New code should use
-// `PlanRegistry::Global().Find(name)->Execute(x, scope, input)` or a
-// `Make*Plan` factory directly.
+// catalog names ("Identity", "DAWA", "MWEM variant b", ...); run one with
+// `PlanRegistry::Global().Find(name)->Execute(x, scope, input)`, or call
+// `Execute` on a `Make*Plan` instance when the options differ.
 #ifndef EKTELO_PLANS_PLANS_H_
 #define EKTELO_PLANS_PLANS_H_
 
@@ -54,7 +49,9 @@ std::unique_ptr<Plan> MakeGreedyHPlan();
 /// Workload factors come from PlanInput::workload_factors.
 std::unique_ptr<Plan> MakeHdmmPlan();
 /// Measures PlanInput::workload (or RangeQueryOp of PlanInput::ranges)
-/// directly with Vector Laplace + least squares.
+/// directly with Vector Laplace, then runs least squares ("WorkloadLS") or
+/// returns the minimum-norm reconstruction of the raw noisy answers
+/// ("Workload").
 std::unique_ptr<Plan> MakeWorkloadPlan(bool ls_inference);
 
 struct MwemOptions {
@@ -87,35 +84,6 @@ struct DawaPlanOptions {
   DawaOptions dawa;
 };
 std::unique_ptr<Plan> MakeDawaPlan(const DawaPlanOptions& opts = {});
-
-// ------------------------------------------------- deprecated Run* shims
-//
-// One-line wrappers over the registered plans; kept so pre-registry call
-// sites compile unchanged.  Prefer Plan::Execute with typed handles.
-
-StatusOr<Vec> RunIdentityPlan(const PlanContext& ctx);
-StatusOr<Vec> RunUniformPlan(const PlanContext& ctx);
-StatusOr<Vec> RunPriveletPlan(const PlanContext& ctx);
-StatusOr<Vec> RunH2Plan(const PlanContext& ctx);
-StatusOr<Vec> RunHbPlan(const PlanContext& ctx);
-StatusOr<Vec> RunGreedyHPlan(const PlanContext& ctx,
-                             const std::vector<RangeQuery>& workload);
-StatusOr<Vec> RunMwemPlan(const PlanContext& ctx,
-                          const std::vector<RangeQuery>& workload,
-                          const MwemOptions& opts);
-StatusOr<Vec> RunAhpPlan(const PlanContext& ctx,
-                         const AhpPlanOptions& opts = {});
-StatusOr<Vec> RunDawaPlan(const PlanContext& ctx,
-                          const std::vector<RangeQuery>& workload,
-                          const DawaPlanOptions& opts = {});
-/// HDMM: workload given per-dimension (Kronecker factors).
-StatusOr<Vec> RunHdmmPlan(const PlanContext& ctx,
-                          const std::vector<LinOpPtr>& workload_factors);
-/// Measure the workload directly with Vector Laplace; if ls_inference,
-/// follow with least squares (WorkloadLS), else return the minimum-norm
-/// reconstruction of the raw noisy answers.
-StatusOr<Vec> RunWorkloadPlan(const PlanContext& ctx, LinOpPtr workload,
-                              bool ls_inference);
 
 /// Map 1D ranges through an interval partition (groups must be contiguous
 /// intervals, as produced by DawaIntervalPartition): used by DAWA's

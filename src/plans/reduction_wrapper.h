@@ -8,22 +8,29 @@
 
 #include <functional>
 
-#include "plans/plan.h"
+#include "kernel/budget.h"
+#include "kernel/handles.h"
+#include "plans/registry.h"
 #include "workload/reduction.h"
 
 namespace ektelo {
 
-/// A plan body to run on the (reduced) domain.  Receives the adjusted
-/// context plus the reduction partition (so range workloads can be
-/// remapped via MapRangesToIntervalPartition and data-dependent selectors
-/// can normalize by group volume).
-using ReducedPlanFn =
-    std::function<StatusOr<Vec>(const PlanContext&, const Partition&)>;
+/// A plan body to run on the reduced domain.  Receives the reduced vector,
+/// the caller's scope, the caller's input with dims = {p.num_groups()},
+/// and the reduction partition p (so range workloads can be remapped via
+/// MapRangesToIntervalPartition and data-dependent selectors can
+/// normalize by group volume).
+using ReducedPlanFn = std::function<StatusOr<Vec>(
+    const ProtectedVector&, BudgetScope&, const PlanInput&, const Partition&)>;
 
 /// Compute the workload-based partition of `workload` (Algorithm 4,
-/// public), reduce the protected vector, run `body` on the reduced
-/// context, and expand the estimate uniformly within groups (P+).
-StatusOr<Vec> RunWithWorkloadReduction(const PlanContext& ctx,
+/// public, drawing from in.rng), reduce `x`, run `body` on the reduced
+/// vector, and expand the estimate uniformly within groups (P+).
+/// InvalidArgument when the workload does not match the domain or in.rng
+/// is unset.
+StatusOr<Vec> RunWithWorkloadReduction(const ProtectedVector& x,
+                                       BudgetScope& scope,
+                                       const PlanInput& in,
                                        const LinOp& workload,
                                        const ReducedPlanFn& body);
 

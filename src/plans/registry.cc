@@ -6,15 +6,22 @@
 
 namespace ektelo {
 
+std::optional<std::size_t> DimsProduct(const std::vector<std::size_t>& dims) {
+  std::size_t total = 1;
+  for (std::size_t d : dims)
+    if (__builtin_mul_overflow(total, d, &total)) return std::nullopt;
+  return total;
+}
+
 StatusOr<std::vector<std::size_t>> Plan::ResolveDims(
     const ProtectedVector& x, const PlanInput& in) const {
   std::vector<std::size_t> dims = in.dims;
   if (dims.empty()) dims = {x.size()};
-  std::size_t total = 1;
-  for (std::size_t d : dims) total *= d;
-  if (total != x.size())
+  const std::optional<std::size_t> total = DimsProduct(dims);
+  if (!total) return Status::InvalidArgument("dims product overflows");
+  if (*total != x.size())
     return Status::InvalidArgument(
-        "dims product " + std::to_string(total) +
+        "dims product " + std::to_string(*total) +
         " does not match vector size " + std::to_string(x.size()));
   switch (domain()) {
     case DomainKind::k1D:
@@ -73,22 +80,6 @@ std::vector<const Plan*> PlanRegistry::Catalog() const {
   out.reserve(plans_.size());
   for (const auto& p : plans_) out.push_back(p.get());
   return out;
-}
-
-StatusOr<Vec> ExecuteWithContext(const Plan& plan, const PlanContext& ctx,
-                                 PlanInput in) {
-  EK_ASSIGN_OR_RETURN(ProtectedVector x,
-                      ProtectedVector::Wrap(ctx.kernel, ctx.x));
-  in.dims = ctx.dims;
-  in.mode = ctx.mode;
-  in.rng = ctx.rng;
-  BudgetScope scope(ctx.eps);
-  return plan.Execute(x, scope, in);
-}
-
-PlanRegistrar::PlanRegistrar(std::unique_ptr<Plan> plan) {
-  Status st = PlanRegistry::Global().Register(std::move(plan));
-  EK_CHECK(st.ok());
 }
 
 }  // namespace ektelo

@@ -21,6 +21,7 @@
 
 #include <cstddef>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -28,27 +29,35 @@
 #include "kernel/budget.h"
 #include "kernel/handles.h"
 #include "plans/plan.h"
+#include "util/rng.h"
 #include "workload/workloads.h"
 
 namespace ektelo {
 
+/// Number of cells of a domain of shape `dims` (1 for no dims), or nullopt
+/// when the product overflows size_t.  Validation of untrusted shapes
+/// goes through this: a wrapped product could otherwise match a vector
+/// size and pass.
+std::optional<std::size_t> DimsProduct(const std::vector<std::size_t>& dims);
+
 /// Public, data-independent inputs to a plan execution.  Every field is
 /// safe to choose in untrusted client space; plans read the ones they
-/// need and ignore the rest.
+/// need and ignore the rest.  Every field has a default initializer, so a
+/// designated initializer may name any subset, e.g. {.dims = {n}}.
 struct PlanInput {
   /// Domain shape; empty means the flat 1D domain {x.size()}.
-  std::vector<std::size_t> dims;
+  std::vector<std::size_t> dims{};
   /// Physical representation of measurement matrices (Sec. 10.2).
   MatrixMode mode = MatrixMode::kImplicit;
   /// Client-side randomness for plans that need it (e.g. PrivBayes).
   Rng* rng = nullptr;
   /// 1D range workload for workload-adaptive plans (Greedy-H, MWEM, DAWA).
-  std::vector<RangeQuery> ranges;
+  std::vector<RangeQuery> ranges{};
   /// General workload operator (the Workload/WorkloadLS baselines); when
   /// unset, plans fall back to RangeQueryOp(ranges, n).
-  LinOpPtr workload;
+  LinOpPtr workload{};
   /// Per-dimension workload factors (HDMM).
-  std::vector<LinOpPtr> workload_factors;
+  std::vector<LinOpPtr> workload_factors{};
   /// The record total MWEM assumes known.
   double known_total = 0.0;
   /// Stripe dimension for the high-dimensional striped plans.
@@ -123,8 +132,8 @@ class PlanRegistry {
 
   /// Lookup by exact catalog name; nullptr when absent.
   const Plan* Find(std::string_view name) const;
-  /// Lookup that CHECK-aborts when absent (for call sites, like the
-  /// Run*Plan shims, whose name is a compile-time constant).
+  /// Lookup that CHECK-aborts when absent (for call sites whose name is a
+  /// compile-time constant, where a miss is a programming error).
   const Plan& MustFind(std::string_view name) const;
 
   /// All plans in registration (catalog) order.
@@ -134,20 +143,6 @@ class PlanRegistry {
 
  private:
   std::vector<std::unique_ptr<Plan>> plans_;
-};
-
-/// Bridge used by the deprecated Run*Plan shims: wraps ctx's source into
-/// a typed ProtectedVector, builds a BudgetScope of ctx.eps, copies the
-/// context's public metadata (dims/mode/rng) into `in` on top of any
-/// plan-specific fields the caller pre-filled, and executes the plan.
-StatusOr<Vec> ExecuteWithContext(const Plan& plan, const PlanContext& ctx,
-                                 PlanInput in = {});
-
-/// Static-registration helper for user plan libraries:
-///   static PlanRegistrar reg(std::make_unique<MyPlan>());
-class PlanRegistrar {
- public:
-  explicit PlanRegistrar(std::unique_ptr<Plan> plan);
 };
 
 namespace plan_registration {

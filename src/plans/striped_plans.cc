@@ -204,36 +204,4 @@ void RegisterStripedPlans(PlanRegistry& registry) {
 
 }  // namespace plan_registration
 
-// ------------------------------------------------- deprecated Run* shims
-
-namespace {
-
-PlanInput StripeInput(std::size_t stripe_dim) {
-  PlanInput in;
-  in.stripe_dim = stripe_dim;
-  return in;
-}
-
-}  // namespace
-
-StatusOr<Vec> RunHbStripedPlan(const PlanContext& ctx,
-                               std::size_t stripe_dim) {
-  return ExecuteWithContext(PlanRegistry::Global().MustFind("HB-Striped"),
-                            ctx, StripeInput(stripe_dim));
-}
-
-StatusOr<Vec> RunHbStripedKronPlan(const PlanContext& ctx,
-                                   std::size_t stripe_dim,
-                                   bool materialize_full) {
-  return ExecuteWithContext(*MakeHbStripedKronPlan(materialize_full), ctx,
-                            StripeInput(stripe_dim));
-}
-
-StatusOr<Vec> RunDawaStripedPlan(const PlanContext& ctx,
-                                 std::size_t stripe_dim,
-                                 const DawaStripedOptions& opts) {
-  return ExecuteWithContext(*MakeDawaStripedPlan(opts), ctx,
-                            StripeInput(stripe_dim));
-}
-
 }  // namespace ektelo

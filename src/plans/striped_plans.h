@@ -14,8 +14,7 @@
 // measures it in one Vector Laplace call — the non-iterative alternative
 // whose scalability Fig. 4b compares.
 //
-// Registered as "HB-Striped", "HB-Striped_kron" and "DAWA-Striped"; the
-// Run* functions are deprecated shims over the registered plans.
+// Registered as "HB-Striped", "HB-Striped_kron" and "DAWA-Striped".
 #ifndef EKTELO_PLANS_STRIPED_PLANS_H_
 #define EKTELO_PLANS_STRIPED_PLANS_H_
 
@@ -44,16 +43,6 @@ struct DawaStripedOptions {
 /// #14 DAWA-Striped: PS TP[ PD TR SG LM ] LS.
 std::unique_ptr<Plan> MakeDawaStripedPlan(
     const DawaStripedOptions& opts = {});
-
-// Deprecated shims (see plans.h).
-StatusOr<Vec> RunHbStripedPlan(const PlanContext& ctx,
-                               std::size_t stripe_dim);
-StatusOr<Vec> RunHbStripedKronPlan(const PlanContext& ctx,
-                                   std::size_t stripe_dim,
-                                   bool materialize_full = false);
-StatusOr<Vec> RunDawaStripedPlan(const PlanContext& ctx,
-                                 std::size_t stripe_dim,
-                                 const DawaStripedOptions& opts = {});
 
 }  // namespace ektelo
 

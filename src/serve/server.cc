@@ -305,12 +305,10 @@ struct Server::Impl {
     const std::size_t domain =
         tenants.at(req.tenant).table->schema().TotalDomainSize();
     if (!req.dims.empty()) {
-      std::size_t n = 1;
-      for (std::size_t d : req.dims) {
+      for (std::size_t d : req.dims)
         if (d == 0) return "zero dimension";
-        n *= d;
-      }
-      if (n != domain) return "dims do not multiply out to the domain size";
+      if (DimsProduct(req.dims) != domain)
+        return "dims do not multiply out to the domain size";
     }
     for (const RangeQuery& q : req.ranges)
       if (q.lo > q.hi || q.hi >= domain) return "range out of domain";

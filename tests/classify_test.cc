@@ -73,7 +73,7 @@ TEST(NbPlansTest, AllPlansRunOnBudget) {
        {NbPlanKind::kIdentity, NbPlanKind::kWorkload,
         NbPlanKind::kWorkloadLs, NbPlanKind::kSelectLs}) {
     SCOPED_TRACE(NbPlanName(kind));
-    auto h = EstimateNbHistograms(kind, t, 0.5, 42, &rng);
+    auto h = EstimateNbHistograms(kind, t, 0.5, 42);
     ASSERT_TRUE(h.ok());
     EXPECT_EQ(h->joint_hists.size(), 4u);
     EXPECT_EQ(h->joint_hists[0].size(), 2u * 28);
@@ -84,8 +84,7 @@ TEST(NbPlansTest, HighEpsHistogramsNearExact) {
   Rng rng(3);
   Table t = MakeCreditLike(&rng, 2000);
   NbHistograms exact = ExactNbHistograms(t);
-  auto h = EstimateNbHistograms(NbPlanKind::kWorkloadLs, t, 1000.0, 43,
-                                &rng);
+  auto h = EstimateNbHistograms(NbPlanKind::kWorkloadLs, t, 1000.0, 43);
   ASSERT_TRUE(h.ok());
   EXPECT_NEAR(h->label_hist[0], exact.label_hist[0], 2.0);
   EXPECT_NEAR(h->label_hist[1], exact.label_hist[1], 2.0);

@@ -1,13 +1,13 @@
 // Golden-output regression test for the plan implementations.
 //
-// The registry equivalence test (registry_test.cc) proves shim == registry
-// routes, but since the shims delegate to the registry it cannot detect a
-// behavioral change relative to earlier plan implementations.  These
-// vectors pin each plan's output on a small fixed environment; the plans
-// must reproduce them to near machine precision — and, since the
-// deterministic parallel execution engine, at EVERY thread count: the
-// test runs each pinned plan serially (0) and with a 4-worker pool and
-// requires both to match the same goldens bitwise-stably.
+// The registry test (registry_test.cc) checks that every catalog plan runs
+// within its budget, but it cannot detect a behavioral change relative to
+// earlier plan implementations.  These vectors pin each plan's output on
+// a small fixed environment; the plans must reproduce them to near
+// machine precision — and, since the deterministic parallel execution
+// engine, at EVERY thread count: the test runs each pinned plan serially
+// (0) and with a 4-worker pool and requires both to match the same
+// goldens bitwise-stably.
 //
 // Provenance: originally generated by the pre-refactor code (commit
 // 9074f7f, legacy Run*Plan bodies); regenerated when the kernel moved

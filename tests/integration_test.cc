@@ -17,22 +17,33 @@
 namespace ektelo {
 namespace {
 
+// A kernel over one 1D histogram: the vector handle, the eps each plan
+// run may spend (its BudgetScope), and the base input (dims, client rng).
 struct Env {
   ProtectedKernel kernel;
-  PlanContext ctx;
+  ProtectedVector x;
+  double eps;
+  PlanInput in;
   Vec x_true;
 
   Env(Vec hist, double eps, uint64_t seed, Rng* rng)
       : kernel(TableFromHistogram(hist, "v"), eps, seed),
-        x_true(std::move(hist)) {
-    auto x = kernel.TVectorize(kernel.root());
-    ctx.kernel = &kernel;
-    ctx.x = *x;
-    ctx.dims = {x_true.size()};
-    ctx.eps = eps;
-    ctx.rng = rng;
-  }
+        x(&kernel, kernel.TVectorize(kernel.root()).value()),
+        eps(eps),
+        in{.dims = {hist.size()}, .rng = rng},
+        x_true(std::move(hist)) {}
 };
+
+const Plan& Registered(std::string_view name) {
+  return PlanRegistry::Global().MustFind(name);
+}
+
+// Reduction body running the registered Identity plan on the reduced
+// vector.
+StatusOr<Vec> ReducedIdentity(const ProtectedVector& x, BudgetScope& scope,
+                              const PlanInput& in, const Partition&) {
+  return Registered("Identity").Execute(x, scope, in);
+}
 
 TEST(ReductionWrapperTest, PreservesWorkloadAnswersStructurally) {
   // On a workload that merges cells, the wrapped Identity plan answers
@@ -47,12 +58,10 @@ TEST(ReductionWrapperTest, PreservesWorkloadAnswersStructurally) {
   for (int t = 0; t < 6; ++t) {
     Env e1(hist, 0.1, 100 + t, &rng);
     Env e2(hist, 0.1, 200 + t, &rng);
-    auto x_plain = RunIdentityPlan(e1.ctx);
-    auto x_wrapped = RunWithWorkloadReduction(
-        e2.ctx, *w,
-        [](const PlanContext& inner, const Partition&) {
-          return RunIdentityPlan(inner);
-        });
+    BudgetScope s1(e1.eps), s2(e2.eps);
+    auto x_plain = Registered("Identity").Execute(e1.x, s1, e1.in);
+    auto x_wrapped =
+        RunWithWorkloadReduction(e2.x, s2, e2.in, *w, ReducedIdentity);
     ASSERT_TRUE(x_plain.ok() && x_wrapped.ok());
     err_plain += Rmse(w->Apply(*x_plain), w->Apply(e1.x_true));
     err_wrapped += Rmse(w->Apply(*x_wrapped), w->Apply(e2.x_true));
@@ -66,10 +75,14 @@ TEST(ReductionWrapperTest, ExpandsToFullDomain) {
   Vec hist(64, 2.0);
   Env env(hist, 1.0, 3, &rng);
   auto w = RangeQueryOp({{0, 31}, {32, 63}}, 64);
+  BudgetScope scope(env.eps);
   auto xhat = RunWithWorkloadReduction(
-      env.ctx, *w, [](const PlanContext& inner, const Partition& p) {
+      env.x, scope, env.in, *w,
+      [](const ProtectedVector& x, BudgetScope& s, const PlanInput& in,
+         const Partition& p) {
         EXPECT_EQ(p.num_groups(), 2u);
-        return RunIdentityPlan(inner);
+        EXPECT_EQ(in.dims, std::vector<std::size_t>{2});
+        return Registered("Identity").Execute(x, s, in);
       });
   ASSERT_TRUE(xhat.ok());
   EXPECT_EQ(xhat->size(), 64u);
@@ -82,12 +95,19 @@ TEST(ReductionWrapperTest, RejectsMismatchedWorkload) {
   Rng rng(3);
   Vec hist(16, 1.0);
   Env env(hist, 1.0, 4, &rng);
+  BudgetScope scope(env.eps);
   auto w = RangeQueryOp({{0, 3}}, 8);  // wrong domain
-  auto r = RunWithWorkloadReduction(
-      env.ctx, *w, [](const PlanContext& inner, const Partition&) {
-        return RunIdentityPlan(inner);
-      });
-  EXPECT_FALSE(r.ok());
+  auto r = RunWithWorkloadReduction(env.x, scope, env.in, *w,
+                                    ReducedIdentity);
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  // Algorithm 4 draws from the client rng, so an unset one is refused.
+  auto w16 = RangeQueryOp({{0, 3}}, 16);
+  PlanInput no_rng = env.in;
+  no_rng.rng = nullptr;
+  r = RunWithWorkloadReduction(env.x, scope, no_rng, *w16, ReducedIdentity);
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  // Neither refusal charged anything.
+  EXPECT_DOUBLE_EQ(env.kernel.BudgetConsumed(), 0.0);
 }
 
 TEST(IntegrationTest, ChainedTransformStabilityComposes) {
@@ -113,7 +133,9 @@ TEST(IntegrationTest, TranscriptCoversWholePlan) {
   Rng rng(6);
   Vec hist = MakeHistogram1D(Shape1D::kStep, 128, 5000.0, &rng);
   Env env(hist, 0.2, 7, &rng);
-  auto xhat = RunDawaPlan(env.ctx, RandomRanges(50, 128, 32, &rng));
+  env.in.ranges = RandomRanges(50, 128, 32, &rng);
+  BudgetScope scope(env.eps);
+  auto xhat = Registered("DAWA").Execute(env.x, scope, env.in);
   ASSERT_TRUE(xhat.ok());
   // DAWA = partition measurement + strategy measurement.
   ASSERT_EQ(env.kernel.transcript().size(), 2u);
@@ -132,7 +154,8 @@ TEST(IntegrationTest, IdentityPlanErrorMatchesAnalyticNoise) {
   const int trials = 20;
   for (int t = 0; t < trials; ++t) {
     Env env(hist, eps, 1000 + t, &rng);
-    auto xhat = RunIdentityPlan(env.ctx);
+    BudgetScope scope(env.eps);
+    auto xhat = Registered("Identity").Execute(env.x, scope, env.in);
     ASSERT_TRUE(xhat.ok());
     rmse_acc += Rmse(*xhat, env.x_true);
   }
@@ -151,7 +174,8 @@ TEST(IntegrationTest, UniformPlanErrorMatchesAnalyticNoise) {
   const int trials = 20;
   for (int t = 0; t < trials; ++t) {
     Env env(hist, eps, 2000 + t, &rng);
-    auto xhat = RunUniformPlan(env.ctx);
+    BudgetScope scope(env.eps);
+    auto xhat = Registered("Uniform").Execute(env.x, scope, env.in);
     ASSERT_TRUE(xhat.ok());
     rmse_acc += Rmse(*xhat, env.x_true);
   }
@@ -170,7 +194,8 @@ TEST(IntegrationTest, EpsErrorTradeoffIsMonotone) {
     double acc = 0.0;
     for (int t = 0; t < 8; ++t) {
       Env env(hist, eps, 3000 + t, &rng);
-      auto xhat = RunH2Plan(env.ctx);
+      BudgetScope scope(env.eps);
+      auto xhat = Registered("H2").Execute(env.x, scope, env.in);
       ASSERT_TRUE(xhat.ok());
       acc += Rmse(prefix->Apply(*xhat), prefix->Apply(env.x_true));
     }
@@ -188,7 +213,7 @@ TEST(IntegrationTest, PlanComposesWithPartitionSubplans) {
   Vec hist = MakeHistogram1D(Shape1D::kSparseSpikes, n, 20000.0, &rng);
   Env env(hist, 0.4, 12, &rng);
   Partition halves = Partition::FromIntervals({0, n / 2}, n);
-  auto children = env.kernel.VSplitByPartition(env.ctx.x, halves);
+  auto children = env.kernel.VSplitByPartition(env.x.id(), halves);
   ASSERT_TRUE(children.ok());
   MeasurementSet mset;
   // Left half: identity; right half: H2.  Both full eps in parallel.

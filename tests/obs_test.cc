@@ -237,16 +237,11 @@ Vec RunH2Once() {
   Rng rng(7);
   Vec hist = MakeHistogram1D(Shape1D::kGaussianMix, 128, 5000.0, &rng);
   ProtectedKernel kernel(TableFromHistogram(hist, "v"), 1.0, 42);
-  auto x = kernel.TVectorize(kernel.root());
-  EXPECT_TRUE(x.ok());
-  PlanContext ctx;
-  ctx.kernel = &kernel;
-  ctx.x = *x;
-  ctx.dims = {128};
-  ctx.eps = 1.0;
+  ProtectedVector x(&kernel, *kernel.TVectorize(kernel.root()));
   Rng client_rng(99);
-  ctx.rng = &client_rng;
-  auto xhat = RunH2Plan(ctx);
+  BudgetScope scope(1.0);
+  auto xhat = PlanRegistry::Global().Find("H2")->Execute(
+      x, scope, {.dims = {128}, .rng = &client_rng});
   EXPECT_TRUE(xhat.ok());
   return xhat.ok() ? *xhat : Vec{};
 }

@@ -127,11 +127,11 @@ TEST(WorkloadPlanTest, MeasuresWorkloadDirectly) {
   const std::size_t n = 64;
   Vec hist = MakeHistogram1D(Shape1D::kUniform, n, 5000.0, &rng);
   ProtectedKernel kernel(TableFromHistogram(hist, "v"), 1.0, 12);
-  auto x = kernel.TVectorize(kernel.root());
-  PlanContext ctx{.kernel = &kernel, .x = *x, .dims = {n}, .eps = 1.0,
-                  .rng = &rng};
+  ProtectedVector x(&kernel, *kernel.TVectorize(kernel.root()));
   auto w = MarginalWorkload(Schema({{"v", n}}), {"v"});
-  auto xhat = RunWorkloadPlan(ctx, w, /*ls_inference=*/true);
+  BudgetScope scope(1.0);
+  auto xhat = PlanRegistry::Global().Find("WorkloadLS")->Execute(
+      x, scope, {.dims = {n}, .rng = &rng, .workload = w});
   ASSERT_TRUE(xhat.ok());
   EXPECT_NEAR(kernel.BudgetConsumed(), 1.0, 1e-12);
   EXPECT_LT(Rmse(*xhat, hist), 4.0);
@@ -147,10 +147,10 @@ TEST(StripedKronTest, FlattenedAblationMatchesStructuredResult) {
   Vec results[2];
   for (int variant = 0; variant < 2; ++variant) {
     ProtectedKernel kernel(TableFromHistogram(hist, "v"), 0.5, 4242);
-    auto x = kernel.TVectorize(kernel.root());
-    PlanContext ctx{.kernel = &kernel, .x = *x, .dims = dims, .eps = 0.5,
-                    .rng = &rng};
-    auto xhat = RunHbStripedKronPlan(ctx, 0, /*materialize_full=*/variant);
+    ProtectedVector x(&kernel, *kernel.TVectorize(kernel.root()));
+    BudgetScope scope(0.5);
+    auto xhat = MakeHbStripedKronPlan(/*materialize_full=*/variant)
+                    ->Execute(x, scope, {.dims = dims, .rng = &rng});
     ASSERT_TRUE(xhat.ok());
     results[variant] = *xhat;
   }
@@ -165,13 +165,15 @@ TEST(MwemAugmentTest, AugmentedRoundsStayDisjoint) {
   const std::size_t n = 256;
   Vec hist = MakeHistogram1D(Shape1D::kBimodal, n, 8000.0, &rng);
   ProtectedKernel kernel(TableFromHistogram(hist, "v"), 0.5, 15);
-  auto x = kernel.TVectorize(kernel.root());
-  PlanContext ctx{.kernel = &kernel, .x = *x, .dims = {n}, .eps = 0.5,
-                  .rng = &rng};
+  ProtectedVector x(&kernel, *kernel.TVectorize(kernel.root()));
   auto ranges = RandomRanges(50, n, 64, &rng);
-  auto xhat = RunMwemPlan(ctx, ranges,
-                          {.rounds = 6, .augment_h2 = true,
-                           .known_total = Sum(hist)});
+  BudgetScope scope(0.5);
+  auto xhat = MakeMwemPlan({.rounds = 6, .augment_h2 = true})
+                  ->Execute(x, scope,
+                            {.dims = {n},
+                             .rng = &rng,
+                             .ranges = ranges,
+                             .known_total = Sum(hist)});
   ASSERT_TRUE(xhat.ok());
   for (const auto& e : kernel.transcript()) {
     if (e.op.rfind("VectorLaplace", 0) == 0) {

@@ -8,35 +8,37 @@
 #include "gtest/gtest.h"
 #include "matrix/implicit_ops.h"
 #include "plans/case_studies.h"
-#include "plans/grid_plans.h"
 #include "plans/plans.h"
-#include "plans/striped_plans.h"
 #include "workload/workloads.h"
 
 namespace ektelo {
 namespace {
 
+// A kernel over one histogram: the vector handle, the eps each plan run
+// may spend (its BudgetScope), and the base input (dims, client rng).
 struct Env {
   ProtectedKernel kernel;
-  PlanContext ctx;
+  ProtectedVector x;
+  double eps;
+  PlanInput in;
   Vec x_true;
   Rng rng;
 
   Env(Vec hist, std::vector<std::size_t> dims, double eps, uint64_t seed,
       Rng* client_rng)
       : kernel(TableFromHistogram(hist, "v"), eps, seed),
-        ctx(),
+        x(&kernel, kernel.TVectorize(kernel.root()).value()),
+        eps(eps),
         x_true(std::move(hist)),
         rng(seed + 999) {
-    auto x = kernel.TVectorize(kernel.root());
-    EXPECT_TRUE(x.ok());
-    ctx.kernel = &kernel;
-    ctx.x = *x;
-    ctx.dims = std::move(dims);
-    ctx.eps = eps;
-    ctx.rng = client_rng ? client_rng : &rng;
+    in.dims = std::move(dims);
+    in.rng = client_rng ? client_rng : &rng;
   }
 };
+
+const Plan& Registered(std::string_view name) {
+  return PlanRegistry::Global().MustFind(name);
+}
 
 double ScaledErr(const Vec& xhat, const Vec& x_true) {
   return Rmse(xhat, x_true) / std::max(Sum(x_true), 1.0);
@@ -46,7 +48,8 @@ TEST(PlansTest, IdentityPlanUnbiasedAndOnBudget) {
   Rng rng(1);
   Vec hist = MakeHistogram1D(Shape1D::kGaussianMix, 64, 5000.0, &rng);
   Env env(hist, {64}, 1.0, 11, &rng);
-  auto xhat = RunIdentityPlan(env.ctx);
+  BudgetScope scope(env.eps);
+  auto xhat = Registered("Identity").Execute(env.x, scope, env.in);
   ASSERT_TRUE(xhat.ok());
   EXPECT_NEAR(env.kernel.BudgetConsumed(), 1.0, 1e-9);
   EXPECT_LT(Rmse(*xhat, env.x_true), 3.0);  // noise scale 1/eps = 1
@@ -56,7 +59,8 @@ TEST(PlansTest, UniformPlanSpreadsTotal) {
   Rng rng(2);
   Vec hist(32, 10.0);
   Env env(hist, {32}, 5.0, 12, &rng);
-  auto xhat = RunUniformPlan(env.ctx);
+  BudgetScope scope(env.eps);
+  auto xhat = Registered("Uniform").Execute(env.x, scope, env.in);
   ASSERT_TRUE(xhat.ok());
   // All cells should be (nearly) equal and close to 10.
   for (double v : *xhat) EXPECT_NEAR(v, (*xhat)[0], 1e-6);
@@ -76,9 +80,10 @@ TEST(PlansTest, HierarchicalPlansBeatIdentityOnPrefixQueries) {
     Env e1(hist, {n}, 0.1, 100 + t, &rng);
     Env e2(hist, {n}, 0.1, 200 + t, &rng);
     Env e3(hist, {n}, 0.1, 300 + t, &rng);
-    auto x1 = RunIdentityPlan(e1.ctx);
-    auto x2 = RunH2Plan(e2.ctx);
-    auto x3 = RunHbPlan(e3.ctx);
+    BudgetScope s1(e1.eps), s2(e2.eps), s3(e3.eps);
+    auto x1 = Registered("Identity").Execute(e1.x, s1, e1.in);
+    auto x2 = Registered("H2").Execute(e2.x, s2, e2.in);
+    auto x3 = Registered("HB").Execute(e3.x, s3, e3.in);
     ASSERT_TRUE(x1.ok() && x2.ok() && x3.ok());
     err_id += Rmse(prefix->Apply(*x1), prefix->Apply(e1.x_true));
     err_h2 += Rmse(prefix->Apply(*x2), prefix->Apply(e2.x_true));
@@ -101,8 +106,9 @@ TEST(PlansTest, PriveletErrorIsFlatAcrossRangeLengths) {
   for (int t = 0; t < 8; ++t) {
     Env e1(hist, {n}, 0.1, 400 + t, &rng);
     Env e2(hist, {n}, 0.1, 500 + t, &rng);
-    auto xp = RunPriveletPlan(e1.ctx);
-    auto xi = RunIdentityPlan(e2.ctx);
+    BudgetScope s1(e1.eps), s2(e2.eps);
+    auto xp = Registered("Privelet").Execute(e1.x, s1, e1.in);
+    auto xi = Registered("Identity").Execute(e2.x, s2, e2.in);
     ASSERT_TRUE(xp.ok() && xi.ok());
     long_p += Rmse(long_q->Apply(*xp), long_q->Apply(e1.x_true));
     short_p += Rmse(short_q->Apply(*xp), short_q->Apply(e1.x_true));
@@ -119,7 +125,8 @@ TEST(PlansTest, PriveletRejectsNonPowerOfTwo) {
   Rng rng(5);
   Vec hist(12, 1.0);
   Env env(hist, {12}, 1.0, 13, &rng);
-  EXPECT_FALSE(RunPriveletPlan(env.ctx).ok());
+  BudgetScope scope(env.eps);
+  EXPECT_FALSE(Registered("Privelet").Execute(env.x, scope, env.in).ok());
 }
 
 TEST(PlansTest, GreedyHRunsAndIsAccurateOnItsWorkload) {
@@ -129,7 +136,9 @@ TEST(PlansTest, GreedyHRunsAndIsAccurateOnItsWorkload) {
   auto ranges = RandomRanges(100, n, 32, &rng);
   auto w_op = RangeQueryOp(ranges, n);
   Env env(hist, {n}, 0.5, 14, &rng);
-  auto xhat = RunGreedyHPlan(env.ctx, ranges);
+  env.in.ranges = ranges;
+  BudgetScope scope(env.eps);
+  auto xhat = Registered("Greedy-H").Execute(env.x, scope, env.in);
   ASSERT_TRUE(xhat.ok());
   EXPECT_NEAR(env.kernel.BudgetConsumed(), 0.5, 1e-9);
   EXPECT_LT(ScaledErr(w_op->Apply(*xhat), w_op->Apply(env.x_true)), 0.05);
@@ -148,8 +157,10 @@ TEST(PlansTest, DawaBeatsIdentityOnStepData) {
   for (int t = 0; t < 5; ++t) {
     Env e1(hist, {n}, 0.05, 600 + t, &rng);
     Env e2(hist, {n}, 0.05, 700 + t, &rng);
-    auto xd = RunDawaPlan(e1.ctx, ranges);
-    auto xi = RunIdentityPlan(e2.ctx);
+    e1.in.ranges = ranges;
+    BudgetScope s1(e1.eps), s2(e2.eps);
+    auto xd = Registered("DAWA").Execute(e1.x, s1, e1.in);
+    auto xi = Registered("Identity").Execute(e2.x, s2, e2.in);
     ASSERT_TRUE(xd.ok() && xi.ok());
     EXPECT_NEAR(e1.kernel.BudgetConsumed(), 0.05, 1e-9);
     err_dawa += Rmse(w_op->Apply(*xd), w_op->Apply(e1.x_true));
@@ -163,7 +174,8 @@ TEST(PlansTest, AhpRunsOnBudgetAndNonNegative) {
   const std::size_t n = 256;
   Vec hist = MakeHistogram1D(Shape1D::kSparseSpikes, n, 5000.0, &rng);
   Env env(hist, {n}, 0.2, 15, &rng);
-  auto xhat = RunAhpPlan(env.ctx);
+  BudgetScope scope(env.eps);
+  auto xhat = Registered("AHP").Execute(env.x, scope, env.in);
   ASSERT_TRUE(xhat.ok());
   EXPECT_NEAR(env.kernel.BudgetConsumed(), 0.2, 1e-9);
   for (double v : *xhat) EXPECT_GE(v, -1e-9);
@@ -180,10 +192,11 @@ TEST(PlansTest, MwemImprovesWithRounds) {
   for (int t = 0; t < 3; ++t) {
     Env e1(hist, {n}, 0.5, 800 + t, &rng);
     Env e2(hist, {n}, 0.5, 900 + t, &rng);
-    auto x1 = RunMwemPlan(e1.ctx, ranges,
-                          {.rounds = 1, .known_total = total});
-    auto x8 = RunMwemPlan(e2.ctx, ranges,
-                          {.rounds = 8, .known_total = total});
+    e1.in.ranges = e2.in.ranges = ranges;
+    e1.in.known_total = e2.in.known_total = total;
+    BudgetScope s1(e1.eps), s2(e2.eps);
+    auto x1 = MakeMwemPlan({.rounds = 1})->Execute(e1.x, s1, e1.in);
+    auto x8 = MakeMwemPlan({.rounds = 8})->Execute(e2.x, s2, e2.in);
     ASSERT_TRUE(x1.ok() && x8.ok());
     EXPECT_NEAR(e2.kernel.BudgetConsumed(), 0.5, 1e-9);
     err1 += Rmse(w_op->Apply(*x1), w_op->Apply(e1.x_true));
@@ -202,11 +215,13 @@ TEST(PlansTest, MwemVariantsRunOnBudget) {
     for (bool nnls : {false, true}) {
       Env env(hist, {n}, 0.4, 16 + (augment ? 1 : 0) + (nnls ? 2 : 0),
               &rng);
-      auto xhat = RunMwemPlan(env.ctx, ranges,
-                              {.rounds = 5,
-                               .augment_h2 = augment,
-                               .nnls_inference = nnls,
-                               .known_total = total});
+      env.in.ranges = ranges;
+      env.in.known_total = total;
+      BudgetScope scope(env.eps);
+      auto xhat = MakeMwemPlan({.rounds = 5,
+                                .augment_h2 = augment,
+                                .nnls_inference = nnls})
+                      ->Execute(env.x, scope, env.in);
       ASSERT_TRUE(xhat.ok()) << augment << nnls;
       EXPECT_NEAR(env.kernel.BudgetConsumed(), 0.4, 1e-9);
     }
@@ -218,7 +233,9 @@ TEST(PlansTest, HdmmAdaptsToWorkload) {
   const std::size_t n = 128;
   Vec hist = MakeHistogram1D(Shape1D::kGaussianMix, n, 10000.0, &rng);
   Env env(hist, {n}, 0.2, 17, &rng);
-  auto xhat = RunHdmmPlan(env.ctx, {MakePrefixOp(n)});
+  env.in.workload_factors = {MakePrefixOp(n)};
+  BudgetScope scope(env.eps);
+  auto xhat = Registered("HDMM").Execute(env.x, scope, env.in);
   ASSERT_TRUE(xhat.ok());
   EXPECT_NEAR(env.kernel.BudgetConsumed(), 0.2, 1e-9);
 }
@@ -235,8 +252,9 @@ TEST(PlansTest, ModesAgreeStatistically) {
   for (MatrixMode mode :
        {MatrixMode::kDense, MatrixMode::kSparse, MatrixMode::kImplicit}) {
     Env env(hist, {n}, 0.5, 4242, &rng);
-    env.ctx.mode = mode;
-    auto xhat = RunH2Plan(env.ctx);
+    env.in.mode = mode;
+    BudgetScope scope(env.eps);
+    auto xhat = Registered("H2").Execute(env.x, scope, env.in);
     ASSERT_TRUE(xhat.ok());
     results[k++] = *xhat;
   }
@@ -252,7 +270,8 @@ TEST(PlansTest, QuadtreePlan2D) {
   Rng rng(13);
   Vec hist = MakeHistogram2D(16, 16, 20000.0, &rng);
   Env env(hist, {16, 16}, 0.3, 18, &rng);
-  auto xhat = RunQuadtreePlan(env.ctx);
+  BudgetScope scope(env.eps);
+  auto xhat = Registered("QuadTree").Execute(env.x, scope, env.in);
   ASSERT_TRUE(xhat.ok());
   EXPECT_NEAR(env.kernel.BudgetConsumed(), 0.3, 1e-9);
   EXPECT_LT(ScaledErr(*xhat, env.x_true), 0.01);
@@ -262,7 +281,8 @@ TEST(PlansTest, UniformGridPlan2D) {
   Rng rng(14);
   Vec hist = MakeHistogram2D(32, 32, 50000.0, &rng);
   Env env(hist, {32, 32}, 0.2, 19, &rng);
-  auto xhat = RunUniformGridPlan(env.ctx);
+  BudgetScope scope(env.eps);
+  auto xhat = Registered("UniformGrid").Execute(env.x, scope, env.in);
   ASSERT_TRUE(xhat.ok());
   EXPECT_NEAR(env.kernel.BudgetConsumed(), 0.2, 1e-9);
 }
@@ -271,7 +291,8 @@ TEST(PlansTest, AdaptiveGridPlan2DOnBudget) {
   Rng rng(15);
   Vec hist = MakeHistogram2D(32, 32, 100000.0, &rng);
   Env env(hist, {32, 32}, 0.2, 20, &rng);
-  auto xhat = RunAdaptiveGridPlan(env.ctx);
+  BudgetScope scope(env.eps);
+  auto xhat = Registered("AdaptiveGrid").Execute(env.x, scope, env.in);
   ASSERT_TRUE(xhat.ok());
   // Level-2 measurements run under parallel composition, so total spend
   // equals eps even though every block was measured.
@@ -282,8 +303,10 @@ TEST(PlansTest, GridPlansRejectNon2D) {
   Rng rng(16);
   Vec hist(16, 1.0);
   Env env(hist, {16}, 1.0, 21, &rng);
-  EXPECT_FALSE(RunQuadtreePlan(env.ctx).ok());
-  EXPECT_FALSE(RunUniformGridPlan(env.ctx).ok());
+  for (const char* name : {"QuadTree", "UniformGrid"}) {
+    BudgetScope scope(env.eps);
+    EXPECT_FALSE(Registered(name).Execute(env.x, scope, env.in).ok());
+  }
 }
 
 // -------------------------------------------------------- striped plans
@@ -294,7 +317,8 @@ TEST(PlansTest, HbStripedMatchesDomainAndBudget) {
   const std::vector<std::size_t> dims = {32, 4, 3};
   Vec hist = MakeHistogram1D(Shape1D::kRoughUniform, 32 * 12, 30000.0, &rng);
   Env env(hist, dims, 0.3, 22, &rng);
-  auto xhat = RunHbStripedPlan(env.ctx, 0);
+  BudgetScope scope(env.eps);
+  auto xhat = Registered("HB-Striped").Execute(env.x, scope, env.in);
   ASSERT_TRUE(xhat.ok());
   EXPECT_EQ(xhat->size(), hist.size());
   // Parallel composition: full eps per stripe, max = eps.
@@ -306,7 +330,8 @@ TEST(PlansTest, HbStripedKronEquivalentStructure) {
   const std::vector<std::size_t> dims = {16, 3, 2};
   Vec hist = MakeHistogram1D(Shape1D::kStep, 16 * 6, 20000.0, &rng);
   Env env(hist, dims, 0.3, 23, &rng);
-  auto xhat = RunHbStripedKronPlan(env.ctx, 0);
+  BudgetScope scope(env.eps);
+  auto xhat = Registered("HB-Striped_kron").Execute(env.x, scope, env.in);
   ASSERT_TRUE(xhat.ok());
   EXPECT_NEAR(env.kernel.BudgetConsumed(), 0.3, 1e-9);
   EXPECT_EQ(xhat->size(), hist.size());
@@ -317,7 +342,8 @@ TEST(PlansTest, DawaStripedRunsOnBudget) {
   const std::vector<std::size_t> dims = {64, 2, 2};
   Vec hist = MakeHistogram1D(Shape1D::kStep, 64 * 4, 40000.0, &rng);
   Env env(hist, dims, 0.2, 24, &rng);
-  auto xhat = RunDawaStripedPlan(env.ctx, 0);
+  BudgetScope scope(env.eps);
+  auto xhat = Registered("DAWA-Striped").Execute(env.x, scope, env.in);
   ASSERT_TRUE(xhat.ok());
   EXPECT_NEAR(env.kernel.BudgetConsumed(), 0.2, 1e-9);
 }
@@ -369,8 +395,11 @@ TEST(PlansTest, BudgetExhaustionStopsPlans) {
   Rng rng(21);
   Vec hist(32, 5.0);
   Env env(hist, {32}, 0.1, 25, &rng);
-  ASSERT_TRUE(RunIdentityPlan(env.ctx).ok());
-  auto denied = RunIdentityPlan(env.ctx);  // second run: no budget left
+  const Plan& identity = Registered("Identity");
+  BudgetScope first(env.eps), second(env.eps);
+  ASSERT_TRUE(identity.Execute(env.x, first, env.in).ok());
+  // Second run: its own scope allows eps, but the kernel has none left.
+  auto denied = identity.Execute(env.x, second, env.in);
   ASSERT_FALSE(denied.ok());
   EXPECT_EQ(denied.status().code(), StatusCode::kBudgetExhausted);
 }

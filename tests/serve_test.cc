@@ -331,6 +331,14 @@ TEST(Server, MalformedFramesRejectedWithoutTakingServerDown) {
   reply = client->Invoke(IdentityRequest("alpha", -1.0));
   ASSERT_TRUE(reply.ok());
   EXPECT_EQ(reply->code, ReplyCode::kBadRequest);
+  // dims whose product wraps around size_t to the 128-cell domain
+  // (2^64 + 128) must not pass as a match and reach the plan.
+  InvokeRequest wrapped = IdentityRequest("alpha", 0.1);
+  wrapped.plan = "QuadTree";
+  wrapped.dims = {(std::size_t{1} << 57) + 1, 128};
+  reply = client->Invoke(wrapped);
+  ASSERT_TRUE(reply.ok());
+  EXPECT_EQ(reply->code, ReplyCode::kBadRequest);
   // And the server still serves real work afterwards.
   reply = client->Invoke(IdentityRequest("alpha", 0.1));
   ASSERT_TRUE(reply.ok());

@@ -20,7 +20,7 @@ namespace {
 TEST(StripedEquivalenceTest, PerStripeLsEqualsGlobalStackedLs) {
   // 3 stripes of 16 cells, HB measurements per stripe with iid noise: the
   // global stacked system must decompose into independent per-stripe
-  // solves (the optimization RunHbStripedPlan relies on).
+  // solves (the optimization the HB-Striped plan relies on).
   Rng rng(1);
   const std::size_t ns = 16, stripes = 3, n = ns * stripes;
   Partition part = StripePartition({ns, stripes}, 0);

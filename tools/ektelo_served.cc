@@ -1,7 +1,7 @@
-// The EKTELO serving daemon.
+// The EKTELO serving daemon.  Example, as one command line:
 //
-//   ektelo_served --socket /tmp/ektelo.sock --ledger /var/lib/ektelo \
-//                 --tenant alpha:1.0:41:256:10000 \
+//   ektelo_served --socket /tmp/ektelo.sock --ledger /var/lib/ektelo
+//                 --tenant alpha:1.0:41:256:10000
 //                 --tenant beta:0.5:43:256:10000
 //
 // Each --tenant is name:eps_total:seed:n:scale — a tenant served from a
