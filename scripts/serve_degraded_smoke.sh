@@ -33,14 +33,13 @@ trap cleanup EXIT
 [ -x "$CLIENT" ] || { echo "missing $CLIENT (build it first)" >&2; exit 1; }
 
 # start_server NAME [FAILPOINTS]: fresh ledger + cache dir per run so the
-# two runs are independent; synchronous spills (write-behind off) so the
-# injected append error fires inside the first invoke, not on a
-# background thread after the stats read.
+# two runs are independent.  Disk spills run on the write-behind
+# consumer, so the injected append error fires on that background
+# thread; await_degraded below polls stats until it has landed.
 start_server() {
   local name="$1" failpoints="${2:-}"
   rm -f "$SOCK"
   EKTELO_CACHE_DIR="$WORK/cache.$name" \
-  EKTELO_CACHE_WRITE_BEHIND=0 \
   EKTELO_FAILPOINTS="$failpoints" \
     "$SERVED" --socket "$SOCK" --ledger "$WORK/ledger.$name" \
     --tenant alpha:4.0:41:256:10000 \
@@ -61,6 +60,17 @@ stop_server() {
   done
   kill -0 "$SERVER_PID" 2>/dev/null && fail "daemon ignored shutdown"
   SERVER_PID=""
+}
+
+# await_degraded: poll stats (at most 50 x 0.1 s) until the background
+# spill has tripped the disk tier; leaves the last reply in $STATS.
+await_degraded() {
+  for _ in $(seq 1 50); do
+    STATS="$("$CLIENT" --socket "$SOCK" stats)"
+    echo "$STATS" | grep -q "disk_degraded=1" && return 0
+    sleep 0.1
+  done
+  return 1
 }
 
 checksum_of() { sed 's/.*estimate_checksum=\([0-9a-f]*\).*/\1/' "$1"; }
@@ -93,9 +103,7 @@ echo "== degraded daemon keeps answering and reports it =="
 "$CLIENT" --socket "$SOCK" invoke --tenant alpha --plan Identity \
   --eps 0.25 --request-id 2 > /dev/null \
   || fail "second invoke after degradation exited nonzero"
-STATS="$("$CLIENT" --socket "$SOCK" stats)"
-echo "$STATS" | grep -q "disk_degraded=1" \
-  || fail "stats do not report disk_degraded=1: $STATS"
+await_degraded || fail "stats never reported disk_degraded=1: $STATS"
 echo "$STATS" | grep -Eq "disk_io_errors=[1-9]" \
   || fail "stats do not report a disk I/O error: $STATS"
 stop_server

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <list>
 #include <optional>
 #include <unordered_map>
@@ -182,9 +182,9 @@ struct OperatorCache::Impl {
   // safely across a concurrent SetDiskTier swap; the store flushes its
   // index checkpoint when the last holder releases it.
   std::shared_ptr<store::DiskArtifactStore> disk;
-  // Write-behind consumer for disk spills (null = synchronous writes).
-  // Swapped together with `disk`; jobs capture their own shared_ptr to
-  // the store, so a queue outliving a tier swap stays safe.
+  // Write-behind consumer for disk spills; non-null exactly when `disk`
+  // is.  Swapped together with `disk`; jobs capture their own shared_ptr
+  // to the store, so a queue outliving a tier swap stays safe.
   std::shared_ptr<store::WriteBehindQueue> wb;
   obs::Counter* disk_hits = &owned_counters[3];
   obs::Counter* disk_misses = &owned_counters[4];
@@ -345,7 +345,8 @@ struct OperatorCache::Impl {
     if (persistable) {
       // The spill captures shared ownership of the store and the value,
       // so it is safe to run on the write-behind consumer after an
-      // arbitrary tier swap; with no queue attached it runs inline.
+      // arbitrary tier swap.  No queue means the tier was detached since
+      // the snapshot above, and the spill is moot.
       auto spill = [this, d, key, value, hash, kind, encode] {
         store::ByteWriter w;
         if (encode(*key, value, &w) &&
@@ -354,12 +355,8 @@ struct OperatorCache::Impl {
           disk_writes->Inc();
         }
       };
-      auto q = WbSnapshot();
-      if (q) {
+      if (auto q = WbSnapshot())
         (void)q->Enqueue(std::move(spill));  // full queue = counted drop
-      } else {
-        spill();
-      }
     }
     return value;
   }
@@ -424,62 +421,6 @@ std::optional<double> DecodeScalarArtifact(
   return v;
 }
 
-/// Strict non-negative integer parse (same contract as the
-/// EKTELO_CACHE_DISK_BYTES handling): the whole token must be digits.
-bool ParseUll(const char* begin, const char* end_limit,
-              unsigned long long* out) {
-  if (begin == end_limit || *begin < '0' || *begin > '9') return false;
-  char* end = nullptr;
-  *out = std::strtoull(begin, &end, 10);
-  return end == end_limit;
-}
-
-/// EKTELO_CACHE_KIND_QUOTAS is "kind:bytes[,kind:bytes...]" (both sides
-/// strictly numeric; kind values are the CacheKind enum).  Unparsable
-/// tokens are reported and skipped rather than silently mis-read.
-void ParseKindQuotas(const char* spec,
-                     std::vector<std::pair<uint32_t, std::size_t>>* out) {
-  const char* p = spec;
-  while (*p != '\0') {
-    const char* comma = std::strchr(p, ',');
-    const char* tok_end = comma != nullptr ? comma : p + std::strlen(p);
-    const char* colon =
-        static_cast<const char*>(std::memchr(p, ':', std::size_t(tok_end - p)));
-    unsigned long long kind = 0, bytes = 0;
-    if (colon != nullptr && ParseUll(p, colon, &kind) &&
-        ParseUll(colon + 1, tok_end, &bytes) && kind <= 0xffffffffull) {
-      out->emplace_back(uint32_t(kind), std::size_t(bytes));
-    } else {
-      std::fprintf(stderr,
-                   "ektelo: ignoring unparsable EKTELO_CACHE_KIND_QUOTAS "
-                   "token \"%.*s\" (want kind:bytes)\n",
-                   int(tok_end - p), p);
-    }
-    p = comma != nullptr ? comma + 1 : tok_end;
-  }
-}
-
-/// Builds the write-behind queue for a freshly attached disk tier.
-/// EKTELO_CACHE_WRITE_BEHIND: unset/empty = on with the default
-/// capacity; "0" = disabled (synchronous spills); a positive integer =
-/// on with that queue capacity.  Anything else warns and uses the
-/// default.
-std::shared_ptr<store::WriteBehindQueue> MakeWriteBehindFromEnv() {
-  const char* v = std::getenv("EKTELO_CACHE_WRITE_BEHIND");
-  if (v == nullptr || *v == '\0')
-    return std::make_shared<store::WriteBehindQueue>();
-  unsigned long long cap = 0;
-  if (ParseUll(v, v + std::strlen(v), &cap)) {
-    if (cap == 0) return nullptr;
-    return std::make_shared<store::WriteBehindQueue>(std::size_t(cap));
-  }
-  std::fprintf(stderr,
-               "ektelo: ignoring unparsable EKTELO_CACHE_WRITE_BEHIND=%s "
-               "(keeping the default write-behind queue)\n",
-               v);
-  return std::make_shared<store::WriteBehindQueue>();
-}
-
 }  // namespace
 
 // Repoints the traffic counters at registry-registered series, making
@@ -517,13 +458,15 @@ OperatorCache& OperatorCache::Global() {
       store::DiskStoreOptions opts;
       opts.hash_version = kHashVersion;
       if (const char* b = std::getenv("EKTELO_CACHE_DISK_BYTES")) {
-        // Accept only a fully-numeric, non-negative value ("0" =
-        // unbounded); a typo like "1G" or "-1000" must not silently
-        // become no budget at all (strtoull would wrap a leading '-').
+        // Accept only a fully-numeric, non-negative, in-range value ("0"
+        // = unbounded); a typo like "1G" or "-1000" must not silently
+        // become no budget at all (strtoull would wrap a leading '-'),
+        // and an overflowing one must not saturate to ULLONG_MAX.
         char* end = nullptr;
+        errno = 0;
         const unsigned long long parsed = std::strtoull(b, &end, 10);
         if (b[0] >= '0' && b[0] <= '9' && end != b && end != nullptr &&
-            *end == '\0') {
+            *end == '\0' && errno != ERANGE) {
           opts.max_bytes = std::size_t(parsed);
         } else {
           std::fprintf(stderr,
@@ -532,8 +475,6 @@ OperatorCache& OperatorCache::Global() {
                        b, opts.max_bytes);
         }
       }
-      if (const char* kq = std::getenv("EKTELO_CACHE_KIND_QUOTAS"))
-        ParseKindQuotas(kq, &opts.kind_quotas);
       auto tier = store::DiskArtifactStore::Open(dir, opts);
       if (!tier) {
         std::fprintf(stderr,
@@ -542,7 +483,7 @@ OperatorCache& OperatorCache::Global() {
                      dir);
       } else {
         c->impl_->disk = std::move(tier);
-        c->impl_->wb = MakeWriteBehindFromEnv();
+        c->impl_->wb = std::make_shared<store::WriteBehindQueue>();
         // The instance is intentionally leaked, so the store destructor
         // never runs for the env-attached tier; checkpoint the index at
         // exit.  (Missing it is safe — reopen recovers by scanning the
@@ -781,7 +722,7 @@ void OperatorCache::SetDiskTier(
   std::shared_ptr<store::DiskArtifactStore> old;
   std::shared_ptr<store::WriteBehindQueue> old_wb;
   std::shared_ptr<store::WriteBehindQueue> next_wb =
-      tier != nullptr ? MakeWriteBehindFromEnv() : nullptr;
+      tier != nullptr ? std::make_shared<store::WriteBehindQueue>() : nullptr;
   {
     std::lock_guard<std::mutex> lock(impl_->mu);
     old = std::move(impl_->disk);

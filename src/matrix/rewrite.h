@@ -208,9 +208,11 @@ class OperatorCache {
   /// EKTELO_CACHE_DIR store at process start; tests and benches swap
   /// tiers explicitly.
   ///
-  /// Disk spills run on a background write-behind consumer (bounded
-  /// queue; a full queue drops the spill and counts disk_write_drops)
-  /// unless EKTELO_CACHE_WRITE_BEHIND=0 forces the synchronous path.
+  /// Attaching a tier also attaches a fresh default-capacity write-
+  /// behind queue: every disk spill runs on its background consumer,
+  /// never on the computing thread, and a full queue drops the spill
+  /// and counts disk_write_drops.  SetDiskTier, FlushDiskTier and
+  /// process exit (for the EKTELO_CACHE_DIR tier) drain it.
   void SetDiskTier(std::unique_ptr<store::DiskArtifactStore> tier);
 
   /// The attached tier (nullptr when none) — for stats inspection; the

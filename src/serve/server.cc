@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <list>
 #include <mutex>
 #include <optional>
@@ -70,16 +72,24 @@ std::string CoalesceKey(const std::string& tenant, uint64_t hash) {
 }
 
 /// Strict numeric env parses, mirroring the EKTELO_CACHE_* handling:
-/// unparsable values warn on stderr and keep the default.
-bool EnvU64(const char* name, uint64_t* out) {
+/// unparsable values, and values that overflow uint64 or exceed `max`,
+/// warn on stderr and keep the default.
+bool EnvU64(const char* name, uint64_t* out,
+            uint64_t max = std::numeric_limits<uint64_t>::max()) {
   const char* v = std::getenv(name);
   if (v == nullptr || *v == '\0') return false;
   if (*v >= '0' && *v <= '9') {
     char* end = nullptr;
+    errno = 0;
     const unsigned long long parsed = std::strtoull(v, &end, 10);
     if (end != nullptr && *end == '\0') {
-      *out = parsed;
-      return true;
+      if (errno != ERANGE && parsed <= max) {
+        *out = parsed;
+        return true;
+      }
+      std::fprintf(stderr, "ektelo: ignoring out-of-range %s=%s (max %llu)\n",
+                   name, v, (unsigned long long)max);
+      return false;
     }
   }
   std::fprintf(stderr, "ektelo: ignoring unparsable %s=%s\n", name, v);
@@ -139,8 +149,10 @@ ServerOptions ApplyServeEnv(ServerOptions opts) {
     opts.response_cache_entries = std::size_t(u);
   EnvF64("EKTELO_SERVE_MAX_EPS", &opts.max_eps);
   if (EnvU64("EKTELO_SERVE_FSYNC", &u)) opts.fsync_ledger = u != 0;
-  if (EnvU64("EKTELO_SERVE_DEADLINE_MS", &u)) opts.request_deadline_ms = int(u);
-  if (EnvU64("EKTELO_SERVE_SLOW_MS", &u)) opts.slow_ms = int(u);
+  constexpr uint64_t kIntMax = uint64_t(std::numeric_limits<int>::max());
+  if (EnvU64("EKTELO_SERVE_DEADLINE_MS", &u, kIntMax))
+    opts.request_deadline_ms = int(u);
+  if (EnvU64("EKTELO_SERVE_SLOW_MS", &u, kIntMax)) opts.slow_ms = int(u);
   return opts;
 }
 

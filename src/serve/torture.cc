@@ -73,7 +73,6 @@ bool RunWorkload(const std::string& dir) {
   sopts.max_bytes = std::size_t{1} << 20;
   sopts.flush_every_puts = 5;
   sopts.hash_version = kHashVersion;
-  sopts.admission = 0;  // doorkeeper off: byte-identical run-to-run
   std::unique_ptr<store::DiskArtifactStore> st =
       store::DiskArtifactStore::Open(dir + "/store", sopts);
 
@@ -160,7 +159,6 @@ bool VerifyAfterCrash(const std::string& dir, std::string* why) {
   {
     store::DiskStoreOptions sopts;
     sopts.hash_version = kHashVersion;
-    sopts.admission = 0;
     std::unique_ptr<store::DiskArtifactStore> st =
         store::DiskArtifactStore::Open(dir + "/store", sopts);
     if (st == nullptr) return fail("store refused to reopen after crash");

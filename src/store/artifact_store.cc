@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <list>
 #include <mutex>
@@ -108,10 +106,6 @@ struct DiskArtifactStore::Impl {
   uint64_t clock = 0;
   uint64_t append_off = kDataHeaderBytes;
   std::size_t live_bytes = 0;
-  // Live bytes per artifact kind, maintained by IndexInsert/DropEntry;
-  // only consulted for kinds that carry a quota.
-  std::unordered_map<uint32_t, std::size_t> kind_bytes;
-  std::unordered_map<uint32_t, std::size_t> kind_quota;
   std::unordered_map<MapKey, IndexEntry, MapKeyHash> index;
   std::list<MapKey> lru;  // front = most recently used
   std::size_t puts_since_flush = 0;
@@ -158,14 +152,12 @@ struct DiskArtifactStore::Impl {
     auto it = index.find(k);
     if (it != index.end()) {
       live_bytes -= std::size_t(it->second.length);
-      kind_bytes[k.kind] -= std::size_t(it->second.length);
       lru.erase(it->second.lru_it);
       index.erase(it);
     }
     lru.push_front(k);
     index[k] = {offset, length, last_use, lru.begin()};
     live_bytes += std::size_t(length);
-    kind_bytes[k.kind] += std::size_t(length);
   }
 
   void Touch(
@@ -178,69 +170,6 @@ struct DiskArtifactStore::Impl {
     index.clear();
     lru.clear();
     live_bytes = 0;
-    kind_bytes.clear();
-  }
-
-  // ---- frequency-aware admission (TinyLFU-style; mu held) ----
-  //
-  // A 4-row count-min sketch of 4-bit saturating counters estimates how
-  // often each key has been asked for recently; periodic halving ages
-  // the estimates so yesterday's hot keys decay.  When a Put would force
-  // an eviction, the newcomer must estimate strictly hotter than the
-  // would-be victim — a stream of one-shot artifacts (each seen exactly
-  // once) can then never churn out entries that keep getting hits.
-
-  bool admission = false;
-  static constexpr std::size_t kSketchWidth = std::size_t{1} << 14;
-  static constexpr int kSketchRows = 4;
-  static constexpr uint64_t kSketchSample = 10 * kSketchWidth;
-  std::vector<uint8_t> sketch;  // rows x width, allocated on first touch
-  uint64_t sketch_touches = 0;
-
-  static std::size_t SketchSlot(const MapKey& k, int row) {
-    uint64_t z = k.hash ^ (uint64_t(k.kind) + 1) * 0x9e3779b97f4a7c15ull;
-    z += uint64_t(row + 1) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return std::size_t(z ^ (z >> 31)) & (kSketchWidth - 1);
-  }
-
-  void SketchTouch(const MapKey& k) {
-    if (!admission) return;
-    if (sketch.empty()) sketch.assign(kSketchRows * kSketchWidth, 0);
-    for (int row = 0; row < kSketchRows; ++row) {
-      uint8_t& c = sketch[std::size_t(row) * kSketchWidth + SketchSlot(k, row)];
-      if (c < 15) ++c;
-    }
-    if (++sketch_touches >= kSketchSample) {
-      for (uint8_t& c : sketch) c >>= 1;
-      sketch_touches /= 2;
-    }
-  }
-
-  uint8_t SketchEstimate(const MapKey& k) const {
-    if (sketch.empty()) return 0;
-    uint8_t m = 15;
-    for (int row = 0; row < kSketchRows; ++row)
-      m = std::min(
-          m, sketch[std::size_t(row) * kSketchWidth + SketchSlot(k, row)]);
-    return m;
-  }
-
-  /// The entry a Put of `len` bytes under `kind` would evict, or nullptr
-  /// when the store still has room (no eviction, nothing to defend).
-  const MapKey* AdmissionVictim(uint32_t kind, uint64_t len) {
-    if (lru.empty()) return nullptr;
-    if (opts.max_bytes != 0 && live_bytes + len > opts.max_bytes)
-      return &lru.back();
-    const auto q = kind_quota.find(kind);
-    if (q != kind_quota.end() && q->second != 0 &&
-        kind_bytes[kind] + len > q->second)
-      for (auto it = std::prev(lru.end());; --it) {
-        if (it->kind == kind) return &*it;
-        if (it == lru.begin()) break;
-      }
-    return nullptr;
   }
 
   ~Impl() {
@@ -431,7 +360,6 @@ struct DiskArtifactStore::Impl {
   void DropEntry(std::unordered_map<MapKey, IndexEntry, MapKeyHash>::iterator
                      it) {
     live_bytes -= std::size_t(it->second.length);
-    kind_bytes[it->first.kind] -= std::size_t(it->second.length);
     lru.erase(it->second.lru_it);
     index.erase(it);
   }
@@ -441,34 +369,6 @@ struct DiskArtifactStore::Impl {
            !lru.empty()) {
       DropEntry(index.find(lru.back()));
       ++st.evictions;
-    }
-  }
-
-  /// Enforce `kind`'s quota by evicting its own LRU entries — never
-  /// entries of other kinds, which is the whole point of the policy.
-  void EvictKindUntilBudgeted(uint32_t kind) {
-    const auto q = kind_quota.find(kind);
-    if (q == kind_quota.end() || q->second == 0) return;
-    while (kind_bytes[kind] > q->second) {
-      auto victim = lru.end();
-      for (auto it = std::prev(lru.end());; --it) {
-        if (it->kind == kind) {
-          victim = it;
-          break;
-        }
-        if (it == lru.begin()) break;
-      }
-      if (victim == lru.end()) return;  // bookkeeping drift guard
-      DropEntry(index.find(*victim));
-      ++st.evictions;
-      ++st.kind_evictions;
-    }
-  }
-
-  void EvictAllKindsUntilBudgeted() {
-    for (const auto& [kind, quota] : kind_quota) {
-      (void)quota;
-      EvictKindUntilBudgeted(kind);
     }
   }
 
@@ -602,14 +502,6 @@ DiskArtifactStore::DiskArtifactStore(std::string dir,
     : dir_(std::move(dir)), impl_(new Impl) {
   Impl& im = *impl_;
   im.opts = opts;
-  for (const auto& [kind, quota] : opts.kind_quotas)
-    if (quota != 0) im.kind_quota[kind] = quota;
-  if (opts.admission >= 0) {
-    im.admission = opts.admission != 0;
-  } else {
-    const char* v = std::getenv("EKTELO_CACHE_ADMISSION");
-    im.admission = v != nullptr && std::strcmp(v, "1") == 0;
-  }
   im.data_path = dir_ + "/artifacts.data";
   im.index_path = dir_ + "/artifacts.index";
   im.lock_path = dir_ + "/artifacts.lock";
@@ -658,7 +550,6 @@ DiskArtifactStore::DiskArtifactStore(std::string dir,
   const uint64_t covered = im.LoadIndexCheckpoint();
   im.ScanLog(covered >= kDataHeaderBytes ? covered : kDataHeaderBytes);
   im.EvictUntilBudgeted();
-  im.EvictAllKindsUntilBudgeted();
   im.open_ok = true;
 }
 
@@ -683,7 +574,6 @@ bool DiskArtifactStore::Get(const ArtifactKey& key,
   std::lock_guard<std::mutex> lock(im.mu);
   ++im.st.gets;
   if (im.degraded) return false;
-  im.SketchTouch({key.hash, key.kind});
   auto it = im.index.find({key.hash, key.kind});
   if (it == im.index.end()) return false;
   const IndexEntry e = it->second;
@@ -724,7 +614,6 @@ bool DiskArtifactStore::Put(const ArtifactKey& key,
   // before the already-live early-out, so a reader's Put never reports
   // success or counts as a disk write.
   if (!im.writer || !im.f || im.degraded) return false;
-  im.SketchTouch({key.hash, key.kind});
   auto it = im.index.find({key.hash, key.kind});
   if (it != im.index.end()) {
     im.Touch(it);
@@ -732,21 +621,6 @@ bool DiskArtifactStore::Put(const ArtifactKey& key,
   }
   const uint64_t len = kRecordHeaderBytes + payload.size();
   if (im.opts.max_bytes != 0 && len > im.opts.max_bytes) return false;
-  // A record alone bigger than its kind's whole quota would evict every
-  // sibling and still violate the quota; refuse it like max_bytes does.
-  if (auto q = im.kind_quota.find(key.kind);
-      q != im.kind_quota.end() && len > q->second)
-    return false;
-  if (im.admission) {
-    // Doorkeeper: admitting this record would evict someone — only let
-    // it in if the sketch says it is strictly hotter than the victim.
-    const MapKey* victim = im.AdmissionVictim(key.kind, len);
-    if (victim != nullptr && im.SketchEstimate({key.hash, key.kind}) <=
-                                 im.SketchEstimate(*victim)) {
-      ++im.st.admission_rejects;
-      return false;
-    }
-  }
   RecordHeader h;
   h.kind = key.kind;
   h.hash_version = im.opts.hash_version;
@@ -768,7 +642,6 @@ bool DiskArtifactStore::Put(const ArtifactKey& key,
   im.append_off += len;
   ++im.st.puts;
   im.EvictUntilBudgeted();
-  im.EvictKindUntilBudgeted(key.kind);
   // Compaction stalls every store user for a full log rewrite under the
   // mutex, so inline it only as a backstop against unbounded log growth
   // in a never-closing process (dead bytes > 4x live); the cheap 2x

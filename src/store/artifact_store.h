@@ -56,7 +56,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 namespace ektelo::store {
@@ -71,16 +70,12 @@ struct ArtifactKey {
 };
 
 struct DiskStoreOptions {
-  /// Budget for live (indexed) record bytes; LRU entries beyond it are
-  /// evicted.  0 means unbounded.
+  /// Budget for live (indexed) record bytes; least-recently-used entries
+  /// beyond it are evicted, whatever their kind or hit count.  0 means
+  /// unbounded.  This is the whole eviction policy: the tier above
+  /// (OperatorCache) spills through a bounded write-behind queue, so a
+  /// Put never runs on a request thread.
   std::size_t max_bytes = std::size_t{1} << 30;
-  /// Per-kind live-byte quotas, {artifact kind, max bytes}.  A Put that
-  /// pushes a kind past its quota evicts the LRU entries *of that kind*
-  /// first, so a flood of one-shot artifacts of one kind (ad-hoc query
-  /// materializations) can never evict another kind's hot entries (a
-  /// dashboard's Grams) the way the global LRU budget alone would.
-  /// Kinds without a quota are bounded only by max_bytes.
-  std::vector<std::pair<uint32_t, std::size_t>> kind_quotas;
   /// Version of the structural-hash function the keys were computed
   /// under (kHashVersion).  Records written under any other value are
   /// invisible — a hash-algorithm change invalidates cleanly instead of
@@ -88,13 +83,6 @@ struct DiskStoreOptions {
   uint64_t hash_version = 0;
   /// Flush the index checkpoint every this many Puts (and on close).
   std::size_t flush_every_puts = 32;
-  /// Frequency-aware admission (TinyLFU-style doorkeeper): when a Put
-  /// would force an eviction, the newcomer is admitted only if a
-  /// count-min sketch of recent accesses estimates it hotter than the
-  /// entry it would evict — one-shot artifacts stop churning out
-  /// recurring ones once the store is full.  1 = on, 0 = off, -1
-  /// (default) = follow EKTELO_CACHE_ADMISSION ("1" enables).
-  int admission = -1;
 };
 
 class DiskArtifactStore {
@@ -107,8 +95,6 @@ class DiskArtifactStore {
     std::size_t hits = 0;
     std::size_t puts = 0;
     std::size_t evictions = 0;
-    std::size_t kind_evictions = 0;  // evictions forced by a kind quota
-    std::size_t admission_rejects = 0;  // Puts refused by the doorkeeper
     std::size_t compactions = 0;
     std::size_t corrupt_drops = 0;  // records rejected by verification
     std::size_t io_errors = 0;      // device-level failures (post-open)

@@ -110,7 +110,6 @@ TEST(Failpoint, StoreDegradesStickilyOnInjectedWriteError) {
   const std::string dir = FreshDir("degrade");
   DiskStoreOptions opts;
   opts.hash_version = 3;
-  opts.admission = 0;
   auto store = DiskArtifactStore::Open(dir, opts);
   ASSERT_NE(store, nullptr);
 

@@ -9,11 +9,14 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <initializer_list>
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <sys/socket.h>
@@ -676,6 +679,66 @@ TEST(Server, GoldenReplyDigest) {
   char hex[24];
   std::snprintf(hex, sizeof(hex), "0x%016llx", (unsigned long long)digest);
   EXPECT_EQ(digest, kGolden) << "reply digest is " << hex;
+}
+
+/// Sets environment variables for one scope and restores the previous
+/// values (or absence) on exit.
+class ScopedEnv {
+ public:
+  ScopedEnv(std::initializer_list<std::pair<const char*, const char*>> vars) {
+    for (const auto& [name, value] : vars) {
+      const char* old = std::getenv(name);
+      saved_.push_back({name, old != nullptr, old != nullptr ? old : ""});
+      ::setenv(name, value, 1);
+    }
+  }
+  ~ScopedEnv() {
+    for (const Saved& s : saved_) {
+      if (s.had)
+        ::setenv(s.name, s.value.c_str(), 1);
+      else
+        ::unsetenv(s.name);
+    }
+  }
+
+ private:
+  struct Saved {
+    const char* name;
+    bool had;
+    std::string value;
+  };
+  std::vector<Saved> saved_;
+};
+
+// Out-of-range numeric settings warn and keep the default instead of
+// wrapping: strtoull saturates on overflow, and the *_MS fields are ints.
+TEST(ServeEnv, OutOfRangeValuesKeepTheDefaults) {
+  ServerOptions defaults;
+  defaults.workers = 3;
+  defaults.queue_capacity = 17;
+  defaults.request_deadline_ms = 250;
+  defaults.slow_ms = 40;
+  {
+    ScopedEnv env({{"EKTELO_SERVE_WORKERS", "99999999999999999999"},
+                   {"EKTELO_SERVE_QUEUE", "18446744073709551616"},
+                   {"EKTELO_SERVE_DEADLINE_MS", "4294967346"},
+                   {"EKTELO_SERVE_SLOW_MS", "2147483648"}});
+    const ServerOptions got = ApplyServeEnv(defaults);
+    EXPECT_EQ(got.workers, 3u);
+    EXPECT_EQ(got.queue_capacity, 17u);
+    EXPECT_EQ(got.request_deadline_ms, 250);
+    EXPECT_EQ(got.slow_ms, 40);
+  }
+  {
+    // The largest accepted values still parse.
+    ScopedEnv env({{"EKTELO_SERVE_QUEUE", "18446744073709551615"},
+                   {"EKTELO_SERVE_DEADLINE_MS", "2147483647"},
+                   {"EKTELO_SERVE_SLOW_MS", "7"}});
+    const ServerOptions got = ApplyServeEnv(defaults);
+    EXPECT_EQ(uint64_t(got.queue_capacity), 18446744073709551615ull);
+    EXPECT_EQ(got.request_deadline_ms, 2147483647);
+    EXPECT_EQ(got.slow_ms, 7);
+  }
 }
 
 // The frame layout on the wire, byte for byte: a 9-byte header (magic,

@@ -1,13 +1,16 @@
 // Persistent artifact store: serialization round-trip fuzz (bit
 // equality), truncated/corrupted-input rejection, DiskArtifactStore
 // lifecycle (reopen, index recovery, eviction, compaction, hash-version
-// invalidation, concurrency), the OperatorCache disk tier, and the
-// cross-process stability contract of StructuralHash (golden values
-// pinned under kHashVersion).
+// invalidation, concurrency), the write-behind queue, the OperatorCache
+// disk tier, and the cross-process stability contract of StructuralHash
+// (golden values pinned under kHashVersion).
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <functional>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -18,8 +21,10 @@
 #include "matrix/linop.h"
 #include "matrix/range_ops.h"
 #include "matrix/rewrite.h"
+#include "obs/metrics.h"
 #include "store/artifact_store.h"
 #include "store/serialize.h"
+#include "store/write_behind.h"
 #include "util/failpoint.h"
 #include "util/rng.h"
 
@@ -401,42 +406,12 @@ TEST(DiskArtifactStoreTest, ByteBudgetedLruEviction) {
   fs::remove_all(dir);
 }
 
-TEST(DiskArtifactStoreTest, AdmissionDoorkeeperProtectsHotEntries) {
-  const std::string dir = FreshDir("admission");
+TEST(DiskArtifactStoreTest,
+     ColdNewcomerEvictsLruEntryEvenWhenResidentsAreHot) {
+  const std::string dir = FreshDir("cold_newcomer");
   DiskStoreOptions opts;
   opts.hash_version = 1;
   opts.max_bytes = 1100;  // three ~356-byte records fit; a fourth evicts
-  opts.admission = 1;     // doorkeeper on, regardless of the env
-  auto s = DiskArtifactStore::Open(dir, opts);
-  ASSERT_TRUE(s);
-  const std::vector<uint8_t> blob(300, 0x7E);
-  for (uint64_t h = 1; h <= 3; ++h) ASSERT_TRUE(s->Put({h, 0}, blob));
-  // Heat up every resident: each Get feeds the frequency sketch.
-  std::vector<uint8_t> got;
-  for (int i = 0; i < 10; ++i)
-    for (uint64_t h = 1; h <= 3; ++h) ASSERT_TRUE(s->Get({h, 0}, &got));
-  // A cold newcomer would have to evict a hot entry: refused, nothing
-  // evicted, every resident still served.
-  EXPECT_FALSE(s->Put({50, 0}, blob));
-  EXPECT_GE(s->stats().admission_rejects, 1u);
-  EXPECT_FALSE(s->Get({50, 0}, &got));
-  for (uint64_t h = 1; h <= 3; ++h)
-    EXPECT_TRUE(s->Get({h, 0}, &got)) << "hot hash " << h;
-  // A newcomer hotter than the LRU victim (its misses fed the sketch
-  // harder than the victim's touches) is admitted and displaces it.
-  for (int i = 0; i < 40; ++i) EXPECT_FALSE(s->Get({60, 0}, &got));
-  EXPECT_TRUE(s->Put({60, 0}, blob));
-  EXPECT_TRUE(s->Get({60, 0}, &got));
-  EXPECT_EQ(got, blob);
-  fs::remove_all(dir);
-}
-
-TEST(DiskArtifactStoreTest, AdmissionOffAdmitsFreely) {
-  const std::string dir = FreshDir("admission_off");
-  DiskStoreOptions opts;
-  opts.hash_version = 1;
-  opts.max_bytes = 1100;
-  opts.admission = 0;  // default behavior: plain byte-budgeted LRU
   auto s = DiskArtifactStore::Open(dir, opts);
   ASSERT_TRUE(s);
   const std::vector<uint8_t> blob(300, 0x11);
@@ -444,69 +419,14 @@ TEST(DiskArtifactStoreTest, AdmissionOffAdmitsFreely) {
   std::vector<uint8_t> got;
   for (int i = 0; i < 10; ++i)
     for (uint64_t h = 1; h <= 3; ++h) ASSERT_TRUE(s->Get({h, 0}, &got));
-  // Without the doorkeeper the same cold newcomer evicts the LRU entry.
+  // Hit counts do not matter: a never-read newcomer is admitted and the
+  // least recently used resident (hash 1, touched first each round) goes.
   EXPECT_TRUE(s->Put({50, 0}, blob));
   EXPECT_TRUE(s->Get({50, 0}, &got));
-  EXPECT_EQ(s->stats().admission_rejects, 0u);
   EXPECT_GT(s->stats().evictions, 0u);
-  fs::remove_all(dir);
-}
-
-TEST(DiskArtifactStoreTest, KindQuotaEvictsWithinKindOnly) {
-  const std::string dir = FreshDir("kindquota");
-  DiskStoreOptions opts;
-  opts.hash_version = 1;
-  opts.max_bytes = 1 << 20;            // global budget never binds here
-  opts.kind_quotas = {{1, 1024}};      // kind 1 capped; kind 0 unbounded
-  auto s = DiskArtifactStore::Open(dir, opts);
-  ASSERT_TRUE(s);
-  const std::vector<uint8_t> blob(300, 0x3C);
-  // Kind 0 entries inserted FIRST — globally the least recently used, so
-  // an unscoped LRU pass would evict them before any kind-1 entry.
-  for (uint64_t h = 0; h < 4; ++h) ASSERT_TRUE(s->Put({h, 0}, blob));
-  // A flood of kind-1 entries blows through the kind-1 quota.
-  for (uint64_t h = 100; h < 110; ++h) ASSERT_TRUE(s->Put({h, 1}, blob));
-  const auto st = s->stats();
-  EXPECT_GT(st.kind_evictions, 0u);
-  std::vector<uint8_t> got;
-  // Every kind-0 entry survived the flood untouched...
-  for (uint64_t h = 0; h < 4; ++h)
-    EXPECT_TRUE(s->Get({h, 0}, &got)) << "kind-0 hash " << h;
-  // ...while kind 1 holds only its newest quota's worth: the freshest
-  // entry is live, the oldest was evicted within its own kind.
-  EXPECT_TRUE(s->Get({109, 1}, &got));
-  EXPECT_FALSE(s->Get({100, 1}, &got));
-  // A single record over its kind quota is refused outright (it could
-  // never fit even after evicting every sibling).
-  EXPECT_FALSE(s->Put({999, 1}, std::vector<uint8_t>(2048, 1)));
-  EXPECT_TRUE(s->Put({999, 0}, std::vector<uint8_t>(2048, 1)));
-  fs::remove_all(dir);
-}
-
-TEST(DiskArtifactStoreTest, KindQuotaEnforcedOnReopen) {
-  const std::string dir = FreshDir("kindquota_reopen");
-  DiskStoreOptions unbounded;
-  unbounded.hash_version = 1;
-  const std::vector<uint8_t> blob(300, 0x3D);
-  {
-    auto s = DiskArtifactStore::Open(dir, unbounded);
-    ASSERT_TRUE(s);
-    for (uint64_t h = 0; h < 8; ++h) ASSERT_TRUE(s->Put({h, 2}, blob));
-  }
-  DiskStoreOptions quota = unbounded;
-  quota.kind_quotas = {{2, 1024}};
-  auto s = DiskArtifactStore::Open(dir, quota);
-  ASSERT_TRUE(s);
-  // Opening with a tighter per-kind policy trims the recovered index
-  // down to the quota immediately, not on the next Put.
-  const auto st = s->stats();
-  EXPECT_GT(st.kind_evictions, 0u);
-  std::size_t live = 0;
-  std::vector<uint8_t> got;
-  for (uint64_t h = 0; h < 8; ++h)
-    if (s->Get({h, 2}, &got)) ++live;
-  EXPECT_LT(live, 8u);
-  EXPECT_GT(live, 0u);
+  EXPECT_FALSE(s->Get({1, 0}, &got));
+  EXPECT_TRUE(s->Get({2, 0}, &got));
+  EXPECT_TRUE(s->Get({3, 0}, &got));
   fs::remove_all(dir);
 }
 
@@ -651,6 +571,117 @@ TEST(DiskArtifactStoreTest, ConcurrentPutGetIsSafe) {
   for (auto& th : threads) th.join();
   EXPECT_EQ(failures.load(), 0);
   fs::remove_all(dir);
+}
+
+// ------------------------------------------------------- write-behind queue
+
+/// A job that parks the consumer thread until `Open()` — lets a test fill
+/// the queue behind it deterministically.
+struct ConsumerGate {
+  std::promise<void> started, release;
+  std::shared_future<void> released = release.get_future().share();
+
+  std::function<void()> Job() {
+    return [this] {
+      started.set_value();
+      released.wait();
+    };
+  }
+  void AwaitStarted() { started.get_future().wait(); }
+  void Open() { release.set_value(); }
+};
+
+obs::Counter& WriteBehindDroppedCounter() {
+  return obs::Registry::Global().GetCounter(
+      "ektelo_store_write_behind_dropped",
+      "Disk spills refused by the bounded write-behind queue");
+}
+
+TEST(WriteBehindQueueTest, JobsRunInFifoOrder) {
+  std::vector<int> order;  // touched only by the consumer until Drain
+  store::WriteBehindQueue q(128);
+  for (int i = 0; i < 100; ++i)
+    ASSERT_TRUE(q.Enqueue([&order, i] { order.push_back(i); }));
+  q.Drain();
+  ASSERT_EQ(order.size(), 100u);
+  for (int i = 0; i < 100; ++i) EXPECT_EQ(order[std::size_t(i)], i);
+}
+
+TEST(WriteBehindQueueTest, DrainWaitsForEveryEarlierJob) {
+  std::atomic<int> done{0};
+  ConsumerGate gate;  // declared first: outlives the consumer
+  store::WriteBehindQueue q(64);
+  ASSERT_TRUE(q.Enqueue(gate.Job()));
+  for (int i = 0; i < 20; ++i)
+    ASSERT_TRUE(q.Enqueue([&done] {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      ++done;
+    }));
+  gate.AwaitStarted();
+  // The opener's delay keeps every job queued behind the gate when Drain
+  // starts waiting.
+  std::thread opener([&gate] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    gate.Open();
+  });
+  q.Drain();
+  EXPECT_EQ(done.load(), 20);
+  EXPECT_EQ(q.stats().completed, 21u);
+  opener.join();
+}
+
+TEST(WriteBehindQueueTest, FullQueueRefusesAndCountsTheDrop) {
+  obs::Counter& dropped = WriteBehindDroppedCounter();
+  const uint64_t dropped_before = dropped.Value();
+  std::atomic<int> ran{0};
+  ConsumerGate gate;  // declared first: outlives the consumer
+  store::WriteBehindQueue q(2);
+  ASSERT_TRUE(q.Enqueue(gate.Job()));
+  gate.AwaitStarted();  // the consumer holds the gate job; queue is empty
+  EXPECT_TRUE(q.Enqueue([&ran] { ++ran; }));
+  EXPECT_TRUE(q.Enqueue([&ran] { ++ran; }));
+  EXPECT_FALSE(q.Enqueue([&ran] { ran += 100; }));  // full: refused
+  gate.Open();
+  q.Drain();
+  EXPECT_EQ(ran.load(), 2);
+  const store::WriteBehindQueue::Stats st = q.stats();
+  EXPECT_EQ(st.enqueued, 3u);
+  EXPECT_EQ(st.dropped, 1u);
+  EXPECT_EQ(st.completed, 3u);
+  EXPECT_EQ(dropped.Value() - dropped_before, 1u);
+}
+
+TEST(WriteBehindQueueTest, DestructorRunsQueuedJobs) {
+  std::atomic<int> ran{0};
+  ConsumerGate gate;
+  std::thread opener;
+  {
+    store::WriteBehindQueue q(16);
+    ASSERT_TRUE(q.Enqueue(gate.Job()));
+    for (int i = 0; i < 5; ++i) ASSERT_TRUE(q.Enqueue([&ran] { ++ran; }));
+    gate.AwaitStarted();
+    opener = std::thread([&gate] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      gate.Open();
+    });
+    EXPECT_EQ(ran.load(), 0);
+  }  // destroyed while five jobs still wait behind the gate
+  EXPECT_EQ(ran.load(), 5);
+  opener.join();
+}
+
+TEST(WriteBehindQueueTest, ZeroCapacityIsClampedToOne) {
+  std::atomic<int> ran{0};
+  ConsumerGate gate;  // declared first: outlives the consumer
+  store::WriteBehindQueue q(0);
+  ASSERT_TRUE(q.Enqueue(gate.Job()));
+  gate.AwaitStarted();
+  EXPECT_TRUE(q.Enqueue([&ran] { ++ran; }));   // the one slot
+  EXPECT_FALSE(q.Enqueue([&ran] { ++ran; }));  // already full
+  gate.Open();
+  q.Drain();
+  EXPECT_EQ(ran.load(), 1);
+  EXPECT_EQ(q.stats().dropped, 1u);
 }
 
 // ----------------------------------------------- structural-hash stability
