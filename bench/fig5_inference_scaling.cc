@@ -6,19 +6,24 @@
 // tree-based specialized solver:
 //
 //   LS:   Dense+Direct, Dense+Iterative, Sparse+Iterative,
-//         Implicit+Iterative, Tree-based
+//         Implicit+Iterative, Tree-based, Structured exact
 //   NNLS: Dense+Iterative, Sparse+Iterative, Implicit+Iterative
+//
+// The "Iterative" LS rows call LSMR on the rewritten weighted stack
+// directly: LeastSquaresInference would recognize the hierarchy and take
+// its exact tree path, which the "Structured exact" row times.
 //
 // Sizes are capped per representation (the paper's y-axis stops at 1000s;
 // dense representations blow memory long before that on this container).
 // The reproduced observable: iterative+implicit extends the feasible
-// domain by ~1000x over dense+direct, and the generic implicit solver
-// dominates the specialized tree solver at scale.
+// domain by ~1000x over dense+direct, and the tree-based and structured
+// exact rows scale linearly, an order of magnitude below implicit LSMR.
 #include <benchmark/benchmark.h>
 
 #include <map>
 
 #include "bench_util.h"
+#include "matrix/rewrite.h"
 
 using namespace ektelo;
 using namespace ektelo::bench;
@@ -53,6 +58,10 @@ MeasurementSet MakeSet(LinOpPtr m, const Vec& y) {
   return mset;
 }
 
+Vec LsmrInference(const MeasurementSet& mset) {
+  return Lsmr(*MaybeRewrite(mset.WeightedOp()), mset.WeightedY()).x;
+}
+
 void BM_LsDenseDirect(benchmark::State& state) {
   const std::size_t n = state.range(0);
   const Problem& p = GetProblem(n);
@@ -66,7 +75,7 @@ void BM_LsDenseIterative(benchmark::State& state) {
   const Problem& p = GetProblem(n);
   auto mset = MakeSet(MakeDense(p.m_implicit->MaterializeDense()), p.y);
   for (auto _ : state)
-    benchmark::DoNotOptimize(LeastSquaresInference(mset));
+    benchmark::DoNotOptimize(LsmrInference(mset));
 }
 
 void BM_LsSparseIterative(benchmark::State& state) {
@@ -74,10 +83,18 @@ void BM_LsSparseIterative(benchmark::State& state) {
   const Problem& p = GetProblem(n);
   auto mset = MakeSet(MakeSparse(p.m_implicit->MaterializeSparse()), p.y);
   for (auto _ : state)
-    benchmark::DoNotOptimize(LeastSquaresInference(mset));
+    benchmark::DoNotOptimize(LsmrInference(mset));
 }
 
 void BM_LsImplicitIterative(benchmark::State& state) {
+  const std::size_t n = state.range(0);
+  const Problem& p = GetProblem(n);
+  auto mset = MakeSet(p.m_implicit, p.y);
+  for (auto _ : state)
+    benchmark::DoNotOptimize(LsmrInference(mset));
+}
+
+void BM_LsStructuredExact(benchmark::State& state) {
   const std::size_t n = state.range(0);
   const Problem& p = GetProblem(n);
   auto mset = MakeSet(p.m_implicit, p.y);
@@ -122,7 +139,8 @@ void BM_NnlsImplicitIterative(benchmark::State& state) {
 }  // namespace
 
 // Size ladders: dense representations stop at 4096 (O(n^2) memory /
-// O(n^3) direct solves); sparse at ~1M; implicit/tree continue to 4M+.
+// O(n^3) direct solves); sparse at ~1M; implicit/tree/exact continue to
+// 4M+.
 BENCHMARK(BM_LsDenseDirect)->RangeMultiplier(4)->Range(1 << 10, 1 << 12)
     ->Unit(benchmark::kMillisecond)->Iterations(1);
 BENCHMARK(BM_LsDenseIterative)->RangeMultiplier(4)->Range(1 << 10, 1 << 12)
@@ -133,6 +151,8 @@ BENCHMARK(BM_LsImplicitIterative)
     ->RangeMultiplier(4)->Range(1 << 10, 1 << 22)
     ->Unit(benchmark::kMillisecond)->Iterations(1);
 BENCHMARK(BM_LsTreeBased)->RangeMultiplier(4)->Range(1 << 10, 1 << 22)
+    ->Unit(benchmark::kMillisecond)->Iterations(1);
+BENCHMARK(BM_LsStructuredExact)->RangeMultiplier(4)->Range(1 << 10, 1 << 22)
     ->Unit(benchmark::kMillisecond)->Iterations(1);
 BENCHMARK(BM_NnlsDenseIterative)->RangeMultiplier(4)->Range(1 << 10, 1 << 12)
     ->Unit(benchmark::kMillisecond)->Iterations(1);

@@ -212,10 +212,13 @@ LsmrResult Lsmr(const LinOp& a, const Vec& b, const LsmrOptions& opts) {
     }
   }
 
+  // The loop ran out of iterations without meeting a stopping test.
+  if (result.istop == 0) result.istop = 7;
   result.iterations = itn;
   result.residual_norm = normr;
   LsmrIterations().Inc(result.iterations);
   span.Attr("iterations", static_cast<double>(result.iterations));
+  span.Attr("istop", static_cast<double>(result.istop));
   return result;
 }
 

@@ -29,7 +29,9 @@ struct LsmrResult {
   std::size_t iterations = 0;
   /// ||A x - b|| at the final iterate.
   double residual_norm = 0.0;
-  /// Stopping reason, mirroring the LSMR paper's istop codes.
+  /// Stopping reason, mirroring the LSMR paper's istop codes: 0 means
+  /// x = 0 is the exact solution, 1-6 a convergence or conditioning test,
+  /// 7 the iteration limit.
   int istop = 0;
 };
 

@@ -50,7 +50,8 @@ RequestTrace* SwapCurrentTrace(RequestTrace* t) {
 }
 
 void RecordManualSpan(const char* name, const char* cat, uint64_t start_ns,
-                      uint64_t end_ns, Histogram* latency) {
+                      uint64_t end_ns, Histogram* latency,
+                      std::initializer_list<TraceAttr> attrs) {
   const uint32_t flags = ArmedFlags();
   if (flags == 0) return;
   const uint64_t dur_ns = end_ns >= start_ns ? end_ns - start_ns : 0;
@@ -65,6 +66,10 @@ void RecordManualSpan(const char* name, const char* cat, uint64_t start_ns,
       ev.start_ns = start_ns;
       ev.dur_ns = dur_ns;
       ev.tid = ThreadId();
+      for (const TraceAttr& a : attrs) {
+        if (ev.n_attrs >= 4) break;
+        ev.attrs[ev.n_attrs++] = a;
+      }
       trace->Record(ev);
     }
   }

@@ -25,6 +25,7 @@
 #define EKTELO_OBS_TRACE_H_
 
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <vector>
@@ -171,9 +172,10 @@ class Span {
 
 /// Records a span whose endpoints were measured externally (e.g. queue
 /// wait, bounded by timestamps taken on two different threads).  Obeys
-/// the same arming rules as Span.
+/// the same arming rules and attribute cap as Span.
 void RecordManualSpan(const char* name, const char* cat, uint64_t start_ns,
-                      uint64_t end_ns, Histogram* latency = nullptr);
+                      uint64_t end_ns, Histogram* latency = nullptr,
+                      std::initializer_list<TraceAttr> attrs = {});
 
 /// Keeps the last-published request traces for the serve Trace
 /// endpoint.  Publishing transfers ownership; Latest() returns shared

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "matrix/combinators.h"
 #include "matrix/implicit_ops.h"
@@ -14,12 +15,6 @@ std::size_t Hierarchy::TotalNodes() const {
   std::size_t total = 0;
   for (const auto& lvl : levels) total += lvl.size();
   return total;
-}
-
-std::size_t Hierarchy::RowOf(std::size_t level, std::size_t i) const {
-  std::size_t row = 0;
-  for (std::size_t l = 0; l < level; ++l) row += levels[l].size();
-  return row + i;
 }
 
 Hierarchy BuildHierarchy(std::size_t n, std::size_t branch) {
@@ -87,82 +82,142 @@ std::size_t HbBranchingFactor(std::size_t n) {
 }
 
 namespace {
-
-/// Bottom-up pass: z[l][i] is the variance-optimal combination of node
-/// (l,i)'s own measurement with the sum of its children's estimates;
-/// var[l][i] is its variance (in units of the per-query noise variance).
-struct ZState {
-  std::vector<std::vector<double>> z;
-  std::vector<std::vector<double>> var;
-};
-
-void BottomUp(const Hierarchy& h, const Vec& y, std::size_t level,
-              std::size_t i, ZState* st) {
-  const bool has_children =
-      level + 1 < h.levels.size() &&
-      h.child_start[level][i + 1] > h.child_start[level][i];
-  const double y_v = y[h.RowOf(level, i)];
-  if (!has_children) {
-    st->z[level][i] = y_v;
-    st->var[level][i] = 1.0;
-    return;
-  }
-  double sum_z = 0.0, sum_var = 0.0;
-  for (std::size_t c = h.child_start[level][i];
-       c < h.child_start[level][i + 1]; ++c) {
-    BottomUp(h, y, level + 1, c, st);
-    sum_z += st->z[level + 1][c];
-    sum_var += st->var[level + 1][c];
-  }
-  // Combine two independent estimates of the node total: own measurement
-  // (variance 1) and the children sum (variance sum_var).
-  const double w_own = sum_var / (1.0 + sum_var);
-  st->z[level][i] = w_own * y_v + (1.0 - w_own) * sum_z;
-  st->var[level][i] = sum_var / (1.0 + sum_var);
-}
-
-void TopDown(const Hierarchy& h, std::size_t level, std::size_t i,
-             double value, const ZState& st, Vec* x) {
-  const bool has_children =
-      level + 1 < h.levels.size() &&
-      h.child_start[level][i + 1] > h.child_start[level][i];
-  if (!has_children) {
-    const auto& node = h.levels[level][i];
-    EK_CHECK_EQ(node.hi - node.lo, 1u);
-    (*x)[node.lo] = value;
-    return;
-  }
-  double sum_z = 0.0, sum_var = 0.0;
-  for (std::size_t c = h.child_start[level][i];
-       c < h.child_start[level][i + 1]; ++c) {
-    sum_z += st.z[level + 1][c];
-    sum_var += st.var[level + 1][c];
-  }
-  const double surplus = value - sum_z;
-  for (std::size_t c = h.child_start[level][i];
-       c < h.child_start[level][i + 1]; ++c) {
-    // Distribute the consistency surplus proportionally to variance — the
-    // exact least-squares adjustment for tree-structured measurements.
-    const double share = st.var[level + 1][c] / sum_var;
-    TopDown(h, level + 1, c, st.z[level + 1][c] + surplus * share, st, x);
-  }
-}
-
+constexpr uint32_t kNone = UINT32_MAX;
 }  // namespace
+
+std::optional<LaminarForest> LaminarForest::Build(IndicatorRows rows,
+                                                  std::size_t n) {
+  const std::size_t m = rows.rows();
+  if (n > kMaxCells || m > kMaxCells) return std::nullopt;
+  LaminarForest f;
+  f.row_node_.assign(m, kNone);
+  f.owner_.assign(n, kNone);
+
+  // Rows that constrain nothing (empty support or zero value) drop out.
+  // The rest are ordered largest support first (ties by row index, a
+  // counting sort on size), so every parent precedes its children.
+  std::vector<uint32_t> size(m, 0), bucket(n + 2, 0);
+  for (std::size_t r = 0; r < m; ++r) {
+    std::size_t sz = 0;
+    for (std::size_t k = rows.row_start[r]; k < rows.row_start[r + 1]; ++k) {
+      EK_CHECK_LE(rows.runs[k].first, rows.runs[k].second);
+      EK_CHECK_LE(rows.runs[k].second, n);
+      sz += rows.runs[k].second - rows.runs[k].first;
+    }
+    if (sz > n) return std::nullopt;  // overlapping runs: not a cell set
+    size[r] = static_cast<uint32_t>(sz);
+    if (sz > 0 && rows.coef[r] != 0.0) ++bucket[n - sz + 1];
+  }
+  for (std::size_t s = 1; s < bucket.size(); ++s) bucket[s] += bucket[s - 1];
+  std::vector<uint32_t> order(bucket.back());
+  for (std::size_t r = 0; r < m; ++r)
+    if (size[r] > 0 && rows.coef[r] != 0.0)
+      order[bucket[n - size[r]]++] = static_cast<uint32_t>(r);
+
+  // owner[c]: the smallest node built so far that contains cell c.  A new
+  // support is laminar against every larger one iff all its cells share
+  // one owner; it is a duplicate iff that owner has its size.
+  std::vector<uint32_t> node_size;
+  node_size.reserve(order.size());
+  f.parent_.reserve(order.size());
+  f.uncovered_.reserve(order.size());
+  f.prec_.reserve(order.size());
+  for (uint32_t r : order) {
+    const std::size_t lo = rows.row_start[r], hi = rows.row_start[r + 1];
+    const uint32_t p = f.owner_[rows.runs[lo].first];
+    const bool duplicate = p != kNone && node_size[p] == size[r];
+    const uint32_t v = duplicate ? p : static_cast<uint32_t>(node_size.size());
+    for (std::size_t k = lo; k < hi; ++k)
+      for (uint32_t c = rows.runs[k].first; c < rows.runs[k].second; ++c) {
+        if (f.owner_[c] != p) return std::nullopt;
+        f.owner_[c] = v;
+      }
+    f.row_node_[r] = v;
+    const double a = rows.coef[r];
+    if (duplicate) {
+      f.prec_[p] += a * a;
+      continue;
+    }
+    node_size.push_back(size[r]);
+    f.parent_.push_back(p);
+    f.uncovered_.push_back(size[r]);
+    f.prec_.push_back(a * a);
+    if (p != kNone) f.uncovered_[p] -= size[r];
+  }
+  f.coef_ = std::move(rows.coef);
+
+  // The variances do not depend on b: var[v] is the variance of node v's
+  // subtree estimate (in units where a row's variance is 1 / coef^2).  A
+  // node with uncovered cells learns nothing from its children, since
+  // those cells absorb any residual.
+  const std::size_t count = f.parent_.size();
+  Vec var(count), child_var(count, 0.0);
+  f.w_own_.assign(count, 1.0);
+  for (std::size_t v = count; v-- > 0;) {
+    const double own_var = 1.0 / f.prec_[v];
+    if (f.uncovered_[v] > 0) {
+      var[v] = own_var;
+    } else {
+      f.w_own_[v] = child_var[v] / (own_var + child_var[v]);
+      var[v] = own_var * child_var[v] / (own_var + child_var[v]);
+    }
+    if (f.parent_[v] != kNone) child_var[f.parent_[v]] += var[v];
+  }
+  // A fully covered node hands its consistency surplus to its children in
+  // proportion to their variances (the exact least-squares adjustment).
+  f.share_.assign(count, 0.0);
+  for (std::size_t v = 0; v < count; ++v) {
+    const uint32_t p = f.parent_[v];
+    if (p != kNone && f.uncovered_[p] == 0)
+      f.share_[v] = var[v] / child_var[p];
+  }
+  return f;
+}
+
+Vec LaminarForest::Solve(const Vec& b) const {
+  EK_CHECK_EQ(b.size(), row_node_.size());
+  const std::size_t count = parent_.size();
+  // est[v]: sum of coef * b over the node's rows, then (bottom-up) the
+  // best estimate of its total from its subtree.  down[v]: the sum of its
+  // children's estimates, then (top-down) what it passes down: its
+  // surplus to its children, or the value of each uncovered cell.
+  Vec est(count, 0.0), down(count, 0.0);
+  for (std::size_t r = 0; r < b.size(); ++r)
+    if (row_node_[r] != kNone) est[row_node_[r]] += coef_[r] * b[r];
+  for (std::size_t v = count; v-- > 0;) {
+    const double own = est[v] / prec_[v];
+    est[v] = uncovered_[v] > 0
+                 ? own
+                 : w_own_[v] * own + (1.0 - w_own_[v]) * down[v];
+    if (parent_[v] != kNone) down[parent_[v]] += est[v];
+  }
+  for (std::size_t v = 0; v < count; ++v) {
+    double total = est[v];
+    if (share_[v] != 0.0) total += share_[v] * down[parent_[v]];
+    const double surplus = total - down[v];
+    down[v] = uncovered_[v] > 0
+                  ? surplus / static_cast<double>(uncovered_[v])
+                  : surplus;
+  }
+  Vec x(owner_.size(), 0.0);
+  for (std::size_t c = 0; c < owner_.size(); ++c)
+    if (owner_[c] != kNone) x[c] = down[owner_[c]];
+  return x;
+}
 
 Vec TreeBasedLeastSquares(const Hierarchy& h, const Vec& y) {
   EK_CHECK_EQ(y.size(), h.TotalNodes());
-  ZState st;
-  st.z.resize(h.levels.size());
-  st.var.resize(h.levels.size());
-  for (std::size_t l = 0; l < h.levels.size(); ++l) {
-    st.z[l].assign(h.levels[l].size(), 0.0);
-    st.var[l].assign(h.levels[l].size(), 0.0);
-  }
-  BottomUp(h, y, 0, 0, &st);
-  Vec x(h.n, 0.0);
-  TopDown(h, 0, 0, st.z[0][0], st, &x);
-  return x;
+  IndicatorRows rows;
+  rows.Reserve(y.size(), y.size());
+  for (const auto& level : h.levels)
+    for (const HierNode& node : level) {
+      rows.AddRun(node.lo, node.hi);
+      rows.EndRow(1.0);
+    }
+  std::optional<LaminarForest> forest =
+      LaminarForest::Build(std::move(rows), h.n);
+  EK_CHECK(forest.has_value());
+  return forest->Solve(y);
 }
 
 }  // namespace ektelo

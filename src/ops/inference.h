@@ -2,8 +2,15 @@
 // xhat of the data vector from all noisy measurements taken by a plan.
 // All of these are Public operators — they never touch private data.
 //
-//  * LeastSquaresInference       — LS via LSMR on the precision-weighted
-//                                  implicit stack (the paper's workhorse).
+//  * LeastSquaresInference       — LS on the precision-weighted stack
+//                                  (the paper's workhorse), dispatched
+//                                  by structure: a laminar family of
+//                                  weighted counting queries (H2, HB,
+//                                  Greedy-H, grids, partitions, Kron with
+//                                  identity) takes the exact tree solver
+//                                  (LaminarLeastSquares), a single
+//                                  row-scaled WaveletOp the exact Haar
+//                                  solve, and anything else LSMR.
 //  * NnlsInference               — LS with x >= 0 (Definition 5.2).
 //  * MultWeightsInference        — the multiplicative-weights update used
 //                                  by MWEM (maximum-entropy flavored).
@@ -23,6 +30,17 @@ namespace ektelo {
 
 /// Ordinary least squares over all measurements (Definition 5.1),
 /// precision-weighted so unequal noise scales are handled correctly.
+/// Returns the minimum-norm solution.  Structure is recognized on the
+/// measurements as recorded (never materialized, never rewritten), so the
+/// rewrite toggle cannot change the path or its bits:
+///  * tree: every row is a scaled 0/1 indicator (RangeSet, RectangleSet,
+///    Ones, Identity, equal-valued Sparse rows, Kron and partition
+///    products of those, under Scale/RowWeight/VStack) and the supports
+///    are laminar; O(nnz + rows) time and memory.
+///  * haar: one measurement of a Scale/RowWeight-wrapped WaveletOp with
+///    nonzero row scales; one inverse Haar transform, O(n).
+///  * lsmr: everything else, on the rewritten stack with `opts` (which
+///    the exact paths ignore).
 Vec LeastSquaresInference(const MeasurementSet& mset,
                           const LsmrOptions& opts = {});
 

@@ -48,8 +48,12 @@ class MeasurementSet {
   LinOpPtr WeightedOp() const;
   Vec WeightedY() const;
 
- private:
+  /// The row weight WeightedOp/WeightedY give a measurement taken at
+  /// `noise_scale` (1 / noise_scale; a large finite weight for exact
+  /// side information).
   double WeightFor(double noise_scale) const;
+
+ private:
   std::vector<Measurement> items_;
 };
 

@@ -72,6 +72,20 @@ TEST(LsmrTest, ZeroRhsGivesZero) {
   for (double v : res.x) EXPECT_DOUBLE_EQ(v, 0.0);
 }
 
+TEST(LsmrTest, IterationLimitReportsStopCode7) {
+  // An ill-conditioned dense system cannot converge in two iterations, so
+  // the loop exits on max_iters; istop 0 would claim x = 0 is exact.
+  Rng rng(4);
+  DenseMatrix a = RandomDense(12, 12, &rng);
+  for (std::size_t j = 0; j < 12; ++j) a.At(0, j) *= 1e6;
+  auto op = MakeDense(a);
+  LsmrOptions opts;
+  opts.max_iters = 2;
+  LsmrResult res = Lsmr(*op, RandomVec(12, &rng), opts);
+  EXPECT_EQ(res.iterations, 2u);
+  EXPECT_EQ(res.istop, 7);
+}
+
 TEST(LsmrTest, WorksOnImplicitHierarchy) {
   // H = [Total; Identity] measured exactly should reconstruct x exactly.
   const std::size_t n = 64;
