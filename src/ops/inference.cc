@@ -146,23 +146,31 @@ bool AppendIndicatorRows(const LinOp& op, IndicatorRows* out) {
   }
   if (const auto* prod = dynamic_cast<const ProductOp*>(&op)) {
     // F * P with P a partition reduction: a row over groups covers the
-    // cells of those groups.
+    // cells of those groups, added as each group's runs of consecutive
+    // cells (one run per group for an interval partition).
     std::vector<std::size_t> group_of;
     if (!PartitionMap(*prod->b(), &group_of)) return false;
     IndicatorRows f;
     if (!AppendIndicatorRows(*prod->a(), &f)) return false;
-    const std::size_t groups = prod->b()->rows();
-    std::vector<std::size_t> start(groups + 1, 0), cells(group_of.size());
-    for (std::size_t g : group_of) ++start[g + 1];
+    const std::size_t groups = prod->b()->rows(), n = group_of.size();
+    // Group g's runs are runs[start[g] .. start[g + 1]), in cell order.
+    std::vector<std::size_t> start(groups + 1, 0);
+    for (std::size_t c = 0; c < n; ++c)
+      if (c == 0 || group_of[c] != group_of[c - 1]) ++start[group_of[c] + 1];
     for (std::size_t g = 0; g < groups; ++g) start[g + 1] += start[g];
+    std::vector<std::pair<std::size_t, std::size_t>> runs(start[groups]);
     std::vector<std::size_t> fill(start.begin(), start.end() - 1);
-    for (std::size_t c = 0; c < group_of.size(); ++c)
-      cells[fill[group_of[c]]++] = c;
+    for (std::size_t c = 0; c < n;) {
+      std::size_t e = c + 1;
+      while (e < n && group_of[e] == group_of[c]) ++e;
+      runs[fill[group_of[c]]++] = {c, e};
+      c = e;
+    }
     for (std::size_t r = 0; r < f.rows(); ++r) {
       for (std::size_t k = f.row_start[r]; k < f.row_start[r + 1]; ++k)
         for (std::size_t g = f.runs[k].first; g < f.runs[k].second; ++g)
           for (std::size_t i = start[g]; i < start[g + 1]; ++i)
-            out->AddRun(cells[i], cells[i] + 1);
+            out->AddRun(runs[i].first, runs[i].second);
       out->EndRow(f.coef[r]);
     }
     return true;

@@ -31,21 +31,24 @@ Partition StripePartition(const std::vector<std::size_t>& dims,
   for (std::size_t d : dims) n *= d;
   std::size_t rest = n / dims[stripe_dim];
   std::vector<uint32_t> group(n);
-  // Decompose each cell index into per-dim codes; the group index is the
-  // flattened code over the non-stripe dims (in dim order).
-  std::vector<std::size_t> codes(dims.size());
+  // The group index is the flattened code over the non-stripe dims (in dim
+  // order): gstride[d] is dim d's weight in it, 0 for the stripe dim.
+  // Cells are visited in row-major order with an odometer over the codes.
+  std::vector<std::size_t> codes(dims.size(), 0), gstride(dims.size(), 0);
+  for (std::size_t d = dims.size(), s = 1; d-- > 0;) {
+    if (d == stripe_dim) continue;
+    gstride[d] = s;
+    s *= dims[d];
+  }
+  std::size_t g = 0;
   for (std::size_t cell = 0; cell < n; ++cell) {
-    std::size_t rem = cell;
-    for (std::size_t d = dims.size(); d-- > 0;) {
-      codes[d] = rem % dims[d];
-      rem /= dims[d];
-    }
-    std::size_t g = 0;
-    for (std::size_t d = 0; d < dims.size(); ++d) {
-      if (d == stripe_dim) continue;
-      g = g * dims[d] + codes[d];
-    }
     group[cell] = static_cast<uint32_t>(g);
+    for (std::size_t d = dims.size(); d-- > 0;) {
+      g += gstride[d];
+      if (++codes[d] < dims[d]) break;
+      g -= gstride[d] * dims[d];
+      codes[d] = 0;
+    }
   }
   return Partition(std::move(group), rest);
 }

@@ -27,18 +27,24 @@ LinOpPtr PriveletSelect(std::size_t n) {
   return MakeWaveletOp(n);
 }
 
-std::vector<std::pair<std::size_t, std::size_t>> CanonicalCover(
-    const Hierarchy& h, const RangeQuery& q) {
-  std::vector<std::pair<std::size_t, std::size_t>> cover;
+namespace {
+
+using NodeStack = std::vector<std::pair<std::size_t, std::size_t>>;
+
+/// Calls take(level, i) on each node of q's canonical cover, in DFS order.
+/// `stack` is scratch space, reused across calls.
+template <typename Take>
+void VisitCanonicalCover(const Hierarchy& h, const RangeQuery& q,
+                         NodeStack* stack, Take&& take) {
   // Iterative DFS from the root; take a node when fully contained.
-  std::vector<std::pair<std::size_t, std::size_t>> stack = {{0, 0}};
-  while (!stack.empty()) {
-    auto [level, i] = stack.back();
-    stack.pop_back();
+  stack->assign(1, {0, 0});
+  while (!stack->empty()) {
+    auto [level, i] = stack->back();
+    stack->pop_back();
     const HierNode& node = h.levels[level][i];
     if (node.hi <= q.lo || node.lo > q.hi) continue;  // disjoint
     if (q.lo <= node.lo && node.hi - 1 <= q.hi) {     // contained
-      cover.push_back({level, i});
+      take(level, i);
       continue;
     }
     const bool has_children =
@@ -47,8 +53,19 @@ std::vector<std::pair<std::size_t, std::size_t>> CanonicalCover(
     EK_CHECK(has_children);  // a unit node is always contained or disjoint
     for (std::size_t c = h.child_start[level][i];
          c < h.child_start[level][i + 1]; ++c)
-      stack.push_back({level + 1, c});
+      stack->push_back({level + 1, c});
   }
+}
+
+}  // namespace
+
+std::vector<std::pair<std::size_t, std::size_t>> CanonicalCover(
+    const Hierarchy& h, const RangeQuery& q) {
+  std::vector<std::pair<std::size_t, std::size_t>> cover;
+  NodeStack stack;
+  VisitCanonicalCover(h, q, &stack, [&](std::size_t level, std::size_t i) {
+    cover.push_back({level, i});
+  });
   return cover;
 }
 
@@ -59,8 +76,11 @@ LinOpPtr GreedyHSelect(const std::vector<RangeQuery>& workload,
   std::vector<std::vector<double>> usage(h.levels.size());
   for (std::size_t l = 0; l < h.levels.size(); ++l)
     usage[l].assign(h.levels[l].size(), 0.0);
+  NodeStack stack;
   for (const auto& q : workload)
-    for (auto [l, i] : CanonicalCover(h, q)) usage[l][i] += 1.0;
+    VisitCanonicalCover(h, q, &stack, [&](std::size_t level, std::size_t i) {
+      usage[level][i] += 1.0;
+    });
 
   // Per-level weights ~ (1 + mean usage)^(1/3), renormalized so the total
   // over levels (= the L1 column norm of the weighted hierarchy) equals
@@ -86,32 +106,31 @@ LinOpPtr GreedyHSelect(const std::vector<RangeQuery>& workload,
 
 LinOpPtr QuadtreeSelect(std::size_t nx, std::size_t ny) {
   using Rect = Rectangle;
+  // BFS subdivision into quadrants down to unit cells: `rects` is its own
+  // queue, each node's children appended after the whole level above.
+  // Every split has at least two parts, so there are under 2 nx ny nodes.
   std::vector<Rect> rects;
-  // BFS subdivision into quadrants down to unit cells.
-  std::vector<Rect> frontier = {{0, nx - 1, 0, ny - 1}};
-  while (!frontier.empty()) {
-    std::vector<Rect> next;
-    for (const Rect& r : frontier) {
-      rects.push_back(r);
-      const std::size_t w = r.x_hi - r.x_lo + 1;
-      const std::size_t h = r.y_hi - r.y_lo + 1;
-      if (w == 1 && h == 1) continue;
-      const std::size_t xm = r.x_lo + (w - 1) / 2;  // split points
-      const std::size_t ym = r.y_lo + (h - 1) / 2;
-      if (w > 1 && h > 1) {
-        next.push_back({r.x_lo, xm, r.y_lo, ym});
-        next.push_back({xm + 1, r.x_hi, r.y_lo, ym});
-        next.push_back({r.x_lo, xm, ym + 1, r.y_hi});
-        next.push_back({xm + 1, r.x_hi, ym + 1, r.y_hi});
-      } else if (w > 1) {
-        next.push_back({r.x_lo, xm, r.y_lo, r.y_hi});
-        next.push_back({xm + 1, r.x_hi, r.y_lo, r.y_hi});
-      } else {
-        next.push_back({r.x_lo, r.x_hi, r.y_lo, ym});
-        next.push_back({r.x_lo, r.x_hi, ym + 1, r.y_hi});
-      }
+  rects.reserve(2 * nx * ny);
+  rects.push_back({0, nx - 1, 0, ny - 1});
+  for (std::size_t i = 0; i < rects.size(); ++i) {
+    const Rect r = rects[i];
+    const std::size_t w = r.x_hi - r.x_lo + 1;
+    const std::size_t h = r.y_hi - r.y_lo + 1;
+    if (w == 1 && h == 1) continue;
+    const std::size_t xm = r.x_lo + (w - 1) / 2;  // split points
+    const std::size_t ym = r.y_lo + (h - 1) / 2;
+    if (w > 1 && h > 1) {
+      rects.push_back({r.x_lo, xm, r.y_lo, ym});
+      rects.push_back({xm + 1, r.x_hi, r.y_lo, ym});
+      rects.push_back({r.x_lo, xm, ym + 1, r.y_hi});
+      rects.push_back({xm + 1, r.x_hi, ym + 1, r.y_hi});
+    } else if (w > 1) {
+      rects.push_back({r.x_lo, xm, r.y_lo, r.y_hi});
+      rects.push_back({xm + 1, r.x_hi, r.y_lo, r.y_hi});
+    } else {
+      rects.push_back({r.x_lo, r.x_hi, r.y_lo, ym});
+      rects.push_back({r.x_lo, r.x_hi, ym + 1, r.y_hi});
     }
-    frontier = std::move(next);
   }
   return MakeRectangleSetOp(std::move(rects), nx, ny);
 }
