@@ -1,13 +1,17 @@
 #!/usr/bin/env bash
-# Graceful-degradation smoke of the serving daemon: inject one disk-tier
-# I/O error (EKTELO_FAILPOINTS, see README "Fault tolerance") into a
-# daemon whose operator cache has a disk tier attached, and assert that
-#   - the daemon keeps answering (memory tier) with replies bitwise
-#     identical to a healthy run's, and
-#   - stats report disk_degraded=1 with a nonzero disk_io_errors count.
+# Fail-closed smoke of the serving daemon: inject one budget-ledger
+# append error (EKTELO_FAILPOINTS, see README "Fault tolerance") into a
+# running daemon and assert that
+#   - the invoke whose charge could not be made durable is refused with
+#     DURABILITY_ERROR (client exit 7) and releases nothing,
+#   - the daemon keeps answering: the next invoke succeeds, and
+#   - stats report refused_durability=1 and a tenant `spent` equal to
+#     the released answers only.
 #
-# Requires a build with failpoints compiled in (the default; see
-# -DEKTELO_FAILPOINTS in CMakeLists.txt).
+# The ledger is created by a first, fault-free start, so the armed
+# `ledger.append=error.eio@1` fires on the first charge rather than on
+# tenant registration.  Requires a build with failpoints compiled in
+# (the default; see -DEKTELO_FAILPOINTS in CMakeLists.txt).
 #
 #   scripts/serve_degraded_smoke.sh [BUILD_DIR]    # default: build
 set -u
@@ -32,24 +36,19 @@ trap cleanup EXIT
 [ -x "$SERVED" ] || { echo "missing $SERVED (build it first)" >&2; exit 1; }
 [ -x "$CLIENT" ] || { echo "missing $CLIENT (build it first)" >&2; exit 1; }
 
-# start_server NAME [FAILPOINTS]: fresh ledger + cache dir per run so the
-# two runs are independent.  Disk spills run on the write-behind
-# consumer, so the injected append error fires on that background
-# thread; await_degraded below polls stats until it has landed.
+# start_server [FAILPOINTS]: one ledger directory shared by both starts.
 start_server() {
-  local name="$1" failpoints="${2:-}"
   rm -f "$SOCK"
-  EKTELO_CACHE_DIR="$WORK/cache.$name" \
-  EKTELO_FAILPOINTS="$failpoints" \
-    "$SERVED" --socket "$SOCK" --ledger "$WORK/ledger.$name" \
+  EKTELO_FAILPOINTS="${1:-}" \
+    "$SERVED" --socket "$SOCK" --ledger "$WORK/ledger" \
     --tenant alpha:4.0:41:256:10000 \
-    >> "$WORK/served.$name.log" 2>&1 &
+    >> "$WORK/served.log" 2>&1 &
   SERVER_PID=$!
   for _ in $(seq 1 50); do
     [ -S "$SOCK" ] && return 0
     sleep 0.1
   done
-  fail "daemon ($name) did not come up"; return 1
+  fail "daemon did not come up"; return 1
 }
 
 stop_server() {
@@ -62,50 +61,36 @@ stop_server() {
   SERVER_PID=""
 }
 
-# await_degraded: poll stats (at most 50 x 0.1 s) until the background
-# spill has tripped the disk tier; leaves the last reply in $STATS.
-await_degraded() {
-  for _ in $(seq 1 50); do
-    STATS="$("$CLIENT" --socket "$SOCK" stats)"
-    echo "$STATS" | grep -q "disk_degraded=1" && return 0
-    sleep 0.1
-  done
-  return 1
+invoke() {
+  "$CLIENT" --socket "$SOCK" invoke --tenant alpha --plan Identity \
+    --eps 0.25 --request-id "$1"
 }
 
-checksum_of() { sed 's/.*estimate_checksum=\([0-9a-f]*\).*/\1/' "$1"; }
-
-echo "== healthy run: record the reference reply =="
-start_server healthy || exit 1
-"$CLIENT" --socket "$SOCK" invoke --tenant alpha --plan Identity \
-  --eps 0.25 --request-id 1 > "$WORK/healthy.out" \
-  || fail "healthy invoke exited nonzero"
-grep -q "code=OK" "$WORK/healthy.out" || fail "healthy invoke not OK"
-STATS="$("$CLIENT" --socket "$SOCK" stats)"
-echo "$STATS" | grep -q "disk_degraded=0" \
-  || fail "healthy run unexpectedly degraded: $STATS"
+echo "== first start: register the tenant =="
+start_server || exit 1
 stop_server
 
-echo "== degraded run: first disk append fails with EIO =="
-start_server degraded "store.data.append=error.eio@1" || exit 1
-"$CLIENT" --socket "$SOCK" invoke --tenant alpha --plan Identity \
-  --eps 0.25 --request-id 1 > "$WORK/degraded.out" \
-  || fail "invoke against degraded disk tier exited nonzero"
-grep -q "code=OK" "$WORK/degraded.out" \
-  || fail "invoke against degraded disk tier not OK"
+echo "== restart with the first ledger append failing with EIO =="
+start_server "ledger.append=error.eio@1" || exit 1
+OUT="$(invoke 1)"
+rc=$?
+[ "$rc" -eq 7 ] || fail "failed charge: want exit 7, got $rc ($OUT)"
+echo "$OUT" | grep -q "code=DURABILITY_ERROR" \
+  || fail "failed charge not reported as DURABILITY_ERROR: $OUT"
+echo "$OUT" | grep -q " n=0 " || fail "failed charge released an estimate: $OUT"
 
-if [ "$(checksum_of "$WORK/healthy.out")" != \
-     "$(checksum_of "$WORK/degraded.out")" ]; then
-  fail "degraded reply differs from healthy reply"
-fi
+echo "== the daemon keeps answering =="
+OUT="$(invoke 2)"
+rc=$?
+[ "$rc" -eq 0 ] || fail "invoke after the failed charge: exit $rc ($OUT)"
+echo "$OUT" | grep -q "code=OK" || fail "invoke after the failed charge not OK"
 
-echo "== degraded daemon keeps answering and reports it =="
-"$CLIENT" --socket "$SOCK" invoke --tenant alpha --plan Identity \
-  --eps 0.25 --request-id 2 > /dev/null \
-  || fail "second invoke after degradation exited nonzero"
-await_degraded || fail "stats never reported disk_degraded=1: $STATS"
-echo "$STATS" | grep -Eq "disk_io_errors=[1-9]" \
-  || fail "stats do not report a disk I/O error: $STATS"
+echo "== stats count the refusal and only the released budget =="
+STATS="$("$CLIENT" --socket "$SOCK" stats)"
+echo "$STATS" | grep -q "refused_durability=1 " \
+  || fail "stats do not report refused_durability=1: $STATS"
+echo "$STATS" | grep -q "^tenant=alpha total=4 spent=0.25$" \
+  || fail "alpha's spent budget is not the one released answer: $STATS"
 stop_server
 
 if [ "$FAILURES" -eq 0 ]; then

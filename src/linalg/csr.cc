@@ -61,23 +61,6 @@ CsrMatrix CsrMatrix::FromColumnStream(std::size_t rows, std::size_t cols,
   return m;
 }
 
-CsrMatrix CsrMatrix::FromRaw(std::size_t rows, std::size_t cols,
-                             std::vector<std::size_t> indptr,
-                             std::vector<std::size_t> indices,
-                             AlignedVec values) {
-  EK_CHECK_EQ(indptr.size(), rows + 1);
-  EK_CHECK_EQ(indptr.front(), std::size_t{0});
-  EK_CHECK_EQ(indptr.back(), indices.size());
-  EK_CHECK_EQ(indices.size(), values.size());
-  for (std::size_t i = 0; i < rows; ++i) EK_CHECK_LE(indptr[i], indptr[i + 1]);
-  for (std::size_t c : indices) EK_CHECK_LT(c, cols);
-  CsrMatrix m(rows, cols);
-  m.indptr_ = std::move(indptr);
-  m.indices_ = std::move(indices);
-  m.values_ = std::move(values);
-  return m;
-}
-
 CsrMatrix CsrMatrix::Identity(std::size_t n) {
   CsrMatrix m(n, n);
   m.indices_.resize(n);

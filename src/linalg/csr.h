@@ -43,16 +43,6 @@ class CsrMatrix {
   static CsrMatrix Identity(std::size_t n);
   static CsrMatrix FromDense(const DenseMatrix& d, double drop_tol = 0.0);
 
-  /// Adopt pre-built CSR arrays verbatim (no sorting, no duplicate
-  /// merging): the persistent-store deserializer uses this to reconstruct
-  /// a matrix field-for-field identical to the one serialized.  CHECKs
-  /// the structural invariants (indptr spans [0, nnz] monotonically,
-  /// indices in range); untrusted inputs must be validated first.
-  static CsrMatrix FromRaw(std::size_t rows, std::size_t cols,
-                           std::vector<std::size_t> indptr,
-                           std::vector<std::size_t> indices,
-                           AlignedVec values);
-
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
   std::size_t nnz() const { return values_.size(); }

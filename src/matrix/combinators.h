@@ -34,9 +34,6 @@ class TransposeOp final : public LinOp {
   CsrMatrix MaterializeSparse() const override;
   std::string DebugName() const override;
   bool StructuralEq(const LinOp& other) const override;
-  bool HashProcessStable() const override {
-    return child_->HashProcessStable();
-  }
   const LinOpPtr& child() const { return child_; }
 
  protected:
@@ -61,11 +58,6 @@ class VStackOp final : public LinOp {
   CsrMatrix MaterializeSparse() const override;
   std::string DebugName() const override;
   bool StructuralEq(const LinOp& other) const override;
-  bool HashProcessStable() const override {
-    for (const LinOpPtr& c : children_)
-      if (!c->HashProcessStable()) return false;
-    return true;
-  }
   const std::vector<LinOpPtr>& children() const { return children_; }
 
  protected:
@@ -90,11 +82,6 @@ class HStackOp final : public LinOp {
   CsrMatrix MaterializeSparse() const override;
   std::string DebugName() const override;
   bool StructuralEq(const LinOp& other) const override;
-  bool HashProcessStable() const override {
-    for (const LinOpPtr& c : children_)
-      if (!c->HashProcessStable()) return false;
-    return true;
-  }
   const std::vector<LinOpPtr>& children() const { return children_; }
 
  protected:
@@ -119,11 +106,6 @@ class SumOp final : public LinOp {
   CsrMatrix MaterializeSparse() const override;
   std::string DebugName() const override;
   bool StructuralEq(const LinOp& other) const override;
-  bool HashProcessStable() const override {
-    for (const LinOpPtr& c : children_)
-      if (!c->HashProcessStable()) return false;
-    return true;
-  }
   const std::vector<LinOpPtr>& children() const { return children_; }
 
  protected:
@@ -148,9 +130,6 @@ class ProductOp final : public LinOp {
   CsrMatrix MaterializeSparse() const override;
   std::string DebugName() const override;
   bool StructuralEq(const LinOp& other) const override;
-  bool HashProcessStable() const override {
-    return a_->HashProcessStable() && b_->HashProcessStable();
-  }
   const LinOpPtr& a() const { return a_; }
   const LinOpPtr& b() const { return b_; }
 
@@ -179,9 +158,6 @@ class KroneckerOp final : public LinOp {
   CsrMatrix MaterializeSparse() const override;
   std::string DebugName() const override;
   bool StructuralEq(const LinOp& other) const override;
-  bool HashProcessStable() const override {
-    return a_->HashProcessStable() && b_->HashProcessStable();
-  }
   const LinOpPtr& a() const { return a_; }
   const LinOpPtr& b() const { return b_; }
 
@@ -208,9 +184,6 @@ class RowWeightOp final : public LinOp {
   CsrMatrix MaterializeSparse() const override;
   std::string DebugName() const override;
   bool StructuralEq(const LinOp& other) const override;
-  bool HashProcessStable() const override {
-    return child_->HashProcessStable();
-  }
   const LinOpPtr& child() const { return child_; }
   const Vec& weights() const { return w_; }
 
@@ -238,9 +211,6 @@ class ScaleOp final : public LinOp {
   CsrMatrix MaterializeSparse() const override;
   std::string DebugName() const override;
   bool StructuralEq(const LinOp& other) const override;
-  bool HashProcessStable() const override {
-    return child_->HashProcessStable();
-  }
   double scale() const { return c_; }
   const LinOpPtr& child() const { return child_; }
 

@@ -24,7 +24,6 @@ class IdentityOp final : public LinOp {
   CsrMatrix MaterializeSparse() const override;
   std::string DebugName() const override;
   bool StructuralEq(const LinOp& other) const override;
-  bool HashProcessStable() const override { return true; }
 
  protected:
   double ComputeSensitivityL1() const override { return 1.0; }
@@ -45,7 +44,6 @@ class OnesOp final : public LinOp {
   CsrMatrix MaterializeSparse() const override;
   std::string DebugName() const override;
   bool StructuralEq(const LinOp& other) const override;
-  bool HashProcessStable() const override { return true; }
 
  protected:
   double ComputeSensitivityL1() const override;
@@ -65,7 +63,6 @@ class PrefixOp final : public LinOp {
   CsrMatrix MaterializeSparse() const override;
   std::string DebugName() const override;
   bool StructuralEq(const LinOp& other) const override;
-  bool HashProcessStable() const override { return true; }
 
  protected:
   double ComputeSensitivityL1() const override;
@@ -85,7 +82,6 @@ class SuffixOp final : public LinOp {
   CsrMatrix MaterializeSparse() const override;
   std::string DebugName() const override;
   bool StructuralEq(const LinOp& other) const override;
-  bool HashProcessStable() const override { return true; }
 
  protected:
   double ComputeSensitivityL1() const override;
@@ -107,7 +103,6 @@ class WaveletOp final : public LinOp {
   CsrMatrix MaterializeSparse() const override;
   std::string DebugName() const override;
   bool StructuralEq(const LinOp& other) const override;
-  bool HashProcessStable() const override { return true; }
 
  protected:
   double ComputeSensitivityL1() const override;

@@ -57,26 +57,9 @@ using LinOpPtr = std::shared_ptr<const LinOp>;
 /// 0.0 (and any two NaN payloads) are distinct — matching the bitwise
 /// equality StructuralEq uses, which is what a memo cache keyed by the
 /// hash needs (hash-equal must be implied by eq, never the reverse).
-/// Version of the structural-hash function: the splitmix64 mixing
-/// constants, the per-class tags (kTag* across the operator translation
-/// units), the HashBase preamble, and each operator's field order.  For
-/// every *built-in* operator kind the resulting hash is a pure function
-/// of the operator's construction — deterministic across processes and
-/// platforms (64-bit std::size_t assumed) — which is what lets the
-/// persistent artifact store (store/artifact_store.h) key on it.  Any
-/// change to the mixing scheme, a tag, or a ComputeStructuralHash
-/// override MUST bump this constant: store keys embed it, so old
-/// artifacts are invalidated cleanly instead of being served under
-/// colliding new-scheme hashes.  tests/store_test.cc pins golden hash
-/// values for canonical operators to catch accidental changes.
-///
-/// The version also covers the *value semantics* of the artifacts keyed
-/// by the hash: version 2 ships the vectorized dense-matmat kernel whose
-/// 8-lane reduction tree changes dot-product rounding, so artifacts
-/// computed under version 1 would no longer be bitwise-reproducible and
-/// must not be served.
-inline constexpr uint64_t kHashVersion = 2;
-
+/// The hash keys only the in-process OperatorCache and is never
+/// persisted, so its mixing scheme and per-class tags carry no version
+/// and may change freely.
 class StructHash {
  public:
   StructHash& Mix(uint64_t v) {
@@ -192,17 +175,6 @@ class LinOp : public std::enable_shared_from_this<LinOp> {
   /// comparison (bitwise on scalars/leaf payloads, recursive on children).
   virtual bool StructuralEq(const LinOp& other) const;
 
-  /// True when the operator's structural hash is *process-stable*: a pure
-  /// function of its construction, reproducible in a fresh process — the
-  /// precondition for keying the persistent (disk) artifact store on it.
-  /// The default is false, which fails closed: a subclass the core does
-  /// not know hashes by instance address (see ComputeStructuralHash), so
-  /// persisting under that hash would be wrong.  Leaves with
-  /// deterministic hashes return true; combinators return the conjunction
-  /// over their children.  Any override returning true MUST pair with a
-  /// ComputeStructuralHash that is deterministic across processes.
-  virtual bool HashProcessStable() const { return false; }
-
   /// True if all entries are known to lie in {0, 1} (or {0, -1, +1} for
   /// abs-stability: see set_binary), making Abs()/Sqr() no-ops.
   bool is_nonneg_binary() const { return nonneg_binary_; }
@@ -276,7 +248,6 @@ class DenseOp final : public LinOp {
   DenseMatrix MaterializeDense() const override;
   std::string DebugName() const override;
   bool StructuralEq(const LinOp& other) const override;
-  bool HashProcessStable() const override { return true; }
   const DenseMatrix& dense() const { return m_; }
 
  protected:
@@ -303,7 +274,6 @@ class SparseOp final : public LinOp {
   CsrMatrix MaterializeSparse() const override;
   std::string DebugName() const override;
   bool StructuralEq(const LinOp& other) const override;
-  bool HashProcessStable() const override { return true; }
   const CsrMatrix& csr() const { return m_; }
 
  protected:
@@ -329,9 +299,6 @@ class GramOp final : public LinOp {
   LinOpPtr Gram() const override;  // Gram of a Gram composes lazily too
   std::string DebugName() const override;
   bool StructuralEq(const LinOp& other) const override;
-  bool HashProcessStable() const override {
-    return child_->HashProcessStable();
-  }
   const LinOpPtr& child() const { return child_; }
 
  protected:

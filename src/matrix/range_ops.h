@@ -38,7 +38,6 @@ class RangeSetOp final : public LinOp {
   CsrMatrix MaterializeSparse() const override;
   std::string DebugName() const override;
   bool StructuralEq(const LinOp& other) const override;
-  bool HashProcessStable() const override { return true; }
   const std::vector<Interval>& ranges() const { return ranges_; }
 
  protected:
@@ -67,7 +66,6 @@ class RectangleSetOp final : public LinOp {
   CsrMatrix MaterializeSparse() const override;
   std::string DebugName() const override;
   bool StructuralEq(const LinOp& other) const override;
-  bool HashProcessStable() const override { return true; }
   const std::vector<Rectangle>& rects() const { return rects_; }
   std::size_t nx() const { return nx_; }
   std::size_t ny() const { return ny_; }

@@ -62,17 +62,9 @@
 // values are shared_ptr snapshots, so eviction never invalidates a
 // consumer.
 //
-// When EKTELO_CACHE_DIR is set, a persistent disk tier (a
-// store::DiskArtifactStore in that directory) sits under the in-memory
-// cache: a memory miss probes the store (keyed by {kFormatVersion,
-// kHashVersion, structural hash, artifact kind}, checksum-verified and
-// shape-guarded), promotes hits into memory, and computed artifacts are
-// written behind on insert — so a fresh process serving the same
-// workloads starts warm.  EKTELO_CACHE_DISK_BYTES bounds the store's
-// live bytes (default 1 GiB).  With the variable unset nothing touches
-// disk and behavior is bitwise identical to the memory-only cache.
-// Only operators whose structural hash is stable across processes
-// (StructuralHashPersistable) participate in the disk tier.
+// The cache lives in process memory only: nothing it holds is read
+// from or written to disk, so every memoized sensitivity was computed
+// in this process from the operator it is keyed on.
 #ifndef EKTELO_MATRIX_REWRITE_H_
 #define EKTELO_MATRIX_REWRITE_H_
 
@@ -84,10 +76,6 @@
 #include "matrix/linop.h"
 
 namespace ektelo {
-
-namespace store {
-class DiskArtifactStore;
-}  // namespace store
 
 /// Whether the rewrite engine (and the OperatorCache consumers gated on
 /// it) is active.  EKTELO_REWRITE selects it: "0" or "off" -> off;
@@ -108,15 +96,6 @@ LinOpPtr Rewrite(LinOpPtr op);
 /// Rewrite(op) when the engine is enabled, op unchanged otherwise.
 LinOpPtr MaybeRewrite(LinOpPtr op);
 
-/// True when `op`'s StructuralHash is a pure function of its construction
-/// (kinds, shapes, scalar/leaf payloads) — deterministic across processes
-/// — which holds for every built-in operator kind, recursively.  Unknown
-/// LinOp subclasses hash per-instance (see LinOp::ComputeStructuralHash)
-/// and return false: their artifacts stay in the in-memory tier and are
-/// never persisted.  The registered-kind audit lives next to kHashVersion
-/// (linop.h); extend both together when adding operator kinds.
-bool StructuralHashPersistable(const LinOp& op);
-
 /// Bounded, thread-safe memo cache: structural hash -> derived artifact.
 class OperatorCache {
  public:
@@ -126,21 +105,6 @@ class OperatorCache {
     std::size_t evictions = 0;
     std::size_t entries = 0;
     std::size_t bytes = 0;
-    /// Disk-tier traffic (all zero when no tier is attached).  A disk
-    /// hit is also counted as a memory miss: the probe only runs after
-    /// the in-memory lookup failed.
-    std::size_t disk_hits = 0;
-    std::size_t disk_misses = 0;
-    std::size_t disk_writes = 0;
-    /// Writes the bounded write-behind queue refused (full / shutting
-    /// down).  A drop only costs a future recompute, never correctness.
-    std::size_t disk_write_drops = 0;
-    /// Disk-tier health snapshot (store::DiskArtifactStore::Stats).
-    /// disk_degraded means the tier tripped into sticky memory-only mode
-    /// after a post-open device error; the cache keeps serving from
-    /// memory and recomputation, it just stops touching the bad disk.
-    bool disk_degraded = false;
-    std::size_t disk_io_errors = 0;
   };
 
   /// The process-wide instance every consumer shares.
@@ -177,10 +141,7 @@ class OperatorCache {
   /// Gram derivation is a deterministic function of op's structure, so a
   /// hit is bitwise-equivalent to re-deriving — CG/NNLS consume this so
   /// repeated solves against structurally identical stacks stop paying
-  /// the sparse A^T A re-materialization.  Persisted to the disk tier as
-  /// a sparse/dense leaf when materialized, or as an encoded tree
-  /// (store/tree_codec.h) when the derived Gram is structured — only the
-  /// plain lazy GramOp wrapper, free to re-derive, stays memory-only.
+  /// the sparse A^T A re-materialization.
   LinOpPtr GramOperator(const LinOpPtr& op);
 
   /// Memoized spectral-norm-squared estimate of a Gram operator (the
@@ -200,37 +161,12 @@ class OperatorCache {
   /// on that fallback.  Shared by the CG/NNLS solvers.
   static LinOpPtr CachedGramOrNull(const LinOp& a);
 
-  /// Attaches (or, with nullptr, detaches) the persistent disk tier.
-  /// The previous tier, if any, has its pending write-behind jobs
-  /// drained, then is flushed and closed before this returns — so a
-  /// detach/attach cycle on the same directory always reopens a store
-  /// holding every artifact computed before the detach.  Called with the
-  /// EKTELO_CACHE_DIR store at process start; tests and benches swap
-  /// tiers explicitly.
-  ///
-  /// Attaching a tier also attaches a fresh default-capacity write-
-  /// behind queue: every disk spill runs on its background consumer,
-  /// never on the computing thread, and a full queue drops the spill
-  /// and counts disk_write_drops.  SetDiskTier, FlushDiskTier and
-  /// process exit (for the EKTELO_CACHE_DIR tier) drain it.
-  void SetDiskTier(std::unique_ptr<store::DiskArtifactStore> tier);
-
-  /// The attached tier (nullptr when none) — for stats inspection; the
-  /// pointer stays owned by the cache and is invalidated by SetDiskTier.
-  store::DiskArtifactStore* disk_tier() const;
-
-  /// Barrier + checkpoint: drains the write-behind queue (every insert
-  /// that happened before this call reaches the store) and flushes the
-  /// tier's index checkpoint.  No-op without a tier.
-  void FlushDiskTier();
-
   /// Capacity bounds; entries older than the bound are evicted LRU-first.
   void SetCapacity(std::size_t max_entries, std::size_t max_bytes);
 
   Stats stats() const;
-  /// Empties the in-memory tier (counters are kept).  The disk tier, if
-  /// any, is untouched: Clear + re-execution is exactly the cold-start
-  /// path a fresh process takes against a populated store.
+  /// Empties the cache (counters are kept): Clear + re-execution is the
+  /// cold-start path a fresh process takes.
   void Clear();
 
   OperatorCache();

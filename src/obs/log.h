@@ -1,15 +1,14 @@
 // Rate-limited structured logging: single-line key=value records on
 // stderr with severity and a monotonic timestamp, replacing the raw
-// fprintf warnings scattered through the store and serve layers.
+// fprintf warnings scattered through the serve layer.
 //
-//   obs::Log(obs::Severity::kWarn, "write_behind_drop",
-//            {{"queued", "64"}, {"cap", "64"}});
-//     -> W 12.345678 event=write_behind_drop queued=64 cap=64
+//   obs::Log(obs::Severity::kWarn, "serve_slow",
+//            {{"plan", "DAWA"}, {"ms", "412"}});
+//     -> W 12.345678 event=serve_slow plan=DAWA ms=412
 //
 // Every event name carries an independent rate limit (default: first
 // occurrence always logs, then at most one line per interval) so a
-// degraded disk or a saturated write-behind queue cannot flood stderr
-// at request rate.  Suppressed lines are counted and the count is
+// recurring condition cannot flood stderr at request rate.  Suppressed lines are counted and the count is
 // attached to the next emitted line as suppressed=N.
 //
 // Logging never touches request data — values are operational

@@ -5,8 +5,8 @@
 // EKTELO's core claim is transparency — plans are inspectable operator
 // compositions with explicit accounting — and this layer extends that
 // to the *running system*: every subsystem built over PRs 1-9 (serve
-// lifecycle, plan pipeline, rewrite, cache tiers, solvers,
-// ledger I/O, write-behind, ParallelFor) reports into one registry
+// lifecycle, plan pipeline, rewrite, operator cache, solvers,
+// ledger I/O, ParallelFor) reports into one registry
 // under one naming scheme, replacing three generations of ad-hoc stats
 // structs as the single source of truth.
 //
@@ -200,7 +200,7 @@ enum class MetricType : uint8_t { kCounter = 0, kGauge = 1, kHistogram = 2 };
 /// typed pointers is non-null, matching `type`.
 struct MetricInfo {
   std::string name;    ///< Prometheus metric name (base, no labels)
-  std::string labels;  ///< pre-rendered label pairs, e.g. `tier="disk"`
+  std::string labels;  ///< pre-rendered label pairs, e.g. `tier="mem"`
   std::string help;    ///< HELP text (shared per name; first wins)
   MetricType type = MetricType::kCounter;
   const Counter* counter = nullptr;

@@ -155,8 +155,7 @@ struct BudgetLedger::Impl {
     if (locked) std::remove(lock_path.c_str());
   }
 
-  /// Exclusive-create pid lock, reclaiming from a dead owner (same
-  /// protocol as the artifact store, minus the read-only fallback).
+  /// Exclusive-create pid lock, reclaiming from a dead owner.
   bool AcquireLock() {
 #ifdef _WIN32
     // No portable owner-liveness probe; single-writer discipline is the
@@ -383,8 +382,8 @@ std::unique_ptr<BudgetLedger> BudgetLedger::Open(const std::string& dir,
     if (data.size() < kHeaderBytes || !r.U32(&magic) ||
         magic != kLedgerMagic || !r.U32(&version) ||
         version != store::kFormatVersion) {
-      // Unlike the artifact store, a garbage ledger is NOT silently
-      // replaced — budgets are not a cache.  An empty/short file (a
+      // A garbage ledger is NOT silently replaced — budgets are not a
+      // cache.  An empty/short file (a
       // crash before the header flush) is the one safe exception.
       if (!data.empty()) return nullptr;
       fresh = true;

@@ -20,11 +20,11 @@
 //                  beyond covered_bytes is replayed; a missing/corrupt/
 //                  stale checkpoint triggers a full replay.
 //
-//   ledger.lock    exclusive-create pid file.  Unlike the artifact
-//                  store there is NO read-only degradation: a budget
-//                  ledger with two live writers could double-release
-//                  answers against one budget, so Open refuses (returns
-//                  nullptr) while another live process holds the lock.
+//   ledger.lock    exclusive-create pid file.  There is NO read-only
+//                  degradation: a budget ledger with two live writers
+//                  could double-release answers against one budget, so
+//                  Open refuses (returns nullptr) while another live
+//                  process holds the lock.
 //                  A lock whose recorded owner is dead is reclaimed.
 //
 // Durability ordering is the privacy-critical contract: Charge appends
@@ -75,8 +75,7 @@ struct TenantBudget {
 /// different animals: a refusal is a correct public decision (retry
 /// after a top-up), an I/O error means the ledger could not make the
 /// charge durable — the caller MUST fail the request closed (release
-/// nothing), because budget durability, unlike the artifact cache,
-/// cannot degrade.
+/// nothing), because budget durability cannot degrade.
 enum class ChargeResult : uint8_t {
   kCharged = 0,  // durable on disk; the answer may be released
   kRefused = 1,  // unknown tenant / bad eps / insufficient budget

@@ -118,13 +118,9 @@ std::vector<uint8_t> EncodeStatsReply(const StatsReply& stats) {
   w.U64(stats.refused_bad);
   w.U64(stats.executions);
   w.U64(stats.coalesced);
-  w.U64(stats.cache_disk_hits);
   w.U64(stats.cache_hits);
   w.U64(stats.refused_durability);
   w.U64(stats.refused_deadline);
-  w.U64(stats.disk_degraded);
-  w.U64(stats.disk_io_errors);
-  w.U64(stats.disk_write_drops);
   w.U64(stats.tenants.size());
   for (const auto& t : stats.tenants) {
     PutString(t.name, &w);
@@ -140,12 +136,10 @@ bool DecodeStatsReply(const std::vector<uint8_t>& bytes, StatsReply* stats) {
   if (!r.U64(&stats->received) || !r.U64(&stats->admitted) ||
       !r.U64(&stats->refused_budget) || !r.U64(&stats->refused_queue) ||
       !r.U64(&stats->refused_bad) || !r.U64(&stats->executions) ||
-      !r.U64(&stats->coalesced) || !r.U64(&stats->cache_disk_hits) ||
-      !r.U64(&stats->cache_hits) || !r.U64(&stats->refused_durability) ||
-      !r.U64(&stats->refused_deadline) ||
-      !r.U64(&stats->disk_degraded) || !r.U64(&stats->disk_io_errors) ||
-      !r.U64(&stats->disk_write_drops) ||
-      !r.U64(&n) || r.remaining() / 24 < n)
+      !r.U64(&stats->coalesced) || !r.U64(&stats->cache_hits) ||
+      !r.U64(&stats->refused_durability) ||
+      !r.U64(&stats->refused_deadline) || !r.U64(&n) ||
+      r.remaining() / 24 < n)
     return false;
   stats->tenants.resize(std::size_t(n));
   for (auto& t : stats->tenants)

@@ -113,14 +113,9 @@ struct StatsReply {
   uint64_t refused_bad = 0;
   uint64_t executions = 0;         // fresh kernel executions
   uint64_t coalesced = 0;          // requests answered without one
-  uint64_t cache_disk_hits = 0;    // OperatorCache tier stats snapshot
-  uint64_t cache_hits = 0;
+  uint64_t cache_hits = 0;         // OperatorCache hits snapshot
   uint64_t refused_durability = 0; // ledger append failed; failed closed
   uint64_t refused_deadline = 0;   // queued past the request deadline
-  uint64_t disk_degraded = 0;      // 1 when the disk cache tier went
-                                   // memory-only after a device error
-  uint64_t disk_io_errors = 0;     // I/O errors observed by the disk tier
-  uint64_t disk_write_drops = 0;   // write-behind queue overflow drops
   struct Tenant {
     std::string name;
     double total = 0.0;

@@ -71,8 +71,7 @@ std::string CoalesceKey(const std::string& tenant, uint64_t hash) {
   return tenant + buf;
 }
 
-/// Strict numeric env parses, mirroring the EKTELO_CACHE_* handling:
-/// unparsable values, and values that overflow uint64 or exceed `max`,
+/// Strict numeric env parses: unparsable values, and values that overflow uint64 or exceed `max`,
 /// warn on stderr and keep the default.
 bool EnvU64(const char* name, uint64_t* out,
             uint64_t max = std::numeric_limits<uint64_t>::max()) {
@@ -589,10 +588,6 @@ struct Server::Impl {
     s.refused_deadline = refused_deadline.Delta();
     const OperatorCache::Stats cs = OperatorCache::Global().stats();
     s.cache_hits = cs.hits;
-    s.cache_disk_hits = cs.disk_hits;
-    s.disk_degraded = cs.disk_degraded ? 1 : 0;
-    s.disk_io_errors = cs.disk_io_errors;
-    s.disk_write_drops = cs.disk_write_drops;
     for (const std::string& name : tenant_order) {
       if (auto b = ledger->Balance(name))
         s.tenants.push_back({name, b->total, b->spent});

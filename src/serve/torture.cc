@@ -2,7 +2,6 @@
 
 #ifndef _WIN32
 
-#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -18,32 +17,11 @@
 #include <unistd.h>
 
 #include "serve/ledger.h"
-#include "store/artifact_store.h"
-#include "store/write_behind.h"
 #include "util/failpoint.h"
 
 namespace ektelo::serve::torture {
 
 namespace fs = std::filesystem;
-
-namespace {
-
-// Deterministic artifact identities and contents: the verifier recomputes
-// these, so any surviving record must read back bit-exact.
-store::ArtifactKey Key(std::size_t k) {
-  return {0xA11F00ull + k, /*kind=*/1};
-}
-
-std::vector<uint8_t> Payload(std::size_t k) {
-  std::vector<uint8_t> p(64 + (k % 7) * 16);
-  for (std::size_t i = 0; i < p.size(); ++i)
-    p[i] = uint8_t((k * 37 + i * 11) & 0xFF);
-  return p;
-}
-
-constexpr uint64_t kHashVersion = 7;
-
-}  // namespace
 
 bool RunWorkload(const std::string& dir) {
   std::error_code ec;
@@ -69,13 +47,6 @@ bool RunWorkload(const std::string& dir) {
       ledger->CreateTenant("beta", 3.0);
   }
 
-  store::DiskStoreOptions sopts;
-  sopts.max_bytes = std::size_t{1} << 20;
-  sopts.flush_every_puts = 5;
-  sopts.hash_version = kHashVersion;
-  std::unique_ptr<store::DiskArtifactStore> st =
-      store::DiskArtifactStore::Open(dir + "/store", sopts);
-
   for (std::size_t k = 1; k <= 12; ++k) {
     // Epsilons are num/1024 — exact in binary, so the verifier's sums
     // compare exactly against the ledger's.
@@ -94,28 +65,9 @@ bool RunWorkload(const std::string& dir) {
         if (n > 0) (void)!::write(shadow, line, std::size_t(n));
       }
     }
-    if (st != nullptr) {
-      st->Put(Key(k), Payload(k));
-      if (k % 3 == 0) {
-        std::vector<uint8_t> got;
-        st->Get(Key(k - 1), &got);
-      }
-      if (k == 6) st->Flush();
-      if (k == 9) st->Compact();
-    }
-  }
-
-  if (st != nullptr) {
-    // Spills through the write-behind path: one FIFO consumer and an
-    // immediate Drain keep the I/O order deterministic.
-    store::WriteBehindQueue wb(8);
-    for (std::size_t j = 101; j <= 103; ++j)
-      wb.Enqueue([&st, j] { st->Put(Key(j), Payload(j)); });
-    wb.Drain();
   }
 
   if (ledger != nullptr) ledger->Checkpoint();
-  if (st != nullptr) st->Flush();
   if (shadow >= 0) ::close(shadow);
   return true;
 }
@@ -135,47 +87,23 @@ bool VerifyAfterCrash(const std::string& dir, std::string* why) {
     while (in >> tenant >> num) released[tenant] += num;
   }
 
-  {
-    std::unique_ptr<BudgetLedger> ledger =
-        BudgetLedger::Open(dir + "/ledger", LedgerOptions{});
-    if (ledger == nullptr)
-      return fail("ledger refused to reopen after crash");
-    for (const auto& [tenant, num] : released) {
-      const std::optional<TenantBudget> b = ledger->Balance(tenant);
-      if (!b.has_value())
-        return fail("tenant " + tenant + " vanished from ledger");
-      // Both sides are sums of num/1024 terms (exact in binary); the
-      // 1e-9 is pure paranoia, not FP slack the invariant needs.
-      const double rel = double(num) / 1024.0;
-      if (b->spent + 1e-9 < rel)
-        return fail("ledger UNDER-COUNTS " + tenant + ": spent=" +
-                    std::to_string(b->spent) + " < released=" +
-                    std::to_string(rel));
-      if (b->spent > b->total + 1e-9)
-        return fail("ledger spent exceeds total for " + tenant);
-    }
-  }
-
-  {
-    store::DiskStoreOptions sopts;
-    sopts.hash_version = kHashVersion;
-    std::unique_ptr<store::DiskArtifactStore> st =
-        store::DiskArtifactStore::Open(dir + "/store", sopts);
-    if (st == nullptr) return fail("store refused to reopen after crash");
-    auto intact = [&](std::size_t k) {
-      std::vector<uint8_t> got;
-      // A miss is a cleanly truncated tail (or an eviction) — allowed.
-      if (!st->Get(Key(k), &got)) return true;
-      return got == Payload(k);
-    };
-    for (std::size_t k = 1; k <= 12; ++k)
-      if (!intact(k))
-        return fail("store artifact " + std::to_string(k) +
-                    " corrupt after crash");
-    for (std::size_t k = 101; k <= 103; ++k)
-      if (!intact(k))
-        return fail("store artifact " + std::to_string(k) +
-                    " (write-behind) corrupt after crash");
+  std::unique_ptr<BudgetLedger> ledger =
+      BudgetLedger::Open(dir + "/ledger", LedgerOptions{});
+  if (ledger == nullptr)
+    return fail("ledger refused to reopen after crash");
+  for (const auto& [tenant, num] : released) {
+    const std::optional<TenantBudget> b = ledger->Balance(tenant);
+    if (!b.has_value())
+      return fail("tenant " + tenant + " vanished from ledger");
+    // Both sides are sums of num/1024 terms (exact in binary); the
+    // 1e-9 is pure paranoia, not FP slack the invariant needs.
+    const double rel = double(num) / 1024.0;
+    if (b->spent + 1e-9 < rel)
+      return fail("ledger UNDER-COUNTS " + tenant + ": spent=" +
+                  std::to_string(b->spent) + " < released=" +
+                  std::to_string(rel));
+    if (b->spent > b->total + 1e-9)
+      return fail("ledger spent exceeds total for " + tenant);
   }
   return true;
 }

@@ -1,23 +1,18 @@
 // Crash-consistency torture harness: the failpoint layer's consumer.
 //
-// The harness runs a fixed, deterministic workload that exercises every
-// durable subsystem — budget ledger (create/charge/refund/checkpoint),
-// disk artifact store (put/get/flush/compact), and the write-behind
-// queue — then uses the failpoint trace of one clean run to enumerate
+// The harness runs a fixed, deterministic workload against the one
+// durable subsystem, the budget ledger (create/charge/refund/
+// checkpoint), then uses the failpoint trace of one clean run to enumerate
 // every I/O operation the workload performs.  For each operation k it
 // forks a child that re-runs the workload with "*=crash@k" armed (the
 // child std::_Exit()s mid-syscall, destructors never run, buffered
 // user-space state is lost exactly as in a kill -9), then reopens the
-// survivors in the parent and checks the invariants that must hold at
-// EVERY crash point:
-//
-//   ledger   opens (a torn tail is recoverable, never fatal) and no
-//            tenant's durable `spent` under-counts the releases the
-//            workload's shadow log recorded — the paper's Algorithm-2
-//            accounting must fail safe (over-count allowed, never under)
-//   store    opens, and every surviving artifact reads back bit-exact;
-//            a clean truncation (missing tail entries) is fine,
-//            corruption or refusal-to-open is not
+// ledger in the parent and checks the invariant that must hold at
+// EVERY crash point: the ledger opens (a torn tail is recoverable,
+// never fatal) and no tenant's durable `spent` under-counts the
+// releases the workload's shadow log recorded — the paper's
+// Algorithm-2 accounting must fail safe (over-count allowed, never
+// under).
 //
 // The shadow release log is the harness's ground truth: one raw
 // O_APPEND write() per released answer, appended only AFTER Charge
@@ -35,14 +30,13 @@
 namespace ektelo::serve::torture {
 
 /// Runs the deterministic workload in `dir` (created if needed):
-/// 2 tenants x 12 charge/refund/release steps against the ledger,
-/// 15 artifact puts (3 via a write-behind queue), interleaved gets, a
-/// checkpoint flush and a compaction.  Returns false only on setup
-/// failure (unusable dir); injected I/O errors do not fail the run.
+/// 2 tenants x 12 charge/refund/release steps against the ledger and a
+/// final checkpoint.  Returns false only on setup failure (unusable
+/// dir); injected I/O errors do not fail the run.
 bool RunWorkload(const std::string& dir);
 
-/// Reopens the ledger and store left in `dir` after a (simulated) crash
-/// and checks the invariants above.  False on violation, with an
+/// Reopens the ledger left in `dir` after a (simulated) crash and checks
+/// the invariant above.  False on violation, with an
 /// explanation in *why.
 bool VerifyAfterCrash(const std::string& dir, std::string* why);
 

@@ -72,13 +72,6 @@ bool Rename(const std::string& from, const std::string& to, const char* site) {
   return !ec;
 }
 
-bool Resize(const std::string& path, uint64_t size, const char* site) {
-  if (Injected(failpoint::Check(site))) return false;
-  std::error_code ec;
-  fs::resize_file(path, size, ec);
-  return !ec;
-}
-
 bool AtomicWriteFile(const std::string& path, const std::vector<uint8_t>& bytes,
                      const char* site_prefix) {
   const std::string prefix(site_prefix);

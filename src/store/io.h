@@ -1,6 +1,6 @@
-// The durable-I/O seam: every raw open/read/write/flush/fsync/rename
-// the artifact store and the budget ledger perform goes through these
-// wrappers, each carrying a named failpoint site (util/failpoint.h).
+// The durable-I/O seam: every raw open/read/write/flush/fsync/rename the
+// budget ledger performs goes through these wrappers, each carrying a
+// named failpoint site (util/failpoint.h).
 // With no failpoints armed they are the underlying stdio/filesystem
 // calls plus one relaxed atomic load; with a rule armed they inject
 // short writes, EIO/ENOSPC errors, dropped fsyncs, or a simulated kill
@@ -40,9 +40,6 @@ bool Fsync(std::FILE* f, const char* site);
 
 /// Atomic rename; false leaves `from` in place.
 bool Rename(const std::string& from, const std::string& to, const char* site);
-
-/// Truncate/extend `path` to `size` bytes.
-bool Resize(const std::string& path, uint64_t size, const char* site);
 
 /// Write-whole-file-then-rename replace with per-step failpoints:
 /// `<site_prefix>.open`, `.write`, `.flush`, `.rename`.  On any failure

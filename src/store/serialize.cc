@@ -19,10 +19,6 @@ void ByteWriter::F64(double v) {
   U64(bits);
 }
 
-void ByteWriter::Sizes(const std::vector<std::size_t>& vs) {
-  for (std::size_t v : vs) U64(uint64_t(v));
-}
-
 bool ByteReader::U8(uint8_t* v) {
   if (!ok_ || end_ - p_ < 1) return Fail();
   *v = *p_++;
@@ -54,18 +50,6 @@ bool ByteReader::F64(double* v) {
   return true;
 }
 
-bool ByteReader::Sizes(std::size_t count, std::vector<std::size_t>* vs) {
-  if (!ok_ || remaining() / 8 < count) return Fail();
-  vs->resize(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    uint64_t v;
-    if (!U64(&v)) return false;
-    if (v > uint64_t(SIZE_MAX)) return Fail();  // narrower host size_t
-    (*vs)[i] = std::size_t(v);
-  }
-  return true;
-}
-
 // ------------------------------------------------------------ typed codecs
 
 void SerializeVec(const Vec& v, ByteWriter* w) {
@@ -79,62 +63,5 @@ bool DeserializeVec(ByteReader* r, Vec* v) {
   if (r->remaining() / 8 < n) return false;
   return r->F64s(std::size_t(n), v);
 }
-
-void SerializeDense(const DenseMatrix& m, ByteWriter* w) {
-  w->U64(m.rows());
-  w->U64(m.cols());
-  w->F64s(m.data());
-}
-
-bool DeserializeDense(ByteReader* r, DenseMatrix* m) {
-  uint64_t rows, cols;
-  if (!r->U64(&rows) || !r->U64(&cols)) return false;
-  // Validate the element count against the bytes present before any
-  // allocation, guarding both rows*cols overflow and allocation bombs.
-  const uint64_t budget = r->remaining() / 8;
-  if (rows != 0 && cols > budget / rows) return false;
-  DenseMatrix out{std::size_t(rows), std::size_t(cols)};
-  if (!r->F64s(out.data().size(), &out.data())) return false;
-  *m = std::move(out);
-  return true;
-}
-
-void SerializeCsr(const CsrMatrix& m, ByteWriter* w) {
-  w->U64(m.rows());
-  w->U64(m.cols());
-  w->U64(m.nnz());
-  w->Sizes(m.indptr());
-  w->Sizes(m.indices());
-  w->F64s(m.values());
-}
-
-bool DeserializeCsr(ByteReader* r, CsrMatrix* m) {
-  uint64_t rows, cols, nnz;
-  if (!r->U64(&rows) || !r->U64(&cols) || !r->U64(&nnz)) return false;
-  // (rows + 1) + 2 * nnz 8-byte fields must be present.
-  const uint64_t budget = r->remaining() / 8;
-  if (rows >= budget || nnz > (budget - rows - 1) / 2) return false;
-  std::vector<std::size_t> indptr, indices;
-  AlignedVec values;
-  if (!r->Sizes(std::size_t(rows) + 1, &indptr)) return false;
-  if (!r->Sizes(std::size_t(nnz), &indices)) return false;
-  if (!r->F64s(std::size_t(nnz), &values)) return false;
-  // Structural invariants: monotone row pointers spanning exactly nnz,
-  // column indices in range.  A payload that fails these is corrupt (or
-  // adversarial) even if its framing length was consistent.
-  if (indptr.front() != 0 || indptr.back() != nnz) return false;
-  for (std::size_t i = 0; i + 1 < indptr.size(); ++i)
-    if (indptr[i] > indptr[i + 1]) return false;
-  for (std::size_t c : indices)
-    if (c >= cols) return false;
-  *m = CsrMatrix::FromRaw(std::size_t(rows), std::size_t(cols),
-                          std::move(indptr), std::move(indices),
-                          std::move(values));
-  return true;
-}
-
-void SerializeScalar(double v, ByteWriter* w) { w->F64(v); }
-
-bool DeserializeScalar(ByteReader* r, double* v) { return r->F64(v); }
 
 }  // namespace ektelo::store

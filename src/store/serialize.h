@@ -1,30 +1,22 @@
-// Versioned binary serialization for cached operator artifacts.
-//
-// The persistent artifact store (store/artifact_store.h) spills the
-// OperatorCache's derived artifacts — materialized CSR matrices, dense
-// matrices (including dense Grams), vectors and scalar sensitivity /
-// norm-estimate entries — to disk so a fresh process can start warm.
-// Byte layout is explicit and platform-independent:
+// Versioned little-endian binary framing shared by the budget ledger's
+// records and the serving daemon's wire protocol.  Byte layout is
+// explicit and platform-independent:
 //
 //   * every integer is framed little-endian, byte by byte (no memcpy of
-//     host-endian words), so a store written on any machine reads back on
+//     host-endian words), so bytes written on any machine read back on
 //     any other;
 //   * doubles are framed by IEEE-754 bit pattern (as a little-endian
 //     uint64), so round-trips are bit-exact — NaN payloads, -0.0 and
-//     denormals included, matching the BitwiseEq relation the
-//     OperatorCache is defined over;
-//   * index-type payloads (CSR indptr/indices, shapes) are framed as
-//     uint64 regardless of the host std::size_t width;
-//   * kFormatVersion stamps every record; a layout change bumps it and
-//     cleanly invalidates old stores instead of misreading them.
+//     denormals included;
+//   * kFormatVersion stamps every ledger file; a layout change bumps it
+//     and cleanly rejects old files instead of misreading them.
 //
-// Deserializers are defensive: every read is bounds-checked against the
-// buffer, allocation sizes are validated against the bytes actually
-// present before resizing, and structural invariants (CSR row pointers
-// monotone, column indices in range) are verified — a truncated or
-// corrupted payload yields `false`, never a crash or an aborted CHECK.
-// Whole-record integrity (bit flips that keep the structure plausible)
-// is the store framing's job via Checksum64.
+// Readers are defensive: every read is bounds-checked against the
+// buffer, and allocation sizes are validated against the bytes actually
+// present before resizing — a truncated or corrupted payload yields
+// `false`, never a crash or an aborted CHECK.  Whole-record integrity
+// (bit flips that keep the structure plausible) is the framing's job via
+// Checksum64.
 #ifndef EKTELO_STORE_SERIALIZE_H_
 #define EKTELO_STORE_SERIALIZE_H_
 
@@ -32,21 +24,19 @@
 #include <cstdint>
 #include <vector>
 
-#include "linalg/csr.h"
-#include "linalg/dense.h"
 #include "linalg/vec.h"
 
 namespace ektelo::store {
 
 /// Bumped whenever the byte layout of any payload or frame changes.
-/// Stores written under a different format version are rejected on open
-/// (and individual records on read), never reinterpreted.
+/// Ledger files written under a different format version are rejected
+/// on open, never reinterpreted.
 inline constexpr uint32_t kFormatVersion = 1;
 
-/// 64-bit FNV-1a over a byte range: the per-record integrity checksum.
-/// Not cryptographic — it guards against torn writes, truncation and
-/// random corruption, not an adversary with write access to the cache
-/// directory (who could equally replace the whole store).
+/// 64-bit FNV-1a over a byte range: the per-record and per-frame
+/// integrity checksum.  Not cryptographic — it guards against torn
+/// writes, truncation and random corruption, not an adversary with write
+/// access to the ledger directory.
 uint64_t Checksum64(const uint8_t* data, std::size_t n);
 inline uint64_t Checksum64(const std::vector<uint8_t>& bytes) {
   return Checksum64(bytes.data(), bytes.size());
@@ -68,8 +58,6 @@ class ByteWriter {
   void F64s(const std::vector<double, Alloc>& vs) {
     for (double v : vs) F64(v);
   }
-  /// Frames each element as a uint64 (host std::size_t may be narrower).
-  void Sizes(const std::vector<std::size_t>& vs);
   /// Appends raw bytes verbatim (already-framed sub-buffers).
   void Raw(const uint8_t* data, std::size_t n) {
     out_.insert(out_.end(), data, data + n);
@@ -105,7 +93,6 @@ class ByteReader {
       if (!F64(&(*vs)[i])) return false;
     return true;
   }
-  bool Sizes(std::size_t count, std::vector<std::size_t>* vs);
 
   std::size_t remaining() const { return std::size_t(end_ - p_); }
   bool ok() const { return ok_; }
@@ -120,27 +107,11 @@ class ByteReader {
   bool ok_ = true;
 };
 
-// ------------------------------------------------------------ typed codecs
-//
-// Each Serialize* appends a self-delimiting payload; the matching
-// Deserialize* consumes exactly that payload and reports false on any
-// truncation, allocation-bomb size, or structural violation.  Round-trips
-// are bit-exact: Serialize(Deserialize(Serialize(x))) == Serialize(x).
-
+/// A self-delimiting vector payload (length, then the doubles); the
+/// reader consumes exactly that payload and reports false on any
+/// truncation or allocation-bomb length.  Round-trips are bit-exact.
 void SerializeVec(const Vec& v, ByteWriter* w);
 bool DeserializeVec(ByteReader* r, Vec* v);
-
-void SerializeDense(const DenseMatrix& m, ByteWriter* w);
-bool DeserializeDense(ByteReader* r, DenseMatrix* m);
-
-/// CSR arrays are framed verbatim (indptr, indices, values), so the
-/// reconstructed matrix is field-for-field identical — no triplet
-/// round-trip, no re-sorting, no duplicate merging.
-void SerializeCsr(const CsrMatrix& m, ByteWriter* w);
-bool DeserializeCsr(ByteReader* r, CsrMatrix* m);
-
-void SerializeScalar(double v, ByteWriter* w);
-bool DeserializeScalar(ByteReader* r, double* v);
 
 }  // namespace ektelo::store
 

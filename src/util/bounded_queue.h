@@ -4,8 +4,7 @@
 // Producers call TryPush, which refuses immediately when the queue is at
 // capacity — that refusal IS the backpressure signal: the serving daemon
 // turns it into an UNAVAILABLE response instead of queueing unbounded
-// work, and the artifact store's write-behind drops a cache write rather
-// than stall a request thread.  Consumers block in Pop until an item or
+// work.  Consumers block in Pop until an item or
 // Close() arrives; after Close the remaining items are still drained in
 // order, then Pop returns nullopt forever.  All operations are
 // thread-safe.

@@ -3,7 +3,7 @@
 // programmatically, compiled to zero-cost no-ops when disabled.
 //
 // A *site* is a stable string naming one fallible operation, e.g.
-// "store.data.append" or "ledger.ckpt.rename".  Instrumented code asks
+// "ledger.append" or "ledger.ckpt.rename".  Instrumented code asks
 // `failpoint::Check(site)` what to do at each hit; the registry answers
 // with an Action according to the armed rules:
 //

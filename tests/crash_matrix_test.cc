@@ -1,7 +1,7 @@
 // Failpoint registry semantics + the crash-consistency torture matrix:
 // every I/O operation of the deterministic workload gets a simulated
-// kill, and the reopened ledger/store must uphold their invariants at
-// every single crash point (see serve/torture.h).
+// kill, and the reopened ledger must uphold its invariant at every
+// single crash point (see serve/torture.h).
 #include <cerrno>
 #include <filesystem>
 #include <set>
@@ -12,7 +12,6 @@
 
 #include "serve/ledger.h"
 #include "serve/torture.h"
-#include "store/artifact_store.h"
 #include "util/failpoint.h"
 
 namespace {
@@ -22,9 +21,6 @@ namespace fp = ektelo::failpoint;
 using ektelo::serve::BudgetLedger;
 using ektelo::serve::ChargeResult;
 using ektelo::serve::LedgerOptions;
-using ektelo::store::ArtifactKey;
-using ektelo::store::DiskArtifactStore;
-using ektelo::store::DiskStoreOptions;
 
 std::string FreshDir(const std::string& name) {
   const std::string dir =
@@ -105,42 +101,6 @@ TEST(Failpoint, TraceRecordsHitSequence) {
   EXPECT_EQ(trace[2], "s1");
 }
 
-TEST(Failpoint, StoreDegradesStickilyOnInjectedWriteError) {
-  RegistryGuard guard;
-  const std::string dir = FreshDir("degrade");
-  DiskStoreOptions opts;
-  opts.hash_version = 3;
-  auto store = DiskArtifactStore::Open(dir, opts);
-  ASSERT_NE(store, nullptr);
-
-  const ArtifactKey key{0x1234, 1};
-  const std::vector<uint8_t> payload(128, 0xAB);
-  ASSERT_TRUE(store->Put(key, payload));
-
-  // Device goes bad: the next append fails and trips degradation.
-  ASSERT_TRUE(fp::Registry::Global().Arm("store.data.append", "error.eio"));
-  EXPECT_FALSE(store->Put({0x5678, 1}, payload));
-  DiskArtifactStore::Stats st = store->stats();
-  EXPECT_TRUE(st.degraded);
-  EXPECT_GE(st.io_errors, 1u);
-
-  // Sticky: healing the device does not resurrect the tier mid-process
-  // (a half-written log is not worth trusting), and Get refuses too.
-  fp::Registry::Global().Reset();
-  EXPECT_FALSE(store->Put({0x9ABC, 1}, payload));
-  std::vector<uint8_t> got;
-  EXPECT_FALSE(store->Get(key, &got));
-  EXPECT_TRUE(store->stats().degraded);
-
-  // A fresh open reads the pre-fault record back intact.
-  store.reset();
-  store = DiskArtifactStore::Open(dir, opts);
-  ASSERT_NE(store, nullptr);
-  EXPECT_FALSE(store->stats().degraded);
-  EXPECT_TRUE(store->Get(key, &got));
-  EXPECT_EQ(got, payload);
-}
-
 TEST(Failpoint, LedgerChargeFailsClosedOnInjectedAppendError) {
   RegistryGuard guard;
   const std::string dir = FreshDir("ledger_io");
@@ -192,8 +152,7 @@ TEST(CrashMatrix, WorkloadTraceIsDeterministic) {
 }
 
 // The acceptance test: a simulated kill at EVERY I/O operation of the
-// workload, zero invariant violations, and coverage spanning both the
-// ledger and the store subsystems.
+// workload, zero invariant violations, and coverage of the ledger.
 TEST(CrashMatrix, EveryCrashPointUpholdsInvariants) {
   RegistryGuard guard;
   ektelo::serve::torture::CrashMatrixOptions opts;
@@ -206,13 +165,10 @@ TEST(CrashMatrix, EveryCrashPointUpholdsInvariants) {
   EXPECT_EQ(res.crashes, res.total_ops);
   EXPECT_GT(res.total_ops, 20u);
 
-  bool ledger_covered = false, store_covered = false;
-  for (const std::string& s : res.sites_covered) {
+  bool ledger_covered = false;
+  for (const std::string& s : res.sites_covered)
     if (s.rfind("ledger.", 0) == 0) ledger_covered = true;
-    if (s.rfind("store.", 0) == 0) store_covered = true;
-  }
   EXPECT_TRUE(ledger_covered);
-  EXPECT_TRUE(store_covered);
 }
 
 TEST(CrashMatrix, QuickPresetCoversEveryDistinctSite) {

@@ -790,13 +790,9 @@ TEST(Protocol, StatsReplyRoundTrip) {
   s.refused_bad = 5;
   s.executions = 6;
   s.coalesced = 7;
-  s.cache_disk_hits = 8;
-  s.cache_hits = 9;
-  s.refused_durability = 10;
-  s.refused_deadline = 11;
-  s.disk_degraded = 12;
-  s.disk_io_errors = 13;
-  s.disk_write_drops = 14;
+  s.cache_hits = 8;
+  s.refused_durability = 9;
+  s.refused_deadline = 10;
   s.tenants = {{"alice", 1.5, 0.25}, {"bob", 2.0, 0.75}};
   const std::vector<uint8_t> bytes = EncodeStatsReply(s);
 
@@ -809,13 +805,9 @@ TEST(Protocol, StatsReplyRoundTrip) {
   EXPECT_EQ(d.refused_bad, s.refused_bad);
   EXPECT_EQ(d.executions, s.executions);
   EXPECT_EQ(d.coalesced, s.coalesced);
-  EXPECT_EQ(d.cache_disk_hits, s.cache_disk_hits);
   EXPECT_EQ(d.cache_hits, s.cache_hits);
   EXPECT_EQ(d.refused_durability, s.refused_durability);
   EXPECT_EQ(d.refused_deadline, s.refused_deadline);
-  EXPECT_EQ(d.disk_degraded, s.disk_degraded);
-  EXPECT_EQ(d.disk_io_errors, s.disk_io_errors);
-  EXPECT_EQ(d.disk_write_drops, s.disk_write_drops);
   ASSERT_EQ(d.tenants.size(), s.tenants.size());
   for (std::size_t i = 0; i < s.tenants.size(); ++i) {
     EXPECT_EQ(d.tenants[i].name, s.tenants[i].name);

@@ -1,179 +1,27 @@
-// Warm-start equivalence: with a persistent disk tier attached, every
-// registry plan must produce BITWISE identical outputs (and identical
-// budgets/transcripts) on (a) the memory-only baseline, (b) a cold run
-// populating a fresh store, and (c) a warm run in a "fresh process"
-// (memory cache cleared, store reopened from disk) — across two store
-// open/close cycles, as a serving deployment would see them.  The warm
-// run must actually hit the disk tier.
-//
-// Also covers the Gram-memoization satellite: CG/NNLS derive their Gram
-// (and NNLS its spectral-norm estimate) through the OperatorCache, so
-// repeated solves of structurally identical stacks skip the per-solve
-// re-derivation bitwise-invisibly.
-#include <algorithm>
+// Gram memoization: CG/NNLS derive their Gram (and NNLS its
+// spectral-norm estimate) through the OperatorCache, so repeated solves
+// of structurally identical stacks skip the per-solve re-derivation
+// bitwise-invisibly.
 #include <atomic>
-#include <filesystem>
+#include <memory>
 #include <string>
-#include <tuple>
 #include <vector>
 
-#include "data/generators.h"
 #include "gtest/gtest.h"
 #include "matrix/cg.h"
 #include "matrix/nnls.h"
 #include "matrix/rewrite.h"
-#include "plans/registry.h"
-#include "store/artifact_store.h"
-#include "workload/workloads.h"
+#include "util/rng.h"
 
 namespace ektelo {
 namespace {
-
-namespace fs = std::filesystem;
-
-std::string FreshDir(const std::string& name) {
-  const std::string dir =
-      (fs::temp_directory_path() / ("ektelo_warmstart_" + name)).string();
-  fs::remove_all(dir);
-  return dir;
-}
-
-void AttachTier(const std::string& dir) {
-  store::DiskStoreOptions opts;
-  opts.hash_version = kHashVersion;
-  auto tier = store::DiskArtifactStore::Open(dir, opts);
-  ASSERT_TRUE(tier);
-  OperatorCache::Global().SetDiskTier(std::move(tier));
-}
-
-void DetachTier() { OperatorCache::Global().SetDiskTier(nullptr); }
-
-struct RunResult {
-  Vec xhat;
-  bool ok = false;
-  std::string error;
-  double budget = 0.0;
-  std::vector<std::tuple<std::string, double, double>> transcript;
-};
-
-/// One deterministic end-to-end execution (same environment every call,
-/// mirroring rewrite_equivalence_test).
-RunResult RunPlan(const Plan& plan) {
-  const double eps = 0.5;
-  Rng rng(31);
-  Vec hist;
-  std::vector<std::size_t> dims;
-  switch (plan.domain()) {
-    case DomainKind::k1D:
-      dims = {64};
-      hist = MakeHistogram1D(Shape1D::kGaussianMix, 64, 2000.0, &rng);
-      break;
-    case DomainKind::k2D:
-      dims = {8, 8};
-      hist = MakeHistogram2D(8, 8, 2000.0, &rng);
-      break;
-    case DomainKind::kMultiDim:
-      dims = {16, 2, 2};
-      hist = MakeHistogram1D(Shape1D::kStep, 64, 2000.0, &rng);
-      break;
-  }
-  const std::size_t n = hist.size();
-  auto ranges = RandomRanges(20, n, 16, &rng);
-  auto w = RangeQueryOp(ranges, n);
-
-  ProtectedKernel kernel(TableFromHistogram(hist, "v"), eps, 515151);
-  ProtectedTable root = ProtectedTable::Root(&kernel);
-  auto x = root.Vectorize();
-  EK_CHECK(x.ok());
-  BudgetScope scope(eps);
-  Rng client_rng(7);
-  PlanInput in;
-  in.dims = dims;
-  in.ranges = ranges;
-  in.workload = w;
-  in.workload_factors = {w};
-  in.known_total = Sum(hist);
-  in.rng = &client_rng;
-  in.stripe_dim = 0;
-
-  RunResult r;
-  StatusOr<Vec> xhat = plan.Execute(*x, scope, in);
-  r.ok = xhat.ok();
-  if (!r.ok) {
-    r.error = xhat.status().ToString();
-    return r;
-  }
-  r.xhat = std::move(*xhat);
-  r.budget = kernel.BudgetConsumed();
-  for (const auto& e : kernel.transcript())
-    r.transcript.emplace_back(e.op, e.eps, e.noise_scale);
-  std::sort(r.transcript.begin(), r.transcript.end());
-  return r;
-}
-
-void ExpectBitwiseEqual(const RunResult& a, const RunResult& b,
-                        const char* label) {
-  SCOPED_TRACE(label);
-  ASSERT_EQ(a.ok, b.ok) << a.error << " / " << b.error;
-  if (!a.ok) return;
-  ASSERT_EQ(a.xhat.size(), b.xhat.size());
-  for (std::size_t i = 0; i < a.xhat.size(); ++i)
-    ASSERT_TRUE(BitwiseEq(a.xhat[i], b.xhat[i]))
-        << "component " << i << ": " << a.xhat[i] << " vs " << b.xhat[i];
-  EXPECT_EQ(a.budget, b.budget);
-  EXPECT_EQ(a.transcript, b.transcript);
-}
-
-TEST(WarmStartTest, EveryPlanIsBitwiseIdenticalColdAndWarmAcrossTwoCycles) {
-  const std::string dir = FreshDir("registry");
-  const std::vector<const Plan*> catalog = PlanRegistry::Global().Catalog();
-  ASSERT_FALSE(catalog.empty());
-
-  // Baseline: memory-only, exactly the pre-store behavior.
-  DetachTier();
-  OperatorCache::Global().Clear();
-  std::vector<RunResult> baseline;
-  baseline.reserve(catalog.size());
-  for (const Plan* plan : catalog) baseline.push_back(RunPlan(*plan));
-
-  // Cycle 1 (cold): fresh store, empty memory cache — populates disk.
-  AttachTier(dir);
-  OperatorCache::Global().Clear();
-  for (std::size_t i = 0; i < catalog.size(); ++i) {
-    const RunResult cold = RunPlan(*catalog[i]);
-    ExpectBitwiseEqual(baseline[i], cold,
-                       ("cold: " + catalog[i]->name()).c_str());
-  }
-  // Spills run on the write-behind consumer; barrier before counting.
-  OperatorCache::Global().FlushDiskTier();
-  const auto after_cold = OperatorCache::Global().stats();
-  EXPECT_GT(after_cold.disk_writes, 0u);
-  DetachTier();  // close cycle 1: flush + release the store
-
-  // Cycle 2 (warm): reopen the same directory in a "fresh process" —
-  // empty memory tier, artifacts come off disk.
-  AttachTier(dir);
-  OperatorCache::Global().Clear();
-  const auto before_warm = OperatorCache::Global().stats();
-  for (std::size_t i = 0; i < catalog.size(); ++i) {
-    const RunResult warm = RunPlan(*catalog[i]);
-    ExpectBitwiseEqual(baseline[i], warm,
-                       ("warm: " + catalog[i]->name()).c_str());
-  }
-  const auto after_warm = OperatorCache::Global().stats();
-  EXPECT_GT(after_warm.disk_hits, before_warm.disk_hits)
-      << "warm cycle never hit the disk tier";
-  DetachTier();
-  OperatorCache::Global().Clear();
-  fs::remove_all(dir);
-}
 
 // ---------------------------------------------------- Gram memoization
 
 /// Wraps a sparse matrix and counts Gram() derivations.  As an unknown
 /// LinOp subclass it hashes per-instance, so cache hits only occur for
 /// the *same* shared instance — which is exactly the repeated-solve
-/// pattern the satellite targets.
+/// pattern the memoization targets.
 class CountingGramOp final : public LinOp {
  public:
   explicit CountingGramOp(CsrMatrix m)

@@ -283,10 +283,7 @@ int main(int argc, char** argv) {
           "\"coalesced\":%llu,\"refused_budget\":%llu,"
           "\"refused_queue\":%llu,\"refused_bad\":%llu,"
           "\"refused_durability\":%llu,\"refused_deadline\":%llu,"
-          "\"cache_hits\":%llu,\"cache_disk_hits\":%llu,"
-          "\"disk_degraded\":%llu,\"disk_io_errors\":%llu,"
-          "\"disk_write_drops\":%llu,"
-          "\"tenants\":[",
+          "\"cache_hits\":%llu,\"tenants\":[",
           (unsigned long long)stats->received,
           (unsigned long long)stats->admitted,
           (unsigned long long)stats->executions,
@@ -296,11 +293,7 @@ int main(int argc, char** argv) {
           (unsigned long long)stats->refused_bad,
           (unsigned long long)stats->refused_durability,
           (unsigned long long)stats->refused_deadline,
-          (unsigned long long)stats->cache_hits,
-          (unsigned long long)stats->cache_disk_hits,
-          (unsigned long long)stats->disk_degraded,
-          (unsigned long long)stats->disk_io_errors,
-          (unsigned long long)stats->disk_write_drops);
+          (unsigned long long)stats->cache_hits);
       // Tenant names reach the wire validated by the daemon; escape
       // the JSON-special characters anyway so output always parses.
       bool first = true;
@@ -321,8 +314,7 @@ int main(int argc, char** argv) {
         "received=%llu admitted=%llu executions=%llu coalesced=%llu "
         "refused_budget=%llu refused_queue=%llu refused_bad=%llu "
         "refused_durability=%llu refused_deadline=%llu "
-        "cache_hits=%llu cache_disk_hits=%llu disk_degraded=%llu "
-        "disk_io_errors=%llu disk_write_drops=%llu\n",
+        "cache_hits=%llu\n",
         (unsigned long long)stats->received,
         (unsigned long long)stats->admitted,
         (unsigned long long)stats->executions,
@@ -332,11 +324,7 @@ int main(int argc, char** argv) {
         (unsigned long long)stats->refused_bad,
         (unsigned long long)stats->refused_durability,
         (unsigned long long)stats->refused_deadline,
-        (unsigned long long)stats->cache_hits,
-        (unsigned long long)stats->cache_disk_hits,
-        (unsigned long long)stats->disk_degraded,
-        (unsigned long long)stats->disk_io_errors,
-        (unsigned long long)stats->disk_write_drops);
+        (unsigned long long)stats->cache_hits);
     for (const auto& t : stats->tenants)
       std::printf("tenant=%s total=%.9g spent=%.9g\n", t.name.c_str(),
                   t.total, t.spent);

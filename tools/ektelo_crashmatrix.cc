@@ -4,10 +4,10 @@
 //
 // Traces one clean run of the torture workload, then re-runs it in a
 // forked child per I/O operation with a simulated kill (std::_Exit) at
-// that operation, reopening and verifying the ledger + store after each
-// crash.  --quick crashes only at the first hit of each distinct
-// failpoint site (the CI preset — still covers every site); --max caps
-// the number of crash points.  Exit 0 when every invariant held at every
+// that operation, reopening and verifying the ledger after each crash.
+// --quick crashes only at the first hit of each distinct failpoint site
+// (the CI preset — still covers every site); --max caps the number of
+// crash points.  Exit 0 when every invariant held at every
 // crash point, 1 otherwise.
 #include <cstdio>
 #include <cstdlib>
