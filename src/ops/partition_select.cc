@@ -5,6 +5,7 @@
 #include <numeric>
 
 #include "matrix/implicit_ops.h"
+#include "ops/selection.h"
 #include "util/check.h"
 
 namespace ektelo {
@@ -13,14 +14,21 @@ Partition GridPartition2D(std::size_t nx, std::size_t ny, std::size_t gx,
                           std::size_t gy) {
   gx = std::min(std::max<std::size_t>(gx, 1), nx);
   gy = std::min(std::max<std::size_t>(gy, 1), ny);
-  std::vector<uint32_t> group(nx * ny);
-  for (std::size_t i = 0; i < nx; ++i) {
-    const std::size_t a = i * gx / nx;
-    for (std::size_t j = 0; j < ny; ++j) {
-      const std::size_t b = j * gy / ny;
-      group[i * ny + j] = static_cast<uint32_t>(a * gy + b);
+  // Block index of each coordinate along one axis, walking the shared
+  // boundaries of GridBlockStart.
+  auto blocks = [](std::size_t n, std::size_t g) {
+    std::vector<std::size_t> block(n);
+    for (std::size_t i = 0, a = 0; i < n; ++i) {
+      while (i >= GridBlockStart(a + 1, n, g)) ++a;
+      block[i] = a;
     }
-  }
+    return block;
+  };
+  const std::vector<std::size_t> bx = blocks(nx, gx), by = blocks(ny, gy);
+  std::vector<uint32_t> group(nx * ny);
+  for (std::size_t i = 0; i < nx; ++i)
+    for (std::size_t j = 0; j < ny; ++j)
+      group[i * ny + j] = static_cast<uint32_t>(bx[i] * gy + by[j]);
   return Partition(std::move(group), gx * gy);
 }
 

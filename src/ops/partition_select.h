@@ -20,7 +20,9 @@ namespace ektelo {
 
 // ------------------------------------------------- public (structural)
 
-/// Cells of an nx x ny grid mapped to a gx x gy block grid.
+/// Cells of an nx x ny grid mapped to a gx x gy block grid.  Block
+/// boundaries come from GridBlockStart, so each block is exactly one of
+/// GridCellsSelect(nx, ny, gx, gy)'s rectangles (same order).
 Partition GridPartition2D(std::size_t nx, std::size_t ny, std::size_t gx,
                           std::size_t gy);
 

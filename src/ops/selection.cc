@@ -144,11 +144,11 @@ LinOpPtr GridCellsSelect(std::size_t nx, std::size_t ny, std::size_t gx,
   std::vector<Rectangle> rects;
   rects.reserve(gx * gy);
   for (std::size_t a = 0; a < gx; ++a) {
-    const std::size_t x_lo = a * nx / gx;
-    const std::size_t x_hi = (a + 1) * nx / gx - 1;
+    const std::size_t x_lo = GridBlockStart(a, nx, gx);
+    const std::size_t x_hi = GridBlockStart(a + 1, nx, gx) - 1;
     for (std::size_t b = 0; b < gy; ++b) {
-      const std::size_t y_lo = b * ny / gy;
-      const std::size_t y_hi = (b + 1) * ny / gy - 1;
+      const std::size_t y_lo = GridBlockStart(b, ny, gy);
+      const std::size_t y_hi = GridBlockStart(b + 1, ny, gy) - 1;
       rects.push_back({x_lo, x_hi, y_lo, y_hi});
     }
   }

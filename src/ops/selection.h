@@ -42,6 +42,16 @@ std::vector<std::pair<std::size_t, std::size_t>> CanonicalCover(
 /// rectangles from the root down to unit cells.
 LinOpPtr QuadtreeSelect(std::size_t nx, std::size_t ny);
 
+/// First cell of block `a` when `n` cells are cut into `g` near-equal
+/// consecutive blocks: block a is [GridBlockStart(a), GridBlockStart(a+1)).
+/// The one definition of grid boundaries: the rectangles GridCellsSelect
+/// measures and the blocks GridPartition2D splits by are the same cells,
+/// so AdaptiveGrid's level-2 refinements nest inside its level-1 counts.
+inline std::size_t GridBlockStart(std::size_t a, std::size_t n,
+                                  std::size_t g) {
+  return a * n / g;
+}
+
 /// Rectangle-indicator queries of a gx x gy uniform grid over nx x ny
 /// (the measurement set of UniformGrid).
 LinOpPtr GridCellsSelect(std::size_t nx, std::size_t ny, std::size_t gx,

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -306,48 +307,106 @@ TEST_F(ExactLsTest, ExactPathIsBitwiseStableAcrossRewriteAndThreads) {
 }
 
 TEST_F(ExactLsTest, PlansAreBitwiseStableAcrossRewriteAndThreads) {
-  // End to end through the registry: the plans whose inference now takes
-  // an exact path reproduce their replies under every toggle.
-  const std::size_t n = 64;
-  Rng rng(9);
-  const Vec hist = MakeHistogram1D(Shape1D::kStep, n, 2000.0, &rng);
-  const auto ranges = RandomRanges(12, n, 16, &rng);
+  // End to end through the registry: every catalog plan reproduces its
+  // reply across thread counts (and, on the exact paths, across the
+  // rewrite toggle), and its inference takes the solver path this table
+  // pins ("none" = the plan runs no solver).  A plan whose measurements
+  // stop being laminar silently falls back to LSMR at many times the
+  // cost; this table is what notices.
   struct Case {
     const char* plan;
     std::vector<std::size_t> dims;
+    const char* solver;
+    double rows = 2000.0;
   };
   const Case cases[] = {
-      {"H2", {n}},           {"HB", {n}},         {"Greedy-H", {n}},
-      {"Privelet", {n}},     {"Uniform", {n}},    {"AHP", {n}},
-      {"DAWA", {n}},         {"QuadTree", {8, 8}}, {"UniformGrid", {8, 8}},
-      {"AdaptiveGrid", {8, 8}}, {"HB-Striped", {8, 8}},
-      {"HB-Striped_kron", {8, 8}}, {"DAWA-Striped", {8, 8}},
+      {"Identity", {64}, "none"},
+      {"Privelet", {64}, "haar"},
+      {"H2", {64}, "tree"},
+      {"HB", {64}, "tree"},
+      {"Greedy-H", {64}, "tree"},
+      {"Uniform", {64}, "tree"},
+      {"MWEM", {64}, "none"},
+      {"AHP", {64}, "tree"},
+      {"DAWA", {64}, "tree"},
+      {"HDMM", {64}, "tree"},
+      {"MWEM variant b", {64}, "none"},
+      {"MWEM variant c", {64}, "nnls"},
+      {"MWEM variant d", {64}, "nnls"},
+      {"Workload", {64}, "lsmr"},
+      {"WorkloadLS", {64}, "lsmr"},
+      {"QuadTree", {8, 8}, "tree"},
+      {"UniformGrid", {8, 8}, "tree"},
+      {"AdaptiveGrid", {8, 8}, "tree"},
+      // A level-1 grid side (6 here) that does not divide the domain:
+      // level 2 must still refine inside the measured level-1 cells.
+      {"AdaptiveGrid", {64, 64}, "tree", 5000.0},
+      {"HB-Striped", {16, 2, 2}, "tree"},
+      {"HB-Striped_kron", {16, 2, 2}, "tree"},
+      {"DAWA-Striped", {16, 2, 2}, "tree"},
   };
-  auto run = [&](const Case& c) {
+  const char* const solvers[] = {"tree", "haar", "lsmr", "cg", "nnls"};
+
+  std::set<std::string> covered;
+  for (const Case& c : cases) covered.insert(c.plan);
+  for (const Plan* plan : PlanRegistry::Global().Catalog())
+    EXPECT_EQ(covered.count(plan->name()), 1u)
+        << plan->name() << " has no solver-path case";
+
+  auto run = [](const Case& c) {
+    std::size_t n = 1;
+    for (std::size_t d : c.dims) n *= d;
+    Rng rng(9);
+    const Vec hist = c.dims.size() == 2
+                         ? MakeHistogram2D(c.dims[0], c.dims[1], c.rows, &rng)
+                         : MakeHistogram1D(Shape1D::kStep, n, c.rows, &rng);
+    const auto ranges = RandomRanges(12, n, 16, &rng);
+    const LinOpPtr w = RangeQueryOp(ranges, n);
     ProtectedKernel kernel(TableFromHistogram(hist, "v"), 1.0, 77);
     ProtectedTable root = ProtectedTable::Root(&kernel);
     auto x = root.Vectorize();
     EK_CHECK(x.ok());
     BudgetScope scope(1.0);
+    Rng client_rng(7);
     PlanInput in;
     in.dims = c.dims;
     in.ranges = ranges;
+    in.workload = w;
+    in.workload_factors = {w};
+    in.known_total = Sum(hist);
+    in.rng = &client_rng;
+    in.stripe_dim = 0;
     StatusOr<Vec> xhat = PlanRegistry::Global().MustFind(c.plan).Execute(
         *x, scope, in);
     EK_CHECK(xhat.ok());
     return *std::move(xhat);
   };
   for (const Case& c : cases) {
-    SCOPED_TRACE(c.plan);
-    const uint64_t lsmr0 = SolverCalls("lsmr");
+    SCOPED_TRACE(std::string(c.plan) + " on " + std::to_string(c.dims[0]) +
+                 "-wide dims");
+    uint64_t before[5];
+    for (int i = 0; i < 5; ++i) before[i] = SolverCalls(solvers[i]);
     SetRewriteEnabled(0);
     ThreadPool::Global().Resize(0);
-    const Vec ref = run(c);
+    const Vec off = run(c);
     SetRewriteEnabled(1);
-    EXPECT_TRUE(BitwiseEqual(run(c), ref)) << "rules";
+    const Vec rules = run(c);
     ThreadPool::Global().Resize(4);
-    EXPECT_TRUE(BitwiseEqual(run(c), ref)) << "threads=4";
-    EXPECT_EQ(SolverCalls("lsmr"), lsmr0) << "fell back to LSMR";
+    EXPECT_TRUE(BitwiseEqual(run(c), rules)) << "threads=4";
+    // Elsewhere rewriting may move the last bits (rewrite_equivalence_test
+    // bounds that); the exact paths must not.
+    const bool exact =
+        std::strcmp(c.solver, "tree") == 0 || std::strcmp(c.solver, "haar") == 0;
+    if (exact) {
+      EXPECT_TRUE(BitwiseEqual(rules, off)) << "rules";
+    }
+    for (int i = 0; i < 5; ++i) {
+      const bool expected = std::strcmp(solvers[i], c.solver) == 0;
+      const uint64_t calls = SolverCalls(solvers[i]) - before[i];
+      EXPECT_EQ(calls > 0, expected)
+          << solvers[i] << " ran " << calls << " times; expected "
+          << c.solver;
+    }
   }
 }
 
