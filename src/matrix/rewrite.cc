@@ -59,7 +59,6 @@ LinOpPtr MaybeRewrite(LinOpPtr op) {
 
 // ---------------------------------------------------------- OperatorCache
 
-
 namespace {
 enum CacheKind : int {
   kKindSparse = 0,

@@ -345,7 +345,7 @@ TEST_F(ExactLsTest, PlansAreBitwiseStableAcrossRewriteAndThreads) {
       {"HB-Striped_kron", {16, 2, 2}, "tree"},
       {"DAWA-Striped", {16, 2, 2}, "tree"},
   };
-  const char* const solvers[] = {"tree", "haar", "lsmr", "cg", "nnls"};
+  const char* const solvers[5] = {"tree", "haar", "lsmr", "cg", "nnls"};
 
   std::set<std::string> covered;
   for (const Case& c : cases) covered.insert(c.plan);
@@ -395,8 +395,8 @@ TEST_F(ExactLsTest, PlansAreBitwiseStableAcrossRewriteAndThreads) {
     EXPECT_TRUE(BitwiseEqual(run(c), rules)) << "threads=4";
     // Elsewhere rewriting may move the last bits (rewrite_equivalence_test
     // bounds that); the exact paths must not.
-    const bool exact =
-        std::strcmp(c.solver, "tree") == 0 || std::strcmp(c.solver, "haar") == 0;
+    const bool exact = std::strcmp(c.solver, "tree") == 0 ||
+                       std::strcmp(c.solver, "haar") == 0;
     if (exact) {
       EXPECT_TRUE(BitwiseEqual(rules, off)) << "rules";
     }
