@@ -2,13 +2,13 @@
 // measurements (DESIGN.md's design-choice ablation).
 //
 // Fixes the measurement set (H2 hierarchy at eps) and swaps only the
-// inference operator: LSMR least squares, CGNR least squares, NNLS,
-// multiplicative weights, the specialized tree solver, the structured
-// exact path of LeastSquaresInference (which takes the tree solver on
-// this hierarchy), and raw leaf counts (no inference).  This isolates the
-// claim of Sec. 5.5 / Thm. 5.3: consistent global inference improves
-// every strategy, and the generic iterative solvers match the
-// specialized one on its home turf.
+// inference operator: LSMR least squares, NNLS, multiplicative weights,
+// the specialized tree solver, the structured exact path of
+// LeastSquaresInference (which takes the tree solver on this hierarchy),
+// and raw leaf counts (no inference).  This isolates the claim of
+// Sec. 5.5 / Thm. 5.3: consistent global inference improves every
+// strategy, and the generic iterative solver matches the specialized one
+// on its home turf.
 #include "bench_util.h"
 #include "matrix/rewrite.h"
 
@@ -33,12 +33,11 @@ int main(int argc, char** argv) {
     double err = 0.0;
     double secs = 0.0;
   };
-  constexpr int kVariants = 7;
+  constexpr int kVariants = 6;
   Acc acc[kVariants];
   const char* names[kVariants] = {
       "raw leaves (none)", "tree-based LS", "LS (LSMR)",
-      "LS (CGNR)",         "NNLS",          "mult-weights",
-      "LS (structured exact)"};
+      "NNLS",              "mult-weights",  "LS (structured exact)"};
 
   auto shapes = AllShapes1D();
   for (std::size_t d = 0; d < shapes.size(); ++d) {
@@ -67,15 +66,12 @@ int main(int argc, char** argv) {
           xhat = Lsmr(*MaybeRewrite(mset.WeightedOp()), mset.WeightedY()).x;
           break;
         case 3:
-          xhat = CgLeastSquaresInference(mset);
-          break;
-        case 4:
           xhat = NnlsInference(mset);
           break;
-        case 5:
+        case 4:
           xhat = MultWeightsInference(mset, total, {.iterations = 80});
           break;
-        case 6:
+        case 5:
           xhat = LeastSquaresInference(mset);
           break;
       }
@@ -89,8 +85,8 @@ int main(int argc, char** argv) {
   }
   std::printf(
       "\nexpected shape: every inference beats raw leaves (Thm 5.3); "
-      "LSMR == CGNR == tree-based ==\nstructured exact (same LS solution), "
-      "with the two exact solvers the fastest LS rows; NNLS\nat or below "
+      "LSMR == tree-based ==\nstructured exact (same LS solution), "
+      "with the two exact solvers the fastest LS rows;\nNNLS at or below "
       "LS (adds the x >= 0 constraint).\n");
   return 0;
 }

@@ -246,37 +246,6 @@ int main() {
     json.Field("baseline_percolumn_seconds", kron_percol_s);
     json.Field("blocked_seconds", kron_new_s);
     json.Field("speedup", kron_percol_s / kron_new_s);
-
-    // Solver level: the same CG-on-normal-equations run, through the
-    // pre-refactor composed A^T(Ax) (what the opaque wrapper's default
-    // Gram() degenerates to) versus the structured Gram() operator.
-    Rng srng(77);
-    Vec bvec(kron->rows());
-    for (double& v : bvec) v = srng.Normal();
-    CgOptions cg_opts;
-    cg_opts.max_iters = 200;
-    WallTimer t7;
-    CgResult cg_base = CgLeastSquares(*kron_opaque, bvec, cg_opts);
-    const double cg_base_s = t7.Elapsed();
-    WallTimer t8;
-    CgResult cg_new = CgLeastSquares(*kron, bvec, cg_opts);
-    const double cg_new_s = t8.Elapsed();
-    std::printf(
-        "cg normal equations (same system, %zu iters): composed %.4fs -> "
-        "structured Gram() %.4fs (%.2fx)\n",
-        cg_new.iterations, cg_base_s, cg_new_s, cg_base_s / cg_new_s);
-    json.StartRecord();
-    json.Field("kind", "core");
-    json.Field("bench", "cg_gram_normal_equations");
-    json.Field("operator", "Kron(Prefix(256),Wavelet(8))");
-    json.Field("baseline_percolumn_seconds", cg_base_s);
-    json.Field("blocked_seconds", cg_new_s);
-    json.Field("speedup", cg_base_s / cg_new_s);
-    json.StartRecord();
-    json.Field("kind", "core");
-    json.Field("bench", "cg_iterations_match");
-    json.Field("baseline", double(cg_base.iterations));
-    json.Field("blocked", double(cg_new.iterations));
   }
 
   if (json.WriteFile("BENCH_plan_catalog.json"))

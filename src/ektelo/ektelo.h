@@ -52,7 +52,6 @@
 #include "matrix/combinators.h"
 #include "matrix/implicit_ops.h"
 #include "matrix/linop.h"
-#include "matrix/cg.h"
 #include "matrix/lsmr.h"
 #include "matrix/nnls.h"
 #include "matrix/partition.h"

@@ -23,8 +23,8 @@
 // x -> M^T (M x), which stays matrix-free (per-apply cost 2 * Time(M));
 // structured subclasses override it with closed forms (e.g. Kron(A, B)
 // yields Kron(Gram(A), Gram(B)); a vertical stack yields the sum of its
-// children's Grams).  Solvers on the normal equations (CG, NNLS) consume
-// Gram() directly and never materialize M.
+// children's Grams).  The solver on the normal equations (NNLS) consumes
+// Gram() directly and never materializes M.
 //
 // Representations are lossless: MaterializeSparse()/MaterializeDense()
 // produce the exact matrix, and the test suite checks every primitive

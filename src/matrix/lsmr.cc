@@ -6,7 +6,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/check.h"
-#include "util/thread_pool.h"
 
 namespace ektelo {
 
@@ -220,25 +219,6 @@ LsmrResult Lsmr(const LinOp& a, const Vec& b, const LsmrOptions& opts) {
   span.Attr("iterations", static_cast<double>(result.iterations));
   span.Attr("istop", static_cast<double>(result.istop));
   return result;
-}
-
-std::vector<LsmrResult> LsmrMulti(const LinOp& a, const Block& rhs,
-                                  const LsmrOptions& opts) {
-  // Golub-Kahan bidiagonalization builds a separate Krylov space per RHS,
-  // so the columns solve independently; the Block packaging exists so
-  // multi-RHS call sites (workload answering, pseudo-inverse columns)
-  // have one entry point that can later be swapped for a block-Krylov
-  // method without touching callers.
-  EK_CHECK_EQ(rhs.rows(), a.rows());
-  // Each column's Krylov recurrence is already serial-per-RHS, so the
-  // columns shard across the thread pool: solve c writes only results[c],
-  // and its FP sequence is independent of which thread runs it.
-  std::vector<LsmrResult> results(rhs.cols());
-  ParallelFor(rhs.cols(), 1, [&](std::size_t c0, std::size_t c1) {
-    for (std::size_t c = c0; c < c1; ++c)
-      results[c] = Lsmr(a, rhs.Col(c), opts);
-  });
-  return results;
 }
 
 }  // namespace ektelo

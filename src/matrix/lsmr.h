@@ -38,11 +38,6 @@ struct LsmrResult {
 /// Solve argmin_x ||A x - b||_2 (optionally damped).
 LsmrResult Lsmr(const LinOp& a, const Vec& b, const LsmrOptions& opts = {});
 
-/// Solve one least-squares problem per column of `rhs` (rhs is rows x k).
-/// Results are ordered by column.
-std::vector<LsmrResult> LsmrMulti(const LinOp& a, const Block& rhs,
-                                  const LsmrOptions& opts = {});
-
 }  // namespace ektelo
 
 #endif  // EKTELO_MATRIX_LSMR_H_

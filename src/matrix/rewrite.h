@@ -139,7 +139,7 @@ class OperatorCache {
   /// Memoized op->Gram(): the derived (possibly materialized — see
   /// SparseOp::Gram's fill guard) Gram operator, keyed by op's hash.
   /// Gram derivation is a deterministic function of op's structure, so a
-  /// hit is bitwise-equivalent to re-deriving — CG/NNLS consume this so
+  /// hit is bitwise-equivalent to re-deriving — NNLS consumes this so
   /// repeated solves against structurally identical stacks stop paying
   /// the sparse A^T A re-materialization.
   LinOpPtr GramOperator(const LinOpPtr& op);
@@ -158,7 +158,7 @@ class OperatorCache {
   /// Gram derived from a stack-allocated operator aliases it non-
   /// owningly and must never outlive the solve as a cache key).  Callers
   /// fall back to a.Gram() on nullptr and must not cache artifacts keyed
-  /// on that fallback.  Shared by the CG/NNLS solvers.
+  /// on that fallback.  Used by the NNLS solver.
   static LinOpPtr CachedGramOrNull(const LinOp& a);
 
   /// Capacity bounds; entries older than the bound are evicted LRU-first.

@@ -1,4 +1,3 @@
-#include "matrix/cg.h"
 #include "ops/inference.h"
 
 #include <algorithm>
@@ -389,13 +388,6 @@ Vec DirectLeastSquaresInference(const MeasurementSet& mset) {
                          : a->Gram()->MaterializeDense();
   Vec atb = a->ApplyT(mset.WeightedY());
   return SolveNormalEquations(std::move(gram), atb);
-}
-
-Vec CgLeastSquaresInference(const MeasurementSet& mset) {
-  EK_CHECK(!mset.empty());
-  LinOpPtr a = MaybeRewrite(mset.WeightedOp());
-  Vec b = mset.WeightedY();
-  return CgLeastSquares(*a, b).x;
 }
 
 Vec ThresholdingInference(Vec xhat, double threshold) {

@@ -71,10 +71,6 @@ Vec MultWeightsStep(const MeasurementSet& mset, Vec xhat,
 /// Dense direct LS baseline (normal equations + Cholesky), O(n^3).
 Vec DirectLeastSquaresInference(const MeasurementSet& mset);
 
-/// LS via conjugate gradient on the normal equations — the alternative
-/// iterative backend (see bench/ablation_inference for the comparison).
-Vec CgLeastSquaresInference(const MeasurementSet& mset);
-
 /// HR (Fig. 1): thresholding post-processor — zero out estimates whose
 /// magnitude is below `threshold` (noise-floor suppression for sparse
 /// data; a Public operator, free under post-processing).

@@ -212,9 +212,11 @@ class MwemLoopPlan final : public Plan {
       return Status::InvalidArgument("rounds must be > 0");
     const double total =
         in.known_total > 0.0 ? in.known_total : opts_.known_total;
-    if (total <= 0.0)
+    // A non-finite total would spend the whole budget on estimates that
+    // are all inf or NaN; refuse it before any measurement.
+    if (!std::isfinite(total) || total <= 0.0)
       return Status::InvalidArgument(
-          "MWEM requires a positive known total");
+          "MWEM requires a positive, finite known total");
     if (in.ranges.empty())
       return Status::InvalidArgument("MWEM needs a range workload");
     LinOpPtr w_op = ApplyMode(RangeQueryOp(in.ranges, n), in.mode);

@@ -9,10 +9,8 @@
 #include <unordered_map>
 #include <utility>
 
-#ifndef _WIN32
 #include <signal.h>
 #include <unistd.h>
-#endif
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -157,12 +155,6 @@ struct BudgetLedger::Impl {
 
   /// Exclusive-create pid lock, reclaiming from a dead owner.
   bool AcquireLock() {
-#ifdef _WIN32
-    // No portable owner-liveness probe; single-writer discipline is the
-    // deployment's responsibility here (matching the store's contract).
-    locked = true;
-    return true;
-#else
     std::FILE* lf = std::fopen(lock_path.c_str(), "wx");
     if (lf == nullptr) {
       if (std::FILE* old = std::fopen(lock_path.c_str(), "rb")) {
@@ -183,7 +175,6 @@ struct BudgetLedger::Impl {
     std::fclose(lf);
     locked = true;
     return true;
-#endif
   }
 
   // ---- recovery (open path; no lock needed yet) ----
@@ -280,11 +271,7 @@ struct BudgetLedger::Impl {
     if (f == nullptr || name.size() > kMaxNameLen) return false;
     obs::Span span("ledger.append", "ledger", &LedgerAppendSeconds());
     span.Attr("epsilon", amount);
-#ifdef _WIN32
-    if (_fseeki64(f, int64_t(append_off), SEEK_SET) != 0) return false;
-#else
     if (fseeko(f, off_t(append_off), SEEK_SET) != 0) return false;
-#endif
     const std::vector<uint8_t> frame = EncodeRecord(kind, name, amount);
     // A failed (possibly partial) write leaves append_off where it was:
     // the NEXT append seeks back and overwrites the torn bytes, and a

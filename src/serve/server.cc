@@ -18,9 +18,7 @@
 #include <unordered_set>
 #include <utility>
 
-#ifndef _WIN32
 #include <sys/socket.h>
-#endif
 
 #include "kernel/budget.h"
 #include "kernel/handles.h"
@@ -154,8 +152,6 @@ ServerOptions ApplyServeEnv(ServerOptions opts) {
   if (EnvU64("EKTELO_SERVE_SLOW_MS", &u, kIntMax)) opts.slow_ms = int(u);
   return opts;
 }
-
-#ifndef _WIN32
 
 struct Server::Impl {
   // ---- fixed at Start ----
@@ -709,7 +705,6 @@ StatusOr<std::unique_ptr<Server>> Server::Start(
 
   LedgerOptions lopts;
   lopts.fsync_each_charge = opts.fsync_ledger;
-  lopts.checkpoint_every = opts.ledger_checkpoint_every;
   im.ledger = BudgetLedger::Open(opts.ledger_dir, lopts);
   if (im.ledger == nullptr)
     return Status::Internal("cannot open budget ledger in " +
@@ -792,29 +787,5 @@ const std::string& Server::socket_path() const {
 }
 
 BudgetLedger& Server::ledger() { return *impl_->ledger; }
-
-#else  // _WIN32
-
-struct Server::Impl {};
-Server::Server() : impl_(new Impl) {}
-Server::~Server() = default;
-StatusOr<std::unique_ptr<Server>> Server::Start(ServerOptions,
-                                                std::vector<TenantSpec>) {
-  return Status::Unimplemented("serving requires AF_UNIX sockets");
-}
-void Server::Stop() {}
-bool Server::stopped() const { return true; }
-void Server::WaitForShutdown() {}
-StatsReply Server::Stats() const { return {}; }
-const std::string& Server::socket_path() const {
-  static const std::string empty;
-  return empty;
-}
-BudgetLedger& Server::ledger() {
-  static BudgetLedger* none = nullptr;
-  return *none;
-}
-
-#endif  // _WIN32
 
 }  // namespace ektelo::serve

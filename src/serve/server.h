@@ -101,8 +101,6 @@ struct ServerOptions {
   double max_eps = 0.0;
   /// fsync the ledger on every charge.  EKTELO_SERVE_FSYNC.
   bool fsync_ledger = false;
-  /// Ledger checkpoint cadence (appends per checkpoint).
-  std::size_t ledger_checkpoint_every = 64;
   /// Per-request deadline: an admitted request that sits in the worker
   /// queue longer than this is refused (kDeadlineExceeded) BEFORE its
   /// budget charge, so a backlogged server sheds stale work instead of

@@ -1,7 +1,5 @@
 #include "serve/torture.h"
 
-#ifndef _WIN32
-
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -188,22 +186,3 @@ CrashMatrixResult RunCrashMatrix(const CrashMatrixOptions& opts) {
 }
 
 }  // namespace ektelo::serve::torture
-
-#else  // _WIN32
-
-namespace ektelo::serve::torture {
-
-bool RunWorkload(const std::string&) { return false; }
-bool VerifyAfterCrash(const std::string&, std::string* why) {
-  if (why != nullptr) *why = "torture harness requires POSIX";
-  return false;
-}
-CrashMatrixResult RunCrashMatrix(const CrashMatrixOptions&) {
-  CrashMatrixResult res;
-  res.violations.push_back("torture harness requires POSIX fork()");
-  return res;
-}
-
-}  // namespace ektelo::serve::torture
-
-#endif  // _WIN32

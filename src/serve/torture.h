@@ -18,8 +18,7 @@
 // O_APPEND write() per released answer, appended only AFTER Charge
 // returned kCharged — it survives _Exit the same way the ledger must.
 //
-// POSIX-only (fork); on other platforms RunCrashMatrix reports zero
-// coverage and one violation explaining why.
+// POSIX-only (fork).
 #ifndef EKTELO_SERVE_TORTURE_H_
 #define EKTELO_SERVE_TORTURE_H_
 

@@ -3,9 +3,7 @@
 #include <cerrno>
 #include <filesystem>
 
-#ifndef _WIN32
 #include <unistd.h>
-#endif
 
 #include "util/failpoint.h"
 
@@ -57,12 +55,7 @@ bool Flush(std::FILE* f, const char* site) {
 
 bool Fsync(std::FILE* f, const char* site) {
   if (Injected(failpoint::Check(site))) return false;
-#ifndef _WIN32
   return fsync(fileno(f)) == 0;
-#else
-  (void)f;
-  return true;
-#endif
 }
 
 bool Rename(const std::string& from, const std::string& to, const char* site) {

@@ -1,7 +1,5 @@
 #include "util/net.h"
 
-#ifndef _WIN32
-
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -255,42 +253,3 @@ void CloseFd(int fd) {
 void IgnoreSigpipe() { ::signal(SIGPIPE, SIG_IGN); }
 
 }  // namespace ektelo::net
-
-#else  // _WIN32
-
-namespace ektelo::net {
-
-namespace {
-Status Unsupported() {
-  return Status::Unimplemented("AF_UNIX sockets are not available");
-}
-}  // namespace
-
-StatusOr<UnixListener> UnixListener::Bind(const std::string&, int) {
-  return Unsupported();
-}
-UnixListener::UnixListener(UnixListener&& o) noexcept
-    : fd_(o.fd_), path_(std::move(o.path_)) {
-  o.fd_ = -1;
-}
-UnixListener& UnixListener::operator=(UnixListener&& o) noexcept {
-  fd_ = o.fd_;
-  path_ = std::move(o.path_);
-  o.fd_ = -1;
-  return *this;
-}
-UnixListener::~UnixListener() = default;
-void UnixListener::Close() {}
-StatusOr<int> UnixListener::Accept(int) { return Unsupported(); }
-StatusOr<int> ConnectUnix(const std::string&, int) { return Unsupported(); }
-Status SetRecvTimeout(int, int) { return Unsupported(); }
-Status SetSendTimeout(int, int) { return Unsupported(); }
-Status SendAll(int, const uint8_t*, std::size_t) { return Unsupported(); }
-Status SendAllV(int, const ByteSpan*, std::size_t) { return Unsupported(); }
-Status RecvAll(int, uint8_t*, std::size_t) { return Unsupported(); }
-void CloseFd(int) {}
-void IgnoreSigpipe() {}
-
-}  // namespace ektelo::net
-
-#endif  // _WIN32

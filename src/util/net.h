@@ -10,9 +10,7 @@
 // whole-buffer send/recv — behind Status-returning calls.  Frame layout
 // on top of the byte stream lives in serve/protocol.h.
 //
-// POSIX-only: on platforms without AF_UNIX sockets every entry point
-// returns kUnimplemented and the serving subsystem is unavailable; the
-// rest of the library is unaffected.
+// POSIX-only (AF_UNIX sockets).
 #ifndef EKTELO_UTIL_NET_H_
 #define EKTELO_UTIL_NET_H_
 

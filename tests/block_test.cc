@@ -1,16 +1,14 @@
 // Unit tests for the blocked operator core: the Block multi-vector, the
 // dense/CSR/Haar blocked kernels, the LinOp default block fallbacks, the
-// identity-panel materialization fallback, and the Gram-driven solvers.
+// identity-panel materialization fallback, and structured Grams.
 #include <cmath>
 
 #include "gtest/gtest.h"
 #include "linalg/block.h"
 #include "linalg/haar.h"
-#include "matrix/cg.h"
 #include "matrix/combinators.h"
 #include "matrix/implicit_ops.h"
 #include "matrix/linop.h"
-#include "matrix/lsmr.h"
 #include "util/rng.h"
 
 namespace ektelo {
@@ -194,29 +192,6 @@ TEST(BlockTest, GramOperatorOfOpaqueOpIsExact) {
     for (std::size_t i = 0; i < 5; ++i)
       EXPECT_NEAR(y.At(i, c), want_col[i], 1e-10);
   }
-}
-
-TEST(BlockTest, CgSpdSolvesGramSystem) {
-  Rng rng(29);
-  DenseMatrix d = RandomDense(12, 6, &rng);
-  auto a = MakeDense(d);
-  Vec x_true = RandomVec(6, &rng);
-  Vec b = a->Gram()->Apply(x_true);
-  CgResult r = CgSpd(*a->Gram(), b, {.tol = 1e-12, .max_iters = 200});
-  for (std::size_t i = 0; i < 6; ++i) EXPECT_NEAR(r.x[i], x_true[i], 1e-6);
-}
-
-TEST(BlockTest, LsmrMultiSolvesEachColumn) {
-  Rng rng(31);
-  DenseMatrix d = RandomDense(10, 4, &rng);
-  auto a = MakeDense(d);
-  Block xs = RandomBlock(4, 3, &rng);
-  Block rhs = a->ApplyBlock(xs);
-  auto results = LsmrMulti(*a, rhs);
-  ASSERT_EQ(results.size(), 3u);
-  for (std::size_t c = 0; c < 3; ++c)
-    for (std::size_t j = 0; j < 4; ++j)
-      EXPECT_NEAR(results[c].x[j], xs.At(j, c), 1e-5);
 }
 
 TEST(BlockTest, StructuredGramsHaveStructuredNames) {

@@ -345,7 +345,8 @@ TEST_F(ExactLsTest, PlansAreBitwiseStableAcrossRewriteAndThreads) {
       {"HB-Striped_kron", {16, 2, 2}, "tree"},
       {"DAWA-Striped", {16, 2, 2}, "tree"},
   };
-  const char* const solvers[5] = {"tree", "haar", "lsmr", "cg", "nnls"};
+  constexpr int kSolvers = 4;
+  const char* const solvers[kSolvers] = {"tree", "haar", "lsmr", "nnls"};
 
   std::set<std::string> covered;
   for (const Case& c : cases) covered.insert(c.plan);
@@ -384,8 +385,8 @@ TEST_F(ExactLsTest, PlansAreBitwiseStableAcrossRewriteAndThreads) {
   for (const Case& c : cases) {
     SCOPED_TRACE(std::string(c.plan) + " on " + std::to_string(c.dims[0]) +
                  "-wide dims");
-    uint64_t before[5];
-    for (int i = 0; i < 5; ++i) before[i] = SolverCalls(solvers[i]);
+    uint64_t before[kSolvers];
+    for (int i = 0; i < kSolvers; ++i) before[i] = SolverCalls(solvers[i]);
     SetRewriteEnabled(0);
     ThreadPool::Global().Resize(0);
     const Vec off = run(c);
@@ -400,7 +401,7 @@ TEST_F(ExactLsTest, PlansAreBitwiseStableAcrossRewriteAndThreads) {
     if (exact) {
       EXPECT_TRUE(BitwiseEqual(rules, off)) << "rules";
     }
-    for (int i = 0; i < 5; ++i) {
+    for (int i = 0; i < kSolvers; ++i) {
       const bool expected = std::strcmp(solvers[i], c.solver) == 0;
       const uint64_t calls = SolverCalls(solvers[i]) - before[i];
       EXPECT_EQ(calls > 0, expected)

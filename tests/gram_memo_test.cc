@@ -1,14 +1,12 @@
-// Gram memoization: CG/NNLS derive their Gram (and NNLS its
-// spectral-norm estimate) through the OperatorCache, so repeated solves
-// of structurally identical stacks skip the per-solve re-derivation
-// bitwise-invisibly.
+// Gram memoization: NNLS derives its Gram and spectral-norm estimate
+// through the OperatorCache, so repeated solves of structurally identical
+// stacks skip the per-solve re-derivation bitwise-invisibly.
 #include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
-#include "matrix/cg.h"
 #include "matrix/nnls.h"
 #include "matrix/rewrite.h"
 #include "util/rng.h"
@@ -77,30 +75,6 @@ TEST(GramMemoTest, NnlsDerivesTheGramOncePerStructure) {
   EXPECT_EQ(uncached.iterations, first.iterations);
   for (std::size_t i = 0; i < first.x.size(); ++i)
     EXPECT_TRUE(BitwiseEq(first.x[i], uncached.x[i])) << i;
-  OperatorCache::Global().Clear();
-}
-
-TEST(GramMemoTest, CgLeastSquaresReusesTheCachedGram) {
-  OperatorCache::Global().Clear();
-  SetRewriteEnabled(1);
-  auto op = std::make_shared<CountingGramOp>(TestMatrix(20, 8));
-  Vec b(20);
-  Rng rng(6);
-  for (auto& v : b) v = rng.Normal();
-
-  CgResult first = CgLeastSquares(*op, b);
-  EXPECT_EQ(op->gram_calls.load(), 1);
-  CgResult second = CgLeastSquares(*op, b);
-  EXPECT_EQ(op->gram_calls.load(), 1);
-
-  SetRewriteEnabled(0);
-  CgResult uncached = CgLeastSquares(*op, b);
-  SetRewriteEnabled(-1);
-  ASSERT_EQ(first.x.size(), uncached.x.size());
-  for (std::size_t i = 0; i < first.x.size(); ++i) {
-    EXPECT_TRUE(BitwiseEq(first.x[i], second.x[i])) << i;
-    EXPECT_TRUE(BitwiseEq(first.x[i], uncached.x[i])) << i;
-  }
   OperatorCache::Global().Clear();
 }
 

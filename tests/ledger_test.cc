@@ -233,7 +233,6 @@ TEST(BudgetLedger, GarbageDataFileRefusesToOpen) {
   fs::remove_all(dir);
 }
 
-#ifndef _WIN32
 TEST(BudgetLedger, WriterLockExcludesSecondOpenAndReclaimsDeadOwner) {
   const std::string dir = FreshDir("lock");
   auto ledger = BudgetLedger::Open(dir, {});
@@ -251,7 +250,6 @@ TEST(BudgetLedger, WriterLockExcludesSecondOpenAndReclaimsDeadOwner) {
   EXPECT_NE(BudgetLedger::Open(dir, {}), nullptr);
   fs::remove_all(dir);
 }
-#endif
 
 TEST(BudgetLedger, ConcurrentChargesNeverOverspend) {
   const std::string dir = FreshDir("conc");

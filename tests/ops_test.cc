@@ -403,5 +403,35 @@ TEST(InferenceTest, DirectMatchesIterativeSmall) {
   for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(direct[i], iter[i], 1e-4);
 }
 
+TEST(ThresholdingTest, ZeroesSmallEntriesOnly) {
+  Vec x = {0.5, -0.4, 10.0, -7.0, 0.0};
+  Vec t = ThresholdingInference(x, 1.0);
+  EXPECT_DOUBLE_EQ(t[0], 0.0);
+  EXPECT_DOUBLE_EQ(t[1], 0.0);
+  EXPECT_DOUBLE_EQ(t[2], 10.0);
+  EXPECT_DOUBLE_EQ(t[3], -7.0);
+}
+
+TEST(ThresholdingTest, ZeroThresholdIsIdentity) {
+  Vec x = {0.1, -0.1};
+  Vec t = ThresholdingInference(x, 0.0);
+  EXPECT_DOUBLE_EQ(t[0], 0.1);
+  EXPECT_DOUBLE_EQ(t[1], -0.1);
+}
+
+TEST(ThresholdingTest, ImprovesSparseEstimates) {
+  // On sparse data, zeroing the noise floor reduces error (AHP's trick).
+  Rng rng(4);
+  const std::size_t n = 512;
+  Vec x_true(n, 0.0);
+  x_true[7] = 500.0;
+  x_true[300] = 800.0;
+  Vec noisy = x_true;
+  const double scale = 10.0;
+  for (auto& v : noisy) v += rng.Laplace(scale);
+  Vec cleaned = ThresholdingInference(noisy, 2.0 * scale);
+  EXPECT_LT(Rmse(cleaned, x_true), Rmse(noisy, x_true));
+}
+
 }  // namespace
 }  // namespace ektelo

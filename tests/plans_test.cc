@@ -3,6 +3,7 @@
 // sane error; data-dependent plans beat data-independent ones on the data
 // shapes they target; matrix mode does not change plan semantics.
 #include <cmath>
+#include <limits>
 
 #include "data/generators.h"
 #include "gtest/gtest.h"
@@ -225,6 +226,25 @@ TEST(PlansTest, MwemVariantsRunOnBudget) {
       ASSERT_TRUE(xhat.ok()) << augment << nnls;
       EXPECT_NEAR(env.kernel.BudgetConsumed(), 0.4, 1e-9);
     }
+  }
+}
+
+TEST(PlansTest, MwemRefusesNonFiniteTotalBeforeSpending) {
+  Rng rng(12);
+  const std::size_t n = 64;
+  Vec hist = MakeHistogram1D(Shape1D::kStep, n, 4000.0, &rng);
+  const auto ranges = RandomRanges(20, n, 16, &rng);
+  for (const char* name :
+       {"MWEM", "MWEM variant b", "MWEM variant c", "MWEM variant d"}) {
+    Env env(hist, {n}, 0.4, 21, &rng);
+    env.in.ranges = ranges;
+    env.in.known_total = std::numeric_limits<double>::infinity();
+    BudgetScope scope(env.eps);
+    auto xhat = Registered(name).Execute(env.x, scope, env.in);
+    ASSERT_FALSE(xhat.ok()) << name;
+    EXPECT_EQ(xhat.status().code(), StatusCode::kInvalidArgument) << name;
+    EXPECT_EQ(scope.remaining(), env.eps) << name;
+    EXPECT_EQ(env.kernel.BudgetConsumed(), 0.0) << name;
   }
 }
 
