@@ -19,6 +19,7 @@
 
 #include "bench_util.h"
 #include "data/generators.h"
+#include "obs/metrics.h"
 #include "serve/client.h"
 #include "serve/server.h"
 #include "util/rng.h"
@@ -44,8 +45,18 @@ struct StormResult {
   Vec first_estimate;  // for the cross-mode bitwise-equality check
 };
 
+/// One ektelo_serve_requests{event=...} series from the registry.
+std::uint64_t ServeEvents(const char* event) {
+  const std::string labels = std::string("event=\"") + event + "\"";
+  for (const obs::MetricInfo& m : obs::Registry::Global().Metrics())
+    if (m.name == "ektelo_serve_requests" && m.labels == labels)
+      return m.counter->Value();
+  return 0;
+}
+
 /// `threads` clients each fire `per_thread` structurally identical
-/// requests at a fresh server; returns wall time and serve stats.
+/// requests at a fresh server; returns wall time and the storm's
+/// execution and coalescing counts (registry deltas).
 StormResult RunStorm(bool coalesce, std::size_t threads,
                      std::size_t per_thread, std::size_t domain_n,
                      double eps) {
@@ -56,7 +67,6 @@ StormResult RunStorm(bool coalesce, std::size_t threads,
       (fs::temp_directory_path() / ("ektelo_bench_serve_" + tag)).string();
   fs::remove(opts.socket_path);
   fs::remove_all(opts.ledger_dir);
-  opts.coalesce = coalesce;
   opts.workers = 4;
 
   Rng trng{41};
@@ -79,8 +89,11 @@ StormResult RunStorm(bool coalesce, std::size_t threads,
   req.tenant = "alpha";
   req.plan = "H2";
   req.eps = eps;
+  req.coalesce = coalesce;
 
   StormResult result;
+  const std::uint64_t executed0 = ServeEvents("executed");
+  const std::uint64_t coalesced0 = ServeEvents("coalesced");
   std::atomic<std::size_t> ok{0};
   std::mutex first_mu;
   WallTimer timer;
@@ -104,9 +117,8 @@ StormResult RunStorm(bool coalesce, std::size_t threads,
   for (auto& th : clients) th.join();
   result.seconds = timer.Elapsed();
   result.ok = ok.load();
-  const auto stats = (*server)->Stats();
-  result.executions = stats.executions;
-  result.coalesced = stats.coalesced;
+  result.executions = ServeEvents("executed") - executed0;
+  result.coalesced = ServeEvents("coalesced") - coalesced0;
   (*server)->Stop();
   fs::remove(opts.socket_path);
   fs::remove_all(opts.ledger_dir);

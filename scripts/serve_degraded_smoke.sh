@@ -5,8 +5,8 @@
 #   - the invoke whose charge could not be made durable is refused with
 #     DURABILITY_ERROR (client exit 7) and releases nothing,
 #   - the daemon keeps answering: the next invoke succeeds, and
-#   - stats report refused_durability=1 and a tenant `spent` equal to
-#     the released answers only.
+#   - the `stats` scrape reports one refused_durability event and a
+#     tenant `spent` equal to the released answers only.
 #
 # The ledger is created by a first, fault-free start, so the armed
 # `ledger.append=error.eio@1` fires on the first charge rather than on
@@ -87,9 +87,11 @@ echo "$OUT" | grep -q "code=OK" || fail "invoke after the failed charge not OK"
 
 echo "== stats count the refusal and only the released budget =="
 STATS="$("$CLIENT" --socket "$SOCK" stats)"
-echo "$STATS" | grep -q "refused_durability=1 " \
-  || fail "stats do not report refused_durability=1: $STATS"
-echo "$STATS" | grep -q "^tenant=alpha total=4 spent=0.25$" \
+echo "$STATS" | grep -qxF 'ektelo_serve_requests_total{event="refused_durability"} 1' \
+  || fail "stats do not report one refused_durability event: $STATS"
+echo "$STATS" | grep -qxF 'ektelo_tenant_budget_eps{tenant="alpha",kind="total"} 4' \
+  || fail "alpha's total budget is not 4: $STATS"
+echo "$STATS" | grep -qxF 'ektelo_tenant_budget_eps{tenant="alpha",kind="spent"} 0.25' \
   || fail "alpha's spent budget is not the one released answer: $STATS"
 stop_server
 

@@ -82,7 +82,9 @@ grep -q "clean shutdown" "$LOG" || fail "no clean-shutdown line in log"
 
 start_server || exit 1
 STATS="$("$CLIENT" --socket "$SOCK" stats)"
-echo "$STATS" | grep -q "tenant=alpha total=0.5 spent=0.5" \
+echo "$STATS" | grep -qxF 'ektelo_tenant_budget_eps{tenant="alpha",kind="total"} 0.5' \
+  || fail "alpha total not preserved across restart: $STATS"
+echo "$STATS" | grep -qxF 'ektelo_tenant_budget_eps{tenant="alpha",kind="spent"} 0.5' \
   || fail "alpha spent not preserved across restart: $STATS"
 "$CLIENT" --socket "$SOCK" invoke --tenant alpha --plan Identity --eps 0.1 \
   > /dev/null

@@ -243,8 +243,8 @@ struct OperatorCache::Impl {
 
 // Repoints the traffic counters at registry-registered series, making
 // the registry the single source of truth for the process-wide cache
-// (serve Stats and the Prometheus endpoint read the same counters this
-// code increments).  Called once, before the global instance sees any
+// (the Prometheus endpoint reads the same counters this code
+// increments).  Called once, before the global instance sees any
 // traffic; locally constructed caches keep their private counters.
 void OperatorCache::Impl::BindGlobalMetrics() {
   obs::Registry& r = obs::Registry::Global();

@@ -99,6 +99,10 @@ LinOpPtr MaybeRewrite(LinOpPtr op);
 /// Bounded, thread-safe memo cache: structural hash -> derived artifact.
 class OperatorCache {
  public:
+  /// One cache's own counts.  The global instance's hits, misses and
+  /// evictions are registry series (ektelo_cache_*); this struct stays
+  /// because `entries` and `bytes`, and every count of a locally built
+  /// cache, are not in the registry.
   struct Stats {
     std::size_t hits = 0;
     std::size_t misses = 0;

@@ -18,9 +18,10 @@
 //      bitwise identical with observability armed or disarmed (asserted
 //      registry-wide by tests/obs_test.cc).
 //   2. The disarmed hot path costs one relaxed atomic load.  Counters
-//      are always live (they back the serve Stats protocol and cost one
-//      relaxed add on a cacheline-padded per-thread shard — cheaper
-//      than the mutexed ints they replaced), but everything that needs
+//      are always live (they are the daemon's only request counts, read
+//      through the Prometheus scrape, and cost one relaxed add on a
+//      cacheline-padded per-thread shard — cheaper than the mutexed
+//      ints they replaced), but everything that needs
 //      a clock (latency histograms via obs::Span, trace recording)
 //      checks a single process-global relaxed atomic and bails.
 //

@@ -108,84 +108,52 @@ Client::~Client() {
   if (fd_ >= 0) net::CloseFd(fd_);
 }
 
+StatusOr<std::vector<uint8_t>> Client::RetryingRoundTrip(
+    MsgType send_type, const std::vector<uint8_t>& payload,
+    MsgType want_reply, int retries) {
+  Status last = Status::Ok();
+  for (int attempt = 0; attempt <= std::max(0, retries); ++attempt) {
+    if (attempt > 0) {
+      Backoff(attempt - 1);
+      if (Status s = Reconnect(); !s.ok()) {
+        last = s;
+        continue;
+      }
+    }
+    std::vector<uint8_t> reply;
+    last = RoundTrip(fd_, send_type, payload, want_reply, &reply);
+    if (last.ok()) return reply;
+    if (!RetryableTransport(last)) break;
+  }
+  return last;
+}
+
 StatusOr<InvokeReply> Client::Invoke(const InvokeRequest& req) {
   // A resend is only safe when the daemon can recognize it as the same
   // request: coalescable invokes replay from the response cache (or join
   // the in-flight execution) with eps_charged = 0, so a retry after an
   // ambiguous failure cannot double-spend.  Non-coalescable invokes get
   // exactly one attempt.
-  const int retries = req.coalesce ? std::max(0, opts_.max_retries) : 0;
-  Status last = Status::Ok();
-  for (int attempt = 0; attempt <= retries; ++attempt) {
-    if (attempt > 0) {
-      Backoff(attempt - 1);
-      if (Status s = Reconnect(); !s.ok()) {
-        last = s;
-        continue;
-      }
-    }
-    std::vector<uint8_t> payload;
-    last = RoundTrip(fd_, MsgType::kInvoke, EncodeInvokeRequest(req),
-                     MsgType::kInvokeReply, &payload);
-    if (last.ok()) {
-      InvokeReply reply;
-      if (!DecodeInvokeReply(payload, &reply))
-        return Status::Internal("malformed invoke reply");
-      return reply;
-    }
-    if (!RetryableTransport(last)) break;
-  }
-  return last;
-}
-
-StatusOr<StatsReply> Client::Stats() {
-  Status last = Status::Ok();
-  for (int attempt = 0; attempt <= std::max(0, opts_.max_retries);
-       ++attempt) {
-    if (attempt > 0) {
-      Backoff(attempt - 1);
-      if (Status s = Reconnect(); !s.ok()) {
-        last = s;
-        continue;
-      }
-    }
-    std::vector<uint8_t> payload;
-    last = RoundTrip(fd_, MsgType::kStats, {}, MsgType::kStatsReply,
-                     &payload);
-    if (last.ok()) {
-      StatsReply stats;
-      if (!DecodeStatsReply(payload, &stats))
-        return Status::Internal("malformed stats reply");
-      return stats;
-    }
-    if (!RetryableTransport(last)) break;
-  }
-  return last;
+  EK_ASSIGN_OR_RETURN(
+      const std::vector<uint8_t> payload,
+      RetryingRoundTrip(MsgType::kInvoke, EncodeInvokeRequest(req),
+                        MsgType::kInvokeReply,
+                        req.coalesce ? opts_.max_retries : 0));
+  InvokeReply reply;
+  if (!DecodeInvokeReply(payload, &reply))
+    return Status::Internal("malformed invoke reply");
+  return reply;
 }
 
 StatusOr<std::string> Client::TextRoundTrip(MsgType send_type,
                                             MsgType want_reply) {
-  Status last = Status::Ok();
-  for (int attempt = 0; attempt <= std::max(0, opts_.max_retries);
-       ++attempt) {
-    if (attempt > 0) {
-      Backoff(attempt - 1);
-      if (Status s = Reconnect(); !s.ok()) {
-        last = s;
-        continue;
-      }
-    }
-    std::vector<uint8_t> payload;
-    last = RoundTrip(fd_, send_type, {}, want_reply, &payload);
-    if (last.ok()) {
-      std::string text;
-      if (!DecodeTextReply(payload, &text))
-        return Status::Internal("malformed text reply");
-      return text;
-    }
-    if (!RetryableTransport(last)) break;
-  }
-  return last;
+  EK_ASSIGN_OR_RETURN(
+      const std::vector<uint8_t> payload,
+      RetryingRoundTrip(send_type, {}, want_reply, opts_.max_retries));
+  std::string text;
+  if (!DecodeTextReply(payload, &text))
+    return Status::Internal("malformed text reply");
+  return text;
 }
 
 StatusOr<std::string> Client::StatsProm() {

@@ -11,14 +11,16 @@
 // have executed and charged on the server, so Invoke retries only
 // requests with `coalesce` set: an identical resend lands in the
 // daemon's response cache or in-flight entry and is answered as a
-// replay with eps_charged = 0 (idempotency by coalescing).  Stats is
-// read-only and always retryable; Shutdown is never retried.  Backoff
-// jitter is seeded (retry_seed) so tests replay identical schedules.
+// replay with eps_charged = 0 (idempotency by coalescing).  StatsProm
+// and Trace are read-only and always retryable; Shutdown is never
+// retried.  Backoff jitter is seeded (retry_seed) so tests replay
+// identical schedules.
 #ifndef EKTELO_SERVE_CLIENT_H_
 #define EKTELO_SERVE_CLIENT_H_
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "serve/protocol.h"
 #include "util/status.h"
@@ -64,9 +66,6 @@ class Client {
   /// means the request MAY still have executed server-side.
   StatusOr<InvokeReply> Invoke(const InvokeRequest& req);
 
-  /// Server counters and per-tenant balances.  Read-only; retried.
-  StatusOr<StatsReply> Stats();
-
   /// The daemon's metrics registry in Prometheus text exposition
   /// format.  Read-only; retried.
   StatusOr<std::string> StatsProm();
@@ -86,8 +85,13 @@ class Client {
 
   /// Arms the per-attempt read/write deadlines on a fresh fd.
   Status ArmDeadlines(int fd) const;
-  /// Shared retry loop for the read-only text endpoints (Prometheus
-  /// stats, traces): empty request, one text-blob reply.
+  /// Sends one frame and reads its reply; after a retryable transport
+  /// failure, backs off, reconnects and resends, up to `retries` times.
+  StatusOr<std::vector<uint8_t>> RetryingRoundTrip(
+      MsgType send_type, const std::vector<uint8_t>& payload,
+      MsgType want_reply, int retries);
+  /// The read-only text endpoints (Prometheus stats, traces): empty
+  /// request, one text-blob reply, always retried.
   StatusOr<std::string> TextRoundTrip(MsgType send_type, MsgType want_reply);
   /// Drops the (poisoned) connection and dials again.
   Status Reconnect();

@@ -109,45 +109,6 @@ bool DecodeInvokeReply(const std::vector<uint8_t>& bytes,
   return true;
 }
 
-std::vector<uint8_t> EncodeStatsReply(const StatsReply& stats) {
-  store::ByteWriter w;
-  w.U64(stats.received);
-  w.U64(stats.admitted);
-  w.U64(stats.refused_budget);
-  w.U64(stats.refused_queue);
-  w.U64(stats.refused_bad);
-  w.U64(stats.executions);
-  w.U64(stats.coalesced);
-  w.U64(stats.cache_hits);
-  w.U64(stats.refused_durability);
-  w.U64(stats.refused_deadline);
-  w.U64(stats.tenants.size());
-  for (const auto& t : stats.tenants) {
-    PutString(t.name, &w);
-    w.F64(t.total);
-    w.F64(t.spent);
-  }
-  return w.Take();
-}
-
-bool DecodeStatsReply(const std::vector<uint8_t>& bytes, StatsReply* stats) {
-  store::ByteReader r(bytes);
-  uint64_t n;
-  if (!r.U64(&stats->received) || !r.U64(&stats->admitted) ||
-      !r.U64(&stats->refused_budget) || !r.U64(&stats->refused_queue) ||
-      !r.U64(&stats->refused_bad) || !r.U64(&stats->executions) ||
-      !r.U64(&stats->coalesced) || !r.U64(&stats->cache_hits) ||
-      !r.U64(&stats->refused_durability) ||
-      !r.U64(&stats->refused_deadline) || !r.U64(&n) ||
-      r.remaining() / 24 < n)
-    return false;
-  stats->tenants.resize(std::size_t(n));
-  for (auto& t : stats->tenants)
-    if (!GetString(&r, &t.name) || !r.F64(&t.total) || !r.F64(&t.spent))
-      return false;
-  return r.remaining() == 0;
-}
-
 std::vector<uint8_t> EncodeTextReply(const std::string& text) {
   store::ByteWriter w;
   PutString(text, &w);

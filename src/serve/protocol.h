@@ -39,14 +39,14 @@ inline constexpr std::size_t kMaxPayloadBytes = std::size_t{64} << 20;
 enum class MsgType : uint8_t {
   kInvoke = 1,
   kInvokeReply = 2,
-  kStats = 3,
-  kStatsReply = 4,
+  // Tags 3 and 4 carried a fixed-field counter snapshot.  They are
+  // retired and never reused: the server treats them as unknown types
+  // and drops the connection.  Counters are served by kStatsProm.
   kShutdown = 5,
   kShutdownReply = 6,
-  // Observability endpoints (appended — old clients and servers never
-  // see the new tags, so the 1-6 wire surface is untouched).  Both
-  // replies carry one opaque text blob: Prometheus exposition text for
-  // kStatsProm, Chrome trace_event JSON for kTrace.
+  // Observability endpoints.  Both replies carry one opaque text blob:
+  // Prometheus exposition text for kStatsProm, Chrome trace_event JSON
+  // for kTrace.
   kStatsProm = 7,
   kStatsPromReply = 8,
   kTrace = 9,
@@ -103,19 +103,12 @@ struct InvokeReply {
   Vec estimate;             // empty on non-kOk
 };
 
-/// Server-side counters + per-tenant balances, for clients, tests and
-/// the smoke script.  All values are public bookkeeping.
+/// Per-tenant ledger balances of an in-process server (Server::Stats).
+/// Not a wire message: over the socket, balances and counters are
+/// served only by the metrics scrape (kStatsProm).  Kept because
+/// servebench checks each tenant's ledger spend against the epsilon it
+/// saw released.
 struct StatsReply {
-  uint64_t received = 0;
-  uint64_t admitted = 0;
-  uint64_t refused_budget = 0;
-  uint64_t refused_queue = 0;
-  uint64_t refused_bad = 0;
-  uint64_t executions = 0;         // fresh kernel executions
-  uint64_t coalesced = 0;          // requests answered without one
-  uint64_t cache_hits = 0;         // OperatorCache hits snapshot
-  uint64_t refused_durability = 0; // ledger append failed; failed closed
-  uint64_t refused_deadline = 0;   // queued past the request deadline
   struct Tenant {
     std::string name;
     double total = 0.0;
@@ -132,9 +125,6 @@ bool DecodeInvokeRequest(const std::vector<uint8_t>& bytes,
 
 std::vector<uint8_t> EncodeInvokeReply(const InvokeReply& reply);
 bool DecodeInvokeReply(const std::vector<uint8_t>& bytes, InvokeReply* reply);
-
-std::vector<uint8_t> EncodeStatsReply(const StatsReply& stats);
-bool DecodeStatsReply(const std::vector<uint8_t>& bytes, StatsReply* stats);
 
 /// kStatsPromReply / kTraceReply payload: one length-prefixed text blob
 /// (Prometheus exposition text or Chrome trace_event JSON).  The blob

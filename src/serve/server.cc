@@ -23,7 +23,6 @@
 #include "kernel/budget.h"
 #include "kernel/handles.h"
 #include "kernel/kernel.h"
-#include "matrix/rewrite.h"
 #include "obs/export.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
@@ -133,6 +132,32 @@ obs::Histogram& TotalSeconds() {
   return h;
 }
 
+/// Serve request lifecycle counters, one `ektelo_serve_requests` series
+/// per admission event.  The registry is their only home: they are
+/// process-global and monotone across server restarts, so a per-server
+/// count is the difference of two reads.
+obs::Counter& ServeRequests(const char* event) {
+  return obs::Registry::Global().GetCounter(
+      "ektelo_serve_requests",
+      "Serve request lifecycle outcomes, by admission event",
+      std::string("event=\"") + event + "\"");
+}
+struct RequestCounters {
+  obs::Counter& received = ServeRequests("received");
+  obs::Counter& admitted = ServeRequests("admitted");
+  obs::Counter& refused_budget = ServeRequests("refused_budget");
+  obs::Counter& refused_queue = ServeRequests("refused_queue");
+  obs::Counter& refused_bad = ServeRequests("refused_bad");
+  obs::Counter& executed = ServeRequests("executed");
+  obs::Counter& coalesced = ServeRequests("coalesced");
+  obs::Counter& refused_durability = ServeRequests("refused_durability");
+  obs::Counter& refused_deadline = ServeRequests("refused_deadline");
+};
+RequestCounters& Requests() {
+  static RequestCounters c;
+  return c;
+}
+
 }  // namespace
 
 ServerOptions ApplyServeEnv(ServerOptions opts) {
@@ -141,7 +166,6 @@ ServerOptions ApplyServeEnv(ServerOptions opts) {
     opts.workers = std::max<std::size_t>(1, std::size_t(u));
   if (EnvU64("EKTELO_SERVE_QUEUE", &u))
     opts.queue_capacity = std::max<std::size_t>(1, std::size_t(u));
-  if (EnvU64("EKTELO_SERVE_COALESCE", &u)) opts.coalesce = u != 0;
   if (EnvU64("EKTELO_SERVE_RESPONSE_CACHE", &u))
     opts.response_cache_entries = std::size_t(u);
   EnvF64("EKTELO_SERVE_MAX_EPS", &opts.max_eps);
@@ -163,7 +187,7 @@ struct Server::Impl {
     uint64_t seed = 0;
   };
   std::unordered_map<std::string, Tenant> tenants;
-  std::vector<std::string> tenant_order;  // registration order, for Stats
+  std::vector<std::string> tenant_order;  // registration order
   std::unique_ptr<BudgetLedger> ledger;
   std::optional<net::UnixListener> listener;
 
@@ -196,44 +220,6 @@ struct Server::Impl {
   std::unordered_map<std::string, std::shared_ptr<Inflight>> inflight;
   std::unordered_map<std::string, CachedAnswer> answers;
   std::list<std::string> answer_lru;  // front = most recent
-
-  // ---- counters ----
-  // The process-global metrics registry is the single source of truth;
-  // each server keeps only a base snapshot (taken at Start) so its
-  // Stats() view begins at zero while the registry series stay
-  // monotone across server restarts within one process.
-  struct CounterView {
-    obs::Counter* c = nullptr;
-    uint64_t base = 0;
-    void Inc() { c->Inc(); }
-    uint64_t Delta() const {
-      const uint64_t v = c->Value();
-      return v > base ? v - base : 0;
-    }
-  };
-  CounterView received, admitted, refused_budget, refused_queue, refused_bad,
-      executions, coalesced, refused_durability, refused_deadline;
-
-  void BindServeMetrics() {
-    obs::Registry& reg = obs::Registry::Global();
-    const std::string name = "ektelo_serve_requests";
-    const std::string help =
-        "Serve request lifecycle outcomes, by admission event";
-    auto bind = [&](CounterView* v, const char* event) {
-      v->c = &reg.GetCounter(name, help,
-                             "event=\"" + std::string(event) + "\"");
-      v->base = v->c->Value();
-    };
-    bind(&received, "received");
-    bind(&admitted, "admitted");
-    bind(&refused_budget, "refused_budget");
-    bind(&refused_queue, "refused_queue");
-    bind(&refused_bad, "refused_bad");
-    bind(&executions, "executed");
-    bind(&coalesced, "coalesced");
-    bind(&refused_durability, "refused_durability");
-    bind(&refused_deadline, "refused_deadline");
-  }
 
   // ---- threads / lifecycle ----
   struct Task {
@@ -306,6 +292,7 @@ struct Server::Impl {
     if (plan == nullptr) return "unknown plan \"" + req.plan + "\"";
     if (!(req.eps > 0.0) || !std::isfinite(req.eps))
       return "eps must be positive and finite";
+    if (!std::isfinite(req.known_total)) return "known_total must be finite";
     if (opts.max_eps > 0.0 && req.eps > opts.max_eps)
       return "eps exceeds the per-request ceiling";
     if (req.mode > 2) return "bad matrix mode";
@@ -369,7 +356,7 @@ struct Server::Impl {
             std::chrono::milliseconds(opts.request_deadline_ms)) {
       r.code = ReplyCode::kDeadlineExceeded;
       r.message = "request exceeded the server deadline in queue";
-      refused_deadline.Inc();
+      Requests().refused_deadline.Inc();
       {
         std::lock_guard<std::mutex> lock(co_mu);
         inflight.erase(t.key);
@@ -392,11 +379,11 @@ struct Server::Impl {
       // append can only ever over-count the spend, never under-count.)
       r.code = ReplyCode::kDurabilityError;
       r.message = "ledger write failed; request refused";
-      refused_durability.Inc();
+      Requests().refused_durability.Inc();
     } else if (charge == ChargeResult::kRefused) {
       r.code = ReplyCode::kBudgetExhausted;
       r.message = "tenant budget exhausted";
-      refused_budget.Inc();
+      Requests().refused_budget.Inc();
     } else {
       if (opts.test_execution_delay_ms > 0)
         std::this_thread::sleep_for(
@@ -420,7 +407,7 @@ struct Server::Impl {
     {
       std::lock_guard<std::mutex> lock(co_mu);
       if (r.code == ReplyCode::kOk) {
-        executions.Inc();
+        Requests().executed.Inc();
         if (t.cacheable) CacheInsert(t.key, r.estimate);
       }
       inflight.erase(t.key);
@@ -483,14 +470,14 @@ struct Server::Impl {
                        const std::shared_ptr<obs::RequestTrace>& trace) {
     InvokeReply out;
     out.request_id = req.request_id;
-    received.Inc();
+    Requests().received.Inc();
     std::string err;
     {
       obs::Span vspan("serve.validate", "serve", &ValidateSeconds());
       err = Validate(req);
     }
     if (!err.empty()) {
-      refused_bad.Inc();
+      Requests().refused_bad.Inc();
       out.code = ReplyCode::kBadRequest;
       out.message = std::move(err);
       return out;
@@ -498,7 +485,7 @@ struct Server::Impl {
     // Advisory fast path: refuse before any queue slot or kernel is
     // involved.  (Public-state decision — Alg. 2 refusals leak nothing.)
     if (!ledger->CanCharge(req.tenant, req.eps)) {
-      refused_budget.Inc();
+      Requests().refused_budget.Inc();
       out.code = ReplyCode::kBudgetExhausted;
       out.message = "tenant budget exhausted";
       return out;
@@ -506,13 +493,12 @@ struct Server::Impl {
 
     const uint64_t hash = RequestContentHash(req);
     const std::string key = CoalesceKey(req.tenant, hash);
-    const bool can_coalesce = opts.coalesce && req.coalesce;
     std::shared_ptr<Inflight> fly;
     bool leader = true;
-    if (can_coalesce) {
+    if (req.coalesce) {
       std::lock_guard<std::mutex> lock(co_mu);
       if (const CachedAnswer* hit = CacheFind(key)) {
-        coalesced.Inc();
+        Requests().coalesced.Inc();
         out.code = ReplyCode::kOk;
         out.coalesced = true;
         out.eps_charged = 0.0;  // replay of an already-charged answer
@@ -536,7 +522,7 @@ struct Server::Impl {
       task.req = req;
       task.hash = hash;
       task.key = key;
-      task.cacheable = can_coalesce;
+      task.cacheable = req.coalesce;
       task.fly = fly;
       task.enqueued = std::chrono::steady_clock::now();
       task.trace = trace;
@@ -548,8 +534,8 @@ struct Server::Impl {
                                        : ReplyCode::kQueueFull;
         refusal.message = stopping.load() ? "server shutting down"
                                           : "request queue full";
-        refused_queue.Inc();
-        if (can_coalesce) {
+        Requests().refused_queue.Inc();
+        if (req.coalesce) {
           std::lock_guard<std::mutex> lock(co_mu);
           inflight.erase(key);
         }
@@ -558,7 +544,7 @@ struct Server::Impl {
         refusal.request_id = req.request_id;
         return refusal;
       }
-      admitted.Inc();
+      Requests().admitted.Inc();
     }
 
     out = fly->Wait();
@@ -566,29 +552,9 @@ struct Server::Impl {
     if (!leader) {
       out.coalesced = true;
       if (out.code == ReplyCode::kOk) out.eps_charged = 0.0;
-      coalesced.Inc();
+      Requests().coalesced.Inc();
     }
     return out;
-  }
-
-  StatsReply BuildStats() {
-    StatsReply s;
-    s.received = received.Delta();
-    s.admitted = admitted.Delta();
-    s.refused_budget = refused_budget.Delta();
-    s.refused_queue = refused_queue.Delta();
-    s.refused_bad = refused_bad.Delta();
-    s.executions = executions.Delta();
-    s.coalesced = coalesced.Delta();
-    s.refused_durability = refused_durability.Delta();
-    s.refused_deadline = refused_deadline.Delta();
-    const OperatorCache::Stats cs = OperatorCache::Global().stats();
-    s.cache_hits = cs.hits;
-    for (const std::string& name : tenant_order) {
-      if (auto b = ledger->Balance(name))
-        s.tenants.push_back({name, b->total, b->spent});
-    }
-    return s;
   }
 
   /// Prometheus scrape: counters and histograms are live already; only
@@ -622,19 +588,14 @@ struct Server::Impl {
         if (!DecodeInvokeRequest(payload, &req)) {
           // The frame itself was intact (checksum passed), so the
           // stream is still synchronized; refuse just this request.
-          received.Inc();
-          refused_bad.Inc();
+          Requests().received.Inc();
+          Requests().refused_bad.Inc();
           reply.code = ReplyCode::kBadRequest;
           reply.message = "malformed invoke payload";
         } else {
           reply = HandleInvoke(std::move(req));
         }
         if (!WriteFrame(fd, MsgType::kInvokeReply, EncodeInvokeReply(reply))
-                 .ok())
-          break;
-      } else if (type == MsgType::kStats) {
-        if (!WriteFrame(fd, MsgType::kStatsReply,
-                        EncodeStatsReply(BuildStats()))
                  .ok())
           break;
       } else if (type == MsgType::kStatsProm) {
@@ -698,7 +659,7 @@ StatusOr<std::unique_ptr<Server>> Server::Start(
 
   std::unique_ptr<Server> server(new Server);
   Impl& im = *server->impl_;
-  im.BindServeMetrics();  // base snapshot BEFORE any request arrives
+  Requests();  // every event series is in the first scrape, even at 0
   im.opts = opts;
   im.opts.workers = std::max<std::size_t>(1, im.opts.workers);
   im.opts.queue_capacity = std::max<std::size_t>(1, im.opts.queue_capacity);
@@ -780,7 +741,13 @@ void Server::WaitForShutdown() {
   impl_->stop_cv.wait(lock, [&] { return impl_->stop_signaled; });
 }
 
-StatsReply Server::Stats() const { return impl_->BuildStats(); }
+StatsReply Server::Stats() const {
+  StatsReply s;
+  for (const std::string& name : impl_->tenant_order)
+    if (auto b = impl_->ledger->Balance(name))
+      s.tenants.push_back({name, b->total, b->spent});
+  return s;
+}
 
 const std::string& Server::socket_path() const {
   return impl_->opts.socket_path;

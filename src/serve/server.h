@@ -89,11 +89,9 @@ struct ServerOptions {
   /// Bounded request-queue capacity; TryPush failure is the kQueueFull
   /// admission refusal.  EKTELO_SERVE_QUEUE.
   std::size_t queue_capacity = 64;
-  /// Master switch for identical-request coalescing (in-flight sharing
-  /// AND the response cache).  EKTELO_SERVE_COALESCE=0 disables.
-  bool coalesce = true;
   /// Response-cache entries (0 disables the cache but keeps in-flight
-  /// sharing when `coalesce`).  EKTELO_SERVE_RESPONSE_CACHE.
+  /// sharing for requests with `coalesce` set).
+  /// EKTELO_SERVE_RESPONSE_CACHE.
   std::size_t response_cache_entries = 256;
   /// Per-request epsilon ceiling (requests above it are kBadRequest —
   /// one request may not drain a tenant in a single shot).
@@ -145,6 +143,10 @@ class Server {
   /// Blocks until a client shutdown request or Stop() arrives.
   void WaitForShutdown();
 
+  /// Per-tenant ledger balances, in registration order.  Counters are
+  /// not here: they live only in the metrics registry (scraped over the
+  /// socket by Client::StatsProm).  Kept for servebench's check of the
+  /// spent budget against the epsilon it saw released.
   StatsReply Stats() const;
   const std::string& socket_path() const;
   /// The live ledger (owned by the server) — for test assertions.

@@ -13,6 +13,7 @@
 #include <cstring>
 #include <filesystem>
 #include <initializer_list>
+#include <limits>
 #include <set>
 #include <string>
 #include <thread>
@@ -83,6 +84,26 @@ void Cleanup(const ServerOptions& opts) {
   fs::remove_all(opts.ledger_dir);
 }
 
+// Counter reads from the process-global metrics registry, the daemon's
+// one source of stats.  Registry series are monotone across servers in
+// one process, so assertions compare before/after deltas.
+uint64_t RegistryCounter(const std::string& name, const std::string& labels) {
+  for (const obs::MetricInfo& m : obs::Registry::Global().Metrics())
+    if (m.type == obs::MetricType::kCounter && m.name == name &&
+        m.labels == labels)
+      return m.counter->Value();
+  return 0;
+}
+
+uint64_t ServeEvents(const std::string& event) {
+  return RegistryCounter("ektelo_serve_requests", "event=\"" + event + "\"");
+}
+
+uint64_t MemCacheHits() {
+  return RegistryCounter("ektelo_cache_requests",
+                         "tier=\"mem\",event=\"hit\"");
+}
+
 TEST(Server, ServesTwoTenantsConcurrently) {
   ServerOptions opts = BaseOptions("two");
   auto server = Server::Start(
@@ -151,7 +172,7 @@ TEST(Server, ExhaustedTenantRefusedWithoutExecution) {
   auto ok = client->Invoke(IdentityRequest("alpha", 0.1));
   ASSERT_TRUE(ok.ok());
   ASSERT_EQ(ok->code, ReplyCode::kOk);
-  const auto execs_before = (*server)->Stats().executions;
+  const uint64_t execs_before = ServeEvents("executed");
 
   // Over-budget request: refused at admission, no kernel ever runs and
   // the durable ledger never sees a charge attempt's side effects.
@@ -160,7 +181,7 @@ TEST(Server, ExhaustedTenantRefusedWithoutExecution) {
   EXPECT_EQ(refused->code, ReplyCode::kBudgetExhausted);
   EXPECT_EQ(refused->eps_charged, 0.0);
   EXPECT_EQ(refused->estimate.size(), 0u);
-  EXPECT_EQ((*server)->Stats().executions, execs_before);
+  EXPECT_EQ(ServeEvents("executed"), execs_before);
   EXPECT_DOUBLE_EQ((*server)->ledger().Balance("alpha")->spent, 0.1);
   (*server)->Stop();
   Cleanup(opts);
@@ -173,6 +194,8 @@ TEST(Server, CoalescesIdenticalConcurrentRequests) {
   opts.test_execution_delay_ms = 100;
   auto server = Server::Start(opts, {MakeTenant("alpha", 41, 1.0)});
   ASSERT_TRUE(server.ok()) << server.status().ToString();
+  const uint64_t executed0 = ServeEvents("executed");
+  const uint64_t coalesced0 = ServeEvents("coalesced");
 
   constexpr int kClients = 8;
   std::vector<std::thread> threads;
@@ -197,8 +220,9 @@ TEST(Server, CoalescesIdenticalConcurrentRequests) {
                           r.estimate.size() * sizeof(double)),
               0);
   }
-  EXPECT_EQ((*server)->Stats().executions, 1u);
-  EXPECT_EQ((*server)->Stats().coalesced, std::uint64_t(kClients - 1));
+  EXPECT_EQ(ServeEvents("executed") - executed0, 1u);
+  EXPECT_EQ(ServeEvents("coalesced") - coalesced0,
+            std::uint64_t(kClients - 1));
   EXPECT_DOUBLE_EQ((*server)->ledger().Balance("alpha")->spent, 0.25);
   (*server)->Stop();
   Cleanup(opts);
@@ -210,7 +234,6 @@ TEST(Server, CoalescesIdenticalConcurrentRequests) {
 // re-executions skip materialization and the answers stay identical.
 TEST(Server, RepeatedExecutionsHitTheOperatorCache) {
   ServerOptions opts = BaseOptions("opcache");
-  opts.coalesce = false;
   opts.response_cache_entries = 0;
   auto server = Server::Start(opts, {MakeTenant("alpha", 41, 2.0, 512)});
   ASSERT_TRUE(server.ok()) << server.status().ToString();
@@ -219,10 +242,12 @@ TEST(Server, RepeatedExecutionsHitTheOperatorCache) {
 
   InvokeRequest req = IdentityRequest("alpha", 0.1);
   req.plan = "H2";  // hierarchical select: real cacheable operator work
+  req.coalesce = false;
+  const uint64_t executed0 = ServeEvents("executed");
   auto first = client->Invoke(req);
   ASSERT_TRUE(first.ok());
   ASSERT_EQ(first->code, ReplyCode::kOk);
-  const auto hits_after_first = (*server)->Stats().cache_hits;
+  const uint64_t hits_after_first = MemCacheHits();
 
   for (int i = 0; i < 3; ++i) {
     auto reply = client->Invoke(req);
@@ -233,8 +258,8 @@ TEST(Server, RepeatedExecutionsHitTheOperatorCache) {
                           reply->estimate.size() * sizeof(double)),
               0);
   }
-  EXPECT_EQ((*server)->Stats().executions, 4u);
-  EXPECT_GT((*server)->Stats().cache_hits, hits_after_first);
+  EXPECT_EQ(ServeEvents("executed") - executed0, 4u);
+  EXPECT_GT(MemCacheHits(), hits_after_first);
   (*server)->Stop();
   Cleanup(opts);
 }
@@ -255,14 +280,14 @@ TEST(Server, ResponsesBitwiseIdenticalAcrossThreadCounts) {
                        const std::string& tag) {
     ThreadPool::Global().Resize(threads);
     ServerOptions opts = BaseOptions(tag);
-    opts.coalesce = coalesce;
     auto server = Server::Start(
         opts, {MakeTenant("alpha", 41, 1.0), MakeTenant("beta", 43, 1.0)});
     EXPECT_TRUE(server.ok()) << server.status().ToString();
     auto client = Client::Connect(opts.socket_path);
     EXPECT_TRUE(client.ok());
     std::vector<Vec> estimates;
-    for (const auto& req : stream) {
+    for (InvokeRequest req : stream) {
+      req.coalesce = coalesce;
       auto reply = client->Invoke(req);
       EXPECT_TRUE(reply.ok());
       EXPECT_EQ(reply->code, ReplyCode::kOk);
@@ -309,6 +334,16 @@ TEST(Server, MalformedFramesRejectedWithoutTakingServerDown) {
     EXPECT_FALSE(net::RecvAll(*fd, &buf, 1).ok());  // closed, no reply
     net::CloseFd(*fd);
   }
+  // An intact frame of the retired stats tag (3) is an unknown type: the
+  // connection is dropped without a reply.
+  {
+    auto fd = net::ConnectUnix(opts.socket_path);
+    ASSERT_TRUE(fd.ok());
+    ASSERT_TRUE(WriteFrame(*fd, MsgType(3), {}).ok());
+    uint8_t buf;
+    EXPECT_FALSE(net::RecvAll(*fd, &buf, 1).ok());
+    net::CloseFd(*fd);
+  }
   // An intact frame whose invoke payload is garbage gets kBadRequest
   // on the same (still healthy) connection.
   {
@@ -350,14 +385,42 @@ TEST(Server, MalformedFramesRejectedWithoutTakingServerDown) {
   Cleanup(opts);
 }
 
+// A non-finite known total is a malformed request: refused at
+// validation, before the ledger records a charge or a refund.
+TEST(Server, NonFiniteKnownTotalRefusedBeforeCharging) {
+  ServerOptions opts = BaseOptions("knowntotal");
+  auto server = Server::Start(opts, {MakeTenant("alpha", 41, 1.0)});
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  auto client = Client::Connect(opts.socket_path);
+  ASSERT_TRUE(client.ok());
+  const uint64_t refused_bad0 = ServeEvents("refused_bad");
+  const uint64_t appends0 = RegistryCounter("ektelo_ledger_appends", "");
+
+  for (double total : {std::numeric_limits<double>::infinity(),
+                       std::numeric_limits<double>::quiet_NaN()}) {
+    InvokeRequest req = IdentityRequest("alpha", 0.1);
+    req.plan = "MWEM";
+    req.known_total = total;
+    auto reply = client->Invoke(req);
+    ASSERT_TRUE(reply.ok());
+    EXPECT_EQ(reply->code, ReplyCode::kBadRequest) << reply->message;
+    EXPECT_EQ(reply->eps_charged, 0.0);
+  }
+  EXPECT_EQ(ServeEvents("refused_bad") - refused_bad0, 2u);
+  EXPECT_EQ(RegistryCounter("ektelo_ledger_appends", ""), appends0);
+  EXPECT_EQ((*server)->ledger().Balance("alpha")->spent, 0.0);
+  (*server)->Stop();
+  Cleanup(opts);
+}
+
 TEST(Server, BoundedQueueRefusesOverloadWithQueueFull) {
   ServerOptions opts = BaseOptions("qfull");
   opts.workers = 1;
   opts.queue_capacity = 1;
-  opts.coalesce = false;  // distinct handling not needed; force queueing
   opts.test_execution_delay_ms = 300;
   auto server = Server::Start(opts, {MakeTenant("alpha", 41, 8.0)});
   ASSERT_TRUE(server.ok()) << server.status().ToString();
+  const uint64_t refused_queue0 = ServeEvents("refused_queue");
 
   constexpr int kClients = 6;
   std::vector<std::thread> threads;
@@ -366,9 +429,11 @@ TEST(Server, BoundedQueueRefusesOverloadWithQueueFull) {
     threads.emplace_back([&, i] {
       auto client = Client::Connect(opts.socket_path);
       ASSERT_TRUE(client.ok());
-      // Distinct eps so no two requests share a content hash.
-      auto reply =
-          client->Invoke(IdentityRequest("alpha", 0.1 + 0.01 * i));
+      // Distinct eps so no two requests share a content hash, and no
+      // coalescing: every request needs a queue slot of its own.
+      InvokeRequest req = IdentityRequest("alpha", 0.1 + 0.01 * i);
+      req.coalesce = false;
+      auto reply = client->Invoke(req);
       ASSERT_TRUE(reply.ok());
       if (reply->code == ReplyCode::kOk) ++ok;
       if (reply->code == ReplyCode::kQueueFull) ++queue_full;
@@ -380,8 +445,8 @@ TEST(Server, BoundedQueueRefusesOverloadWithQueueFull) {
   EXPECT_GT(ok.load(), 0);
   EXPECT_EQ(ok.load() + queue_full.load(), kClients);
   // A refused request costs nothing.
-  const auto stats = (*server)->Stats();
-  EXPECT_EQ(stats.refused_queue, std::uint64_t(queue_full.load()));
+  EXPECT_EQ(ServeEvents("refused_queue") - refused_queue0,
+            std::uint64_t(queue_full.load()));
   (*server)->Stop();
   Cleanup(opts);
 }
@@ -394,6 +459,7 @@ TEST(Server, LedgerIoErrorFailsRequestClosedWithDurabilityError) {
   ASSERT_TRUE(server.ok()) << server.status().ToString();
   auto client = Client::Connect(opts.socket_path);
   ASSERT_TRUE(client.ok());
+  const uint64_t refused_durability0 = ServeEvents("refused_durability");
 
   // The ledger volume goes bad: the charge append fails, so the server
   // must refuse (nothing released) rather than hand out an uncharged
@@ -413,8 +479,7 @@ TEST(Server, LedgerIoErrorFailsRequestClosedWithDurabilityError) {
   reply = client->Invoke(IdentityRequest("alpha", 0.1));
   ASSERT_TRUE(reply.ok());
   EXPECT_EQ(reply->code, ReplyCode::kOk);
-  const StatsReply stats = (*server)->Stats();
-  EXPECT_EQ(stats.refused_durability, 1u);
+  EXPECT_EQ(ServeEvents("refused_durability") - refused_durability0, 1u);
   EXPECT_DOUBLE_EQ((*server)->ledger().Balance("alpha")->spent, 0.1);
   (*server)->Stop();
   Cleanup(opts);
@@ -425,11 +490,11 @@ TEST(Server, StaleQueuedRequestsRefusedAtTheDeadlineBeforeCharging) {
   ServerOptions opts = BaseOptions("deadline");
   opts.workers = 1;
   opts.queue_capacity = 4;
-  opts.coalesce = false;
   opts.test_execution_delay_ms = 200;  // first request holds the worker
   opts.request_deadline_ms = 50;       // queued ones go stale behind it
   auto server = Server::Start(opts, {MakeTenant("alpha", 41, 8.0)});
   ASSERT_TRUE(server.ok()) << server.status().ToString();
+  const uint64_t refused_deadline0 = ServeEvents("refused_deadline");
 
   constexpr int kClients = 3;
   std::vector<std::thread> threads;
@@ -438,7 +503,9 @@ TEST(Server, StaleQueuedRequestsRefusedAtTheDeadlineBeforeCharging) {
     threads.emplace_back([&, i] {
       auto client = Client::Connect(opts.socket_path);
       ASSERT_TRUE(client.ok());
-      auto reply = client->Invoke(IdentityRequest("alpha", 0.1 + 0.01 * i));
+      InvokeRequest req = IdentityRequest("alpha", 0.1 + 0.01 * i);
+      req.coalesce = false;
+      auto reply = client->Invoke(req);
       ASSERT_TRUE(reply.ok());
       if (reply->code == ReplyCode::kOk) ++ok;
       if (reply->code == ReplyCode::kDeadlineExceeded) ++deadline;
@@ -450,8 +517,8 @@ TEST(Server, StaleQueuedRequestsRefusedAtTheDeadlineBeforeCharging) {
   EXPECT_GT(ok.load(), 0);
   EXPECT_GT(deadline.load(), 0);
   EXPECT_EQ(ok.load() + deadline.load(), kClients);
-  const StatsReply stats = (*server)->Stats();
-  EXPECT_EQ(stats.refused_deadline, std::uint64_t(deadline.load()));
+  EXPECT_EQ(ServeEvents("refused_deadline") - refused_deadline0,
+            std::uint64_t(deadline.load()));
   // A deadline refusal charges nothing.
   const double spent = (*server)->ledger().Balance("alpha")->spent;
   EXPECT_LT(spent, 0.1 + 0.01 * kClients);
@@ -481,8 +548,9 @@ TEST(Client, ReadTimeoutSurfacesDeadlineExceededAfterRetries) {
   ASSERT_FALSE(reply.ok());
   EXPECT_EQ(reply.status().code(), StatusCode::kDeadlineExceeded);
 
-  // Stats is read-only and retries too, with the same terminal status.
-  auto stats = client->Stats();
+  // The metrics scrape is read-only and retries too, with the same
+  // terminal status.
+  auto stats = client->StatsProm();
   ASSERT_FALSE(stats.ok());
   EXPECT_EQ(stats.status().code(), StatusCode::kDeadlineExceeded);
   fs::remove(path);
@@ -580,11 +648,17 @@ TEST(Server, PrometheusStatsEndpointExposesServeCounters) {
             std::string::npos);
   EXPECT_NE(text->find("ektelo_serve_requests_total{event=\"executed\"}"),
             std::string::npos);
-  // Scrape-time gauges carry the tenant's durable balances.
+  // Scrape-time gauges carry the tenant's durable balances, the one
+  // charge included.
   EXPECT_NE(
       text->find(
-          "ektelo_tenant_budget_eps{tenant=\"alpha\",kind=\"total\"} 1"),
+          "ektelo_tenant_budget_eps{tenant=\"alpha\",kind=\"total\"} 1\n"),
       std::string::npos);
+  EXPECT_NE(
+      text->find(
+          "ektelo_tenant_budget_eps{tenant=\"alpha\",kind=\"spent\"} 0.1\n"),
+      std::string::npos)
+      << *text;
   (*server)->Stop();
   Cleanup(opts);
 }
@@ -778,53 +852,28 @@ TEST(Protocol, WriteFrameBytesOnTheWire) {
   }
 }
 
-// The stats payload round-trips every field exactly, and the decoder
-// rejects any truncation or trailing byte instead of reading past or
-// short of the layout.
-TEST(Protocol, StatsReplyRoundTrip) {
-  StatsReply s;
-  s.received = 1;
-  s.admitted = 2;
-  s.refused_budget = 3;
-  s.refused_queue = 4;
-  s.refused_bad = 5;
-  s.executions = 6;
-  s.coalesced = 7;
-  s.cache_hits = 8;
-  s.refused_durability = 9;
-  s.refused_deadline = 10;
-  s.tenants = {{"alice", 1.5, 0.25}, {"bob", 2.0, 0.75}};
-  const std::vector<uint8_t> bytes = EncodeStatsReply(s);
-
-  StatsReply d;
-  ASSERT_TRUE(DecodeStatsReply(bytes, &d));
-  EXPECT_EQ(d.received, s.received);
-  EXPECT_EQ(d.admitted, s.admitted);
-  EXPECT_EQ(d.refused_budget, s.refused_budget);
-  EXPECT_EQ(d.refused_queue, s.refused_queue);
-  EXPECT_EQ(d.refused_bad, s.refused_bad);
-  EXPECT_EQ(d.executions, s.executions);
-  EXPECT_EQ(d.coalesced, s.coalesced);
-  EXPECT_EQ(d.cache_hits, s.cache_hits);
-  EXPECT_EQ(d.refused_durability, s.refused_durability);
-  EXPECT_EQ(d.refused_deadline, s.refused_deadline);
-  ASSERT_EQ(d.tenants.size(), s.tenants.size());
-  for (std::size_t i = 0; i < s.tenants.size(); ++i) {
-    EXPECT_EQ(d.tenants[i].name, s.tenants[i].name);
-    EXPECT_EQ(d.tenants[i].total, s.tenants[i].total);
-    EXPECT_EQ(d.tenants[i].spent, s.tenants[i].spent);
-  }
+// The text-blob payload the metrics scrape and the trace endpoint use
+// round-trips exactly, and the decoder rejects any truncation or
+// trailing byte instead of reading past or short of the layout.
+TEST(Protocol, TextReplyRoundTrip) {
+  const std::string text =
+      "# TYPE ektelo_serve_requests_total counter\n"
+      "ektelo_serve_requests_total{event=\"executed\"} 3\n";
+  const std::vector<uint8_t> bytes = EncodeTextReply(text);
+  std::string d;
+  ASSERT_TRUE(DecodeTextReply(bytes, &d));
+  EXPECT_EQ(d, text);
 
   for (std::size_t len = 0; len < bytes.size(); ++len) {
-    StatsReply t;
-    EXPECT_FALSE(DecodeStatsReply(
+    std::string t;
+    EXPECT_FALSE(DecodeTextReply(
         std::vector<uint8_t>(bytes.begin(), bytes.begin() + len), &t))
         << "prefix len " << len;
   }
   std::vector<uint8_t> longer = bytes;
   longer.push_back(0);
-  StatsReply t;
-  EXPECT_FALSE(DecodeStatsReply(longer, &t));
+  std::string t;
+  EXPECT_FALSE(DecodeTextReply(longer, &t));
 }
 
 TEST(Client, ConnectTimeoutToBacklogOnlySocketIsBounded) {

@@ -4,7 +4,7 @@
 //       --eps 0.1 [--ranges 0-3,5-9] [--dims 16x16] [--known-total 1e4]
 //       [--mode implicit|dense|sparse] [--stripe-dim K] [--no-coalesce]
 //       [--request-id N]
-//   ektelo_client --socket PATH stats [--prom | --json]
+//   ektelo_client --socket PATH stats
 //   ektelo_client --socket PATH trace [--out trace.json]
 //   ektelo_client --socket PATH shutdown
 //
@@ -12,12 +12,12 @@
 // --retries N (transport retries; invoke retries only coalescable
 // requests — see serve/client.h).
 //
-// stats --prom prints the daemon's metrics registry in Prometheus text
-// exposition format; --json prints the classic counters as one JSON
-// object.  trace fetches the daemon's recent request traces as Chrome
-// trace_event JSON (Perfetto-loadable); --out writes to a file instead
-// of stdout.  Traces are empty unless the daemon runs with
-// EKTELO_TRACE=1.
+// stats prints the daemon's metrics registry in Prometheus text
+// exposition format: request counters, stage latencies and per-tenant
+// budgets (ektelo_tenant_budget_eps).  trace fetches the daemon's
+// recent request traces as Chrome trace_event JSON (Perfetto-loadable);
+// --out writes to a file instead of stdout.  Traces are empty unless
+// the daemon runs with EKTELO_TRACE=1.
 //
 // Exit codes make refusals scriptable: 0 ok, 1 connection/protocol
 // error, 2 budget exhausted, 3 queue full, 4 execution failed, 5 bad
@@ -47,7 +47,7 @@ int Usage(const char* argv0) {
                "           [--ranges a-b,c-d] [--dims AxBxC] [--mode m]\n"
                "           [--known-total X] [--stripe-dim K]\n"
                "           [--no-coalesce] [--request-id N]\n"
-               "       %s --socket PATH stats [--prom | --json]\n"
+               "       %s --socket PATH stats\n"
                "       %s --socket PATH trace [--out FILE]\n"
                "       %s --socket PATH shutdown\n",
                argv0, argv0, argv0, argv0);
@@ -164,16 +164,11 @@ int main(int argc, char** argv) {
   }
   if (socket_path.empty() || command.empty()) return Usage(argv[0]);
 
-  std::string stats_format = "text";  // stats: text | prom | json
-  std::string trace_out;              // trace: output path ("" = stdout)
+  std::string trace_out;  // trace: output path ("" = stdout)
   if (command == "stats" || command == "trace") {
     for (; i < argc; ++i) {
       const std::string arg = argv[i];
-      if (command == "stats" && arg == "--prom") {
-        stats_format = "prom";
-      } else if (command == "stats" && arg == "--json") {
-        stats_format = "json";
-      } else if (command == "trace" && arg == "--out" && i + 1 < argc) {
+      if (command == "trace" && arg == "--out" && i + 1 < argc) {
         trace_out = argv[++i];
       } else {
         return Usage(argv[0]);
@@ -259,7 +254,7 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  if (command == "stats" && stats_format == "prom") {
+  if (command == "stats") {
     auto text = client->StatsProm();
     if (!text.ok()) {
       std::fprintf(stderr, "ektelo_client: %s\n",
@@ -267,67 +262,6 @@ int main(int argc, char** argv) {
       return StatusToExit(text.status());
     }
     std::fwrite(text->data(), 1, text->size(), stdout);
-    return 0;
-  }
-
-  if (command == "stats") {
-    auto stats = client->Stats();
-    if (!stats.ok()) {
-      std::fprintf(stderr, "ektelo_client: %s\n",
-                   stats.status().ToString().c_str());
-      return StatusToExit(stats.status());
-    }
-    if (stats_format == "json") {
-      std::printf(
-          "{\"received\":%llu,\"admitted\":%llu,\"executions\":%llu,"
-          "\"coalesced\":%llu,\"refused_budget\":%llu,"
-          "\"refused_queue\":%llu,\"refused_bad\":%llu,"
-          "\"refused_durability\":%llu,\"refused_deadline\":%llu,"
-          "\"cache_hits\":%llu,\"tenants\":[",
-          (unsigned long long)stats->received,
-          (unsigned long long)stats->admitted,
-          (unsigned long long)stats->executions,
-          (unsigned long long)stats->coalesced,
-          (unsigned long long)stats->refused_budget,
-          (unsigned long long)stats->refused_queue,
-          (unsigned long long)stats->refused_bad,
-          (unsigned long long)stats->refused_durability,
-          (unsigned long long)stats->refused_deadline,
-          (unsigned long long)stats->cache_hits);
-      // Tenant names reach the wire validated by the daemon; escape
-      // the JSON-special characters anyway so output always parses.
-      bool first = true;
-      for (const auto& t : stats->tenants) {
-        std::string name;
-        for (char c : t.name) {
-          if (c == '"' || c == '\\') name += '\\';
-          name += c;
-        }
-        std::printf("%s{\"name\":\"%s\",\"total\":%.9g,\"spent\":%.9g}",
-                    first ? "" : ",", name.c_str(), t.total, t.spent);
-        first = false;
-      }
-      std::printf("]}\n");
-      return 0;
-    }
-    std::printf(
-        "received=%llu admitted=%llu executions=%llu coalesced=%llu "
-        "refused_budget=%llu refused_queue=%llu refused_bad=%llu "
-        "refused_durability=%llu refused_deadline=%llu "
-        "cache_hits=%llu\n",
-        (unsigned long long)stats->received,
-        (unsigned long long)stats->admitted,
-        (unsigned long long)stats->executions,
-        (unsigned long long)stats->coalesced,
-        (unsigned long long)stats->refused_budget,
-        (unsigned long long)stats->refused_queue,
-        (unsigned long long)stats->refused_bad,
-        (unsigned long long)stats->refused_durability,
-        (unsigned long long)stats->refused_deadline,
-        (unsigned long long)stats->cache_hits);
-    for (const auto& t : stats->tenants)
-      std::printf("tenant=%s total=%.9g spent=%.9g\n", t.name.c_str(),
-                  t.total, t.spent);
     return 0;
   }
 
