@@ -58,7 +58,7 @@ RowResult TimeAb(const std::function<Vec()>& fn) {
   // runs last.
   for (int rep = 0; rep < g_time_reps; ++rep) {
     for (int mode = 0; mode < 2; ++mode) {
-      SetRewriteEnabled(mode);
+      SetRewriteEnabled(mode == 1);
       OperatorCache::Global().Clear();
       WallTimer t;
       *outs[mode] = fn();
@@ -68,7 +68,7 @@ RowResult TimeAb(const std::function<Vec()>& fn) {
   }
   r.off_s = best[0];
   r.on_s = best[1];
-  SetRewriteEnabled(-1);
+  SetRewriteEnabled(true);
   if (on.size() != off.size()) {
     r.ok = false;
     return r;

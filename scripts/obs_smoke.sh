@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # End-to-end smoke of the observability layer through the real binaries:
 # start ektelo_served with EKTELO_TRACE=1, fire a few invocations, then
-# scrape `stats` (validating Prometheus text exposition shape and that
-# the invocation was counted as executed) and `trace --out` (validating
-# the Chrome trace JSON parses and carries the full request lifecycle's
-# span types).
+# scrape `stats` (validating Prometheus text exposition shape, that the
+# invocation was counted as executed, and that a second scrape after one
+# more invocation exposes the same histogram bucket series) and
+# `trace --out` (validating the Chrome trace JSON parses and carries the
+# full request lifecycle's span types).
 #
 #   scripts/obs_smoke.sh [BUILD_DIR]       # default: build
 set -u
@@ -41,9 +42,11 @@ for _ in $(seq 1 50); do
 done
 [ -S "$SOCK" ] || { fail "daemon did not come up"; exit 1; }
 
-echo "== invoke (H2: full lifecycle under trace) =="
+# Sparse mode, so the strategy's conversion goes through the operator
+# cache and its series are exported.
+echo "== invoke (H2, sparse: full lifecycle under trace) =="
 "$CLIENT" --socket "$SOCK" invoke --tenant alpha --plan H2 --eps 0.1 \
-  --request-id 7 > "$WORK/invoke.out" || fail "H2 invoke failed"
+  --mode sparse --request-id 7 > "$WORK/invoke.out" || fail "H2 invoke failed"
 grep -q "code=OK" "$WORK/invoke.out" || fail "H2 invoke not OK"
 
 echo "== stats is well-formed Prometheus text =="
@@ -81,6 +84,27 @@ if executed < 1:
     print("executed requests:", executed, "want >= 1")
     ok = False
 sys.exit(0 if ok else 1)
+EOF
+
+echo "== histogram bucket series are fixed from the first scrape =="
+"$CLIENT" --socket "$SOCK" invoke --tenant alpha --plan H2 --eps 0.05 \
+  --mode sparse --request-id 8 > "$WORK/invoke2.out" \
+  || fail "second H2 invoke failed"
+grep -q "code=OK" "$WORK/invoke2.out" || fail "second H2 invoke not OK"
+"$CLIENT" --socket "$SOCK" stats > "$WORK/metrics2.prom" \
+  || fail "second stats failed"
+python3 - "$WORK/metrics.prom" "$WORK/metrics2.prom" <<'EOF' \
+  || fail "bucket series changed between scrapes"
+import sys
+def bucket_keys(path):
+    return sorted(line.rsplit(" ", 1)[0] for line in open(path)
+                  if "_bucket{" in line and not line.startswith("#"))
+first, second = bucket_keys(sys.argv[1]), bucket_keys(sys.argv[2])
+if first != second:
+    print("only in first:", sorted(set(first) - set(second))[:5])
+    print("only in second:", sorted(set(second) - set(first))[:5])
+    sys.exit(1)
+print("bucket series:", len(first))
 EOF
 
 echo "== trace --out is Perfetto-loadable Chrome trace JSON =="

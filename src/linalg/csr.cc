@@ -284,12 +284,6 @@ CsrMatrix CsrMatrix::Abs() const {
   return r;
 }
 
-CsrMatrix CsrMatrix::Sqr() const {
-  CsrMatrix r = *this;
-  for (double& v : r.values_) v = v * v;
-  return r;
-}
-
 CsrMatrix CsrMatrix::ScaleRows(const Vec& w) const {
   EK_CHECK_EQ(w.size(), rows_);
   CsrMatrix r = *this;
@@ -305,15 +299,6 @@ double CsrMatrix::MaxColNormL1() const {
     for (std::size_t k = indptr_[i]; k < indptr_[i + 1]; ++k)
       col[indices_[k]] += std::abs(values_[k]);
   return col.empty() ? 0.0 : *std::max_element(col.begin(), col.end());
-}
-
-double CsrMatrix::MaxColNormL2() const {
-  Vec col(cols_, 0.0);
-  for (std::size_t i = 0; i < rows_; ++i)
-    for (std::size_t k = indptr_[i]; k < indptr_[i + 1]; ++k)
-      col[indices_[k]] += values_[k] * values_[k];
-  double m = col.empty() ? 0.0 : *std::max_element(col.begin(), col.end());
-  return std::sqrt(m);
 }
 
 DenseMatrix CsrMatrix::ToDense() const {

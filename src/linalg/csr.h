@@ -3,7 +3,7 @@
 // EKTELO's "sparse" representation (Sec. 7.2): partition matrices, range
 // query strategies and measurement unions are naturally sparse; this class
 // provides the primitive methods (mat-vec, transposed mat-vec, transpose,
-// mat-mat, abs/sqr, sensitivity) on CSR storage.
+// mat-mat, abs, sensitivity) on CSR storage.
 #ifndef EKTELO_LINALG_CSR_H_
 #define EKTELO_LINALG_CSR_H_
 
@@ -88,13 +88,11 @@ class CsrMatrix {
   static CsrMatrix HStackMany(const std::vector<CsrMatrix>& parts);
 
   CsrMatrix Abs() const;
-  CsrMatrix Sqr() const;
 
   /// Scale row i by w[i].
   CsrMatrix ScaleRows(const Vec& w) const;
 
   double MaxColNormL1() const;
-  double MaxColNormL2() const;
 
   DenseMatrix ToDense() const;
 

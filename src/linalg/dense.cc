@@ -86,25 +86,11 @@ DenseMatrix DenseMatrix::Abs() const {
   return r;
 }
 
-DenseMatrix DenseMatrix::Sqr() const {
-  DenseMatrix r = *this;
-  for (double& v : r.data()) v = v * v;
-  return r;
-}
-
 double DenseMatrix::MaxColNormL1() const {
   Vec col(cols_, 0.0);
   for (std::size_t i = 0; i < rows_; ++i)
     for (std::size_t j = 0; j < cols_; ++j) col[j] += std::abs(At(i, j));
   return col.empty() ? 0.0 : *std::max_element(col.begin(), col.end());
-}
-
-double DenseMatrix::MaxColNormL2() const {
-  Vec col(cols_, 0.0);
-  for (std::size_t i = 0; i < rows_; ++i)
-    for (std::size_t j = 0; j < cols_; ++j) col[j] += At(i, j) * At(i, j);
-  double m = col.empty() ? 0.0 : *std::max_element(col.begin(), col.end());
-  return std::sqrt(m);
 }
 
 bool DenseMatrix::ApproxEquals(const DenseMatrix& other, double tol) const {

@@ -51,13 +51,11 @@ class DenseMatrix {
   /// A^T A (symmetric positive semi-definite).
   DenseMatrix Gram() const;
 
-  /// Elementwise |a_ij| and a_ij^2.
+  /// Elementwise |a_ij|.
   DenseMatrix Abs() const;
-  DenseMatrix Sqr() const;
 
-  /// Max L1 / L2 column norms (matrix-mechanism sensitivity).
+  /// Max L1 column norm (Laplace-mechanism sensitivity).
   double MaxColNormL1() const;
-  double MaxColNormL2() const;
 
   bool ApproxEquals(const DenseMatrix& other, double tol = 1e-9) const;
 

@@ -34,10 +34,6 @@ LinOpPtr TransposeOp::Abs() const {
   if (is_nonneg_binary()) return shared_from_this();
   return MakeTranspose(child_->Abs());
 }
-LinOpPtr TransposeOp::Sqr() const {
-  if (is_nonneg_binary()) return shared_from_this();
-  return MakeTranspose(child_->Sqr());
-}
 
 CsrMatrix TransposeOp::MaterializeSparse() const {
   return child_->MaterializeSparse().Transpose();
@@ -134,14 +130,6 @@ LinOpPtr VStackOp::Abs() const {
   return MakeVStack(std::move(abs_children));
 }
 
-LinOpPtr VStackOp::Sqr() const {
-  if (is_nonneg_binary()) return shared_from_this();
-  std::vector<LinOpPtr> sqr_children;
-  sqr_children.reserve(children_.size());
-  for (const auto& c : children_) sqr_children.push_back(c->Sqr());
-  return MakeVStack(std::move(sqr_children));
-}
-
 LinOpPtr VStackOp::Gram() const {
   // [A; B]^T [A; B] = A^T A + B^T B: the stack's Gram is the sum of the
   // children's (structured) Grams.
@@ -236,25 +224,11 @@ LinOpPtr HStackOp::Abs() const {
   return MakeHStack(std::move(abs_children));
 }
 
-LinOpPtr HStackOp::Sqr() const {
-  if (is_nonneg_binary()) return shared_from_this();
-  std::vector<LinOpPtr> sqr_children;
-  sqr_children.reserve(children_.size());
-  for (const auto& c : children_) sqr_children.push_back(c->Sqr());
-  return MakeHStack(std::move(sqr_children));
-}
-
 double HStackOp::ComputeSensitivityL1() const {
   // Columns of distinct children never overlap, so the max column norm is
   // the max over children.
   double s = 0.0;
   for (const auto& c : children_) s = std::max(s, c->SensitivityL1());
-  return s;
-}
-
-double HStackOp::ComputeSensitivityL2() const {
-  double s = 0.0;
-  for (const auto& c : children_) s = std::max(s, c->SensitivityL2());
   return s;
 }
 
@@ -474,11 +448,6 @@ LinOpPtr KroneckerOp::Abs() const {
   return MakeKronecker(a_->Abs(), b_->Abs());
 }
 
-LinOpPtr KroneckerOp::Sqr() const {
-  if (is_nonneg_binary()) return shared_from_this();
-  return MakeKronecker(a_->Sqr(), b_->Sqr());
-}
-
 LinOpPtr KroneckerOp::Gram() const {
   // (A ⊗ B)^T (A ⊗ B) = (A^T A) ⊗ (B^T B).
   return MakeKronecker(a_->Gram(), b_->Gram());
@@ -491,10 +460,6 @@ CsrMatrix KroneckerOp::MaterializeSparse() const {
 double KroneckerOp::ComputeSensitivityL1() const {
   // Column norms of a Kronecker product factorize.
   return a_->SensitivityL1() * b_->SensitivityL1();
-}
-
-double KroneckerOp::ComputeSensitivityL2() const {
-  return a_->SensitivityL2() * b_->SensitivityL2();
 }
 
 std::string KroneckerOp::DebugName() const {
@@ -547,12 +512,6 @@ LinOpPtr RowWeightOp::Abs() const {
   return MakeRowWeight(child_->Abs(), std::move(aw));
 }
 
-LinOpPtr RowWeightOp::Sqr() const {
-  Vec sw(w_.size());
-  for (std::size_t i = 0; i < w_.size(); ++i) sw[i] = w_[i] * w_[i];
-  return MakeRowWeight(child_->Sqr(), std::move(sw));
-}
-
 CsrMatrix RowWeightOp::MaterializeSparse() const {
   return child_->MaterializeSparse().ScaleRows(w_);
 }
@@ -594,11 +553,6 @@ LinOpPtr ScaleOp::Abs() const {
   return MakeScaled(child_->Abs(), std::abs(c_));
 }
 
-LinOpPtr ScaleOp::Sqr() const {
-  if (is_nonneg_binary()) return shared_from_this();
-  return MakeScaled(child_->Sqr(), c_ * c_);
-}
-
 LinOpPtr ScaleOp::Gram() const { return MakeScaled(child_->Gram(), c_ * c_); }
 
 CsrMatrix ScaleOp::MaterializeSparse() const {
@@ -609,10 +563,6 @@ CsrMatrix ScaleOp::MaterializeSparse() const {
 
 double ScaleOp::ComputeSensitivityL1() const {
   return std::abs(c_) * child_->SensitivityL1();
-}
-
-double ScaleOp::ComputeSensitivityL2() const {
-  return std::abs(c_) * child_->SensitivityL2();
 }
 
 std::string ScaleOp::DebugName() const {

@@ -30,7 +30,6 @@ class TransposeOp final : public LinOp {
   void ApplyTBlockRaw(const double* x, double* y,
                       std::size_t k) const override;
   LinOpPtr Abs() const override;
-  LinOpPtr Sqr() const override;
   CsrMatrix MaterializeSparse() const override;
   std::string DebugName() const override;
   bool StructuralEq(const LinOp& other) const override;
@@ -53,7 +52,6 @@ class VStackOp final : public LinOp {
   void ApplyTBlockRaw(const double* x, double* y,
                       std::size_t k) const override;
   LinOpPtr Abs() const override;
-  LinOpPtr Sqr() const override;
   LinOpPtr Gram() const override;  // sum of the children's Grams
   CsrMatrix MaterializeSparse() const override;
   std::string DebugName() const override;
@@ -78,7 +76,6 @@ class HStackOp final : public LinOp {
   void ApplyTBlockRaw(const double* x, double* y,
                       std::size_t k) const override;
   LinOpPtr Abs() const override;
-  LinOpPtr Sqr() const override;
   CsrMatrix MaterializeSparse() const override;
   std::string DebugName() const override;
   bool StructuralEq(const LinOp& other) const override;
@@ -86,7 +83,6 @@ class HStackOp final : public LinOp {
 
  protected:
   double ComputeSensitivityL1() const override;
-  double ComputeSensitivityL2() const override;
   uint64_t ComputeStructuralHash() const override;
 
  private:
@@ -116,8 +112,8 @@ class SumOp final : public LinOp {
 };
 
 /// Matrix product A * B as an operator (Apply = A(B(x))).
-/// Abs()/Sqr() are not distributive over products, so unless the product is
-/// known binary they materialize (paper Sec. 7.5 notes the binary shortcut).
+/// Abs() is not distributive over products, so unless the product is
+/// known binary it materializes (paper Sec. 7.5 notes the binary shortcut).
 class ProductOp final : public LinOp {
  public:
   ProductOp(LinOpPtr a, LinOpPtr b, bool binary_hint = false);
@@ -153,7 +149,6 @@ class KroneckerOp final : public LinOp {
   void ApplyTBlockRaw(const double* x, double* y,
                       std::size_t k) const override;
   LinOpPtr Abs() const override;
-  LinOpPtr Sqr() const override;
   LinOpPtr Gram() const override;  // Gram(A) ⊗ Gram(B)
   CsrMatrix MaterializeSparse() const override;
   std::string DebugName() const override;
@@ -163,7 +158,6 @@ class KroneckerOp final : public LinOp {
 
  protected:
   double ComputeSensitivityL1() const override;
-  double ComputeSensitivityL2() const override;
   uint64_t ComputeStructuralHash() const override;
 
  private:
@@ -180,7 +174,6 @@ class RowWeightOp final : public LinOp {
   void ApplyTBlockRaw(const double* x, double* y,
                       std::size_t k) const override;
   LinOpPtr Abs() const override;
-  LinOpPtr Sqr() const override;
   CsrMatrix MaterializeSparse() const override;
   std::string DebugName() const override;
   bool StructuralEq(const LinOp& other) const override;
@@ -206,7 +199,6 @@ class ScaleOp final : public LinOp {
   void ApplyTBlockRaw(const double* x, double* y,
                       std::size_t k) const override;
   LinOpPtr Abs() const override;
-  LinOpPtr Sqr() const override;
   LinOpPtr Gram() const override;
   CsrMatrix MaterializeSparse() const override;
   std::string DebugName() const override;
@@ -216,7 +208,6 @@ class ScaleOp final : public LinOp {
 
  protected:
   double ComputeSensitivityL1() const override;
-  double ComputeSensitivityL2() const override;
   uint64_t ComputeStructuralHash() const override;
 
  private:

@@ -96,9 +96,6 @@ CsrMatrix OnesOp::MaterializeSparse() const {
 double OnesOp::ComputeSensitivityL1() const {
   return static_cast<double>(rows());
 }
-double OnesOp::ComputeSensitivityL2() const {
-  return std::sqrt(static_cast<double>(rows()));
-}
 
 std::string OnesOp::DebugName() const {
   return "Ones(" + std::to_string(rows()) + "x" + std::to_string(cols()) + ")";
@@ -163,9 +160,6 @@ double PrefixOp::ComputeSensitivityL1() const {
   // Column j appears in rows j..n-1.
   return static_cast<double>(rows());
 }
-double PrefixOp::ComputeSensitivityL2() const {
-  return std::sqrt(static_cast<double>(rows()));
-}
 
 std::string PrefixOp::DebugName() const {
   return "Prefix(" + std::to_string(rows()) + ")";
@@ -228,9 +222,6 @@ CsrMatrix SuffixOp::MaterializeSparse() const {
 double SuffixOp::ComputeSensitivityL1() const {
   return static_cast<double>(rows());
 }
-double SuffixOp::ComputeSensitivityL2() const {
-  return std::sqrt(static_cast<double>(rows()));
-}
 
 std::string SuffixOp::DebugName() const {
   return "Suffix(" + std::to_string(rows()) + ")";
@@ -268,11 +259,6 @@ double WaveletOp::ComputeSensitivityL1() const {
   // Each column hits the total row plus one +/-1 per level.
   double k = std::log2(static_cast<double>(rows()));
   return 1.0 + k;
-}
-
-double WaveletOp::ComputeSensitivityL2() const {
-  double k = std::log2(static_cast<double>(rows()));
-  return std::sqrt(1.0 + k);
 }
 
 std::string WaveletOp::DebugName() const {

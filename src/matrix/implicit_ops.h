@@ -27,7 +27,6 @@ class IdentityOp final : public LinOp {
 
  protected:
   double ComputeSensitivityL1() const override { return 1.0; }
-  double ComputeSensitivityL2() const override { return 1.0; }
   uint64_t ComputeStructuralHash() const override;
 };
 
@@ -47,7 +46,6 @@ class OnesOp final : public LinOp {
 
  protected:
   double ComputeSensitivityL1() const override;
-  double ComputeSensitivityL2() const override;
   uint64_t ComputeStructuralHash() const override;
 };
 
@@ -66,7 +64,6 @@ class PrefixOp final : public LinOp {
 
  protected:
   double ComputeSensitivityL1() const override;
-  double ComputeSensitivityL2() const override;
   uint64_t ComputeStructuralHash() const override;
 };
 
@@ -85,13 +82,12 @@ class SuffixOp final : public LinOp {
 
  protected:
   double ComputeSensitivityL1() const override;
-  double ComputeSensitivityL2() const override;
   uint64_t ComputeStructuralHash() const override;
 };
 
 /// n x n Haar wavelet analysis matrix (n must be a power of two).
-/// Sensitivity is computed directly (1 + log2 n) without abs/sqr, per
-/// Sec. 7.4; Abs()/Sqr() fall back to sparse materialization.
+/// Sensitivity is computed directly (1 + log2 n) without abs, per
+/// Sec. 7.4; Abs() falls back to sparse materialization.
 class WaveletOp final : public LinOp {
  public:
   explicit WaveletOp(std::size_t n);
@@ -106,7 +102,6 @@ class WaveletOp final : public LinOp {
 
  protected:
   double ComputeSensitivityL1() const override;
-  double ComputeSensitivityL2() const override;
   uint64_t ComputeStructuralHash() const override;
 };
 

@@ -1,10 +1,8 @@
 #include "matrix/linop.h"
 
 #include <algorithm>
-#include <cmath>
 #include <typeinfo>
 
-#include "matrix/rewrite.h"
 #include "util/check.h"
 #include "util/thread_pool.h"
 
@@ -84,11 +82,6 @@ LinOpPtr LinOp::Abs() const {
   return MakeSparse(MaterializeSparse().Abs());
 }
 
-LinOpPtr LinOp::Sqr() const {
-  if (is_nonneg_binary()) return shared_from_this();
-  return MakeSparse(MaterializeSparse().Sqr());
-}
-
 LinOpPtr LinOp::SelfPtr() const {
   if (LinOpPtr self = weak_from_this().lock()) return self;
   return LinOpPtr(LinOpPtr{}, this);  // non-owning alias
@@ -141,44 +134,18 @@ DenseMatrix LinOp::MaterializeDense() const {
 }
 
 // Double-checked caching: the compute runs OUTSIDE the lock because
-// Compute* implementations may re-enter the cached accessors — on the
-// same object (RangeSetOp derives L2 from its own L1) or on children.
-// Racing threads at worst compute the same deterministic value twice;
-// the first store wins.
-
-// On a per-instance miss the process-wide OperatorCache is consulted
-// (keyed by structural hash, verified by StructuralEq) before computing:
-// plans rebuild structurally identical strategies on every execution and
-// per grid/stripe branch, and the computation is deterministic, so the
-// first instance's value is bitwise-valid for all of them.  Gated on the
-// rewrite toggle so EKTELO_REWRITE=0 reproduces the uncached behavior.
-
+// ComputeSensitivityL1 implementations re-enter the cached accessor on
+// their children (Kronecker, HStack, Scale).  Racing threads at worst
+// compute the same deterministic value twice; the first store wins.
 double LinOp::SensitivityL1() const {
   {
     std::lock_guard<std::mutex> lock(sens_mu_);
     if (sens_l1_) return *sens_l1_;
   }
-  const auto compute = [this] { return ComputeSensitivityL1(); };
-  const double v = RewriteEnabled()
-                       ? OperatorCache::Global().Sensitivity(*this, 1, compute)
-                       : compute();
+  const double v = ComputeSensitivityL1();
   std::lock_guard<std::mutex> lock(sens_mu_);
   if (!sens_l1_) sens_l1_ = v;
   return *sens_l1_;
-}
-
-double LinOp::SensitivityL2() const {
-  {
-    std::lock_guard<std::mutex> lock(sens_mu_);
-    if (sens_l2_) return *sens_l2_;
-  }
-  const auto compute = [this] { return ComputeSensitivityL2(); };
-  const double v = RewriteEnabled()
-                       ? OperatorCache::Global().Sensitivity(*this, 2, compute)
-                       : compute();
-  std::lock_guard<std::mutex> lock(sens_mu_);
-  if (!sens_l2_) sens_l2_ = v;
-  return *sens_l2_;
 }
 
 double LinOp::ComputeSensitivityL1() const {
@@ -188,15 +155,6 @@ double LinOp::ComputeSensitivityL1() const {
   Vec colsum = a->ApplyT(ones);
   return colsum.empty() ? 0.0
                         : *std::max_element(colsum.begin(), colsum.end());
-}
-
-double LinOp::ComputeSensitivityL2() const {
-  LinOpPtr s = Sqr();
-  Vec ones(rows(), 1.0);
-  Vec colsum = s->ApplyT(ones);
-  double m =
-      colsum.empty() ? 0.0 : *std::max_element(colsum.begin(), colsum.end());
-  return std::sqrt(m);
 }
 
 // ------------------------------------------------- structural identity
@@ -251,11 +209,6 @@ LinOpPtr DenseOp::Abs() const {
   return MakeDense(m_.Abs());
 }
 
-LinOpPtr DenseOp::Sqr() const {
-  if (is_nonneg_binary()) return shared_from_this();
-  return MakeDense(m_.Sqr());
-}
-
 LinOpPtr DenseOp::Gram() const {
   // For wide matrices (rows < cols) the composed form is both cheaper to
   // build (nothing to precompute) and cheaper per apply (2mn < n^2 flops),
@@ -271,7 +224,6 @@ CsrMatrix DenseOp::MaterializeSparse() const {
 DenseMatrix DenseOp::MaterializeDense() const { return m_; }
 
 double DenseOp::ComputeSensitivityL1() const { return m_.MaxColNormL1(); }
-double DenseOp::ComputeSensitivityL2() const { return m_.MaxColNormL2(); }
 
 uint64_t DenseOp::ComputeStructuralHash() const {
   return HashBase(kTagDense).MixDoubles(m_.data()).Finish();
@@ -321,11 +273,6 @@ LinOpPtr SparseOp::Abs() const {
   return MakeSparse(m_.Abs());
 }
 
-LinOpPtr SparseOp::Sqr() const {
-  if (is_nonneg_binary()) return shared_from_this();
-  return MakeSparse(m_.Sqr());
-}
-
 LinOpPtr SparseOp::Gram() const {
   // A^T A can be catastrophically denser than A itself — one dense row
   // (e.g. a hierarchy's root) makes the Gram fully dense.  The update
@@ -347,7 +294,6 @@ LinOpPtr SparseOp::Gram() const {
 CsrMatrix SparseOp::MaterializeSparse() const { return m_; }
 
 double SparseOp::ComputeSensitivityL1() const { return m_.MaxColNormL1(); }
-double SparseOp::ComputeSensitivityL2() const { return m_.MaxColNormL2(); }
 
 uint64_t SparseOp::ComputeStructuralHash() const {
   StructHash h = HashBase(kTagSparse);

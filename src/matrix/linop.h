@@ -1,12 +1,16 @@
 // LinOp: EKTELO's implicit matrix abstraction (paper Sec. 7).
 //
 // Workload matrices, measurement matrices and partition matrices are all
-// represented as LinOps.  A LinOp is a *virtual* matrix: it must support the
-// five primitive methods of Table 1 — matrix-vector product, transposed
-// matrix-vector product, transpose, elementwise abs and elementwise square —
-// from which every plan-level computation (query evaluation, L1/L2
-// sensitivity, inference, Gram matrices, row indexing, materialization)
-// is derived.
+// represented as LinOps.  A LinOp is a *virtual* matrix: it supports the
+// primitive methods of Table 1 — matrix-vector product, transposed
+// matrix-vector product, transpose and elementwise abs — from which every
+// plan-level computation (query evaluation, L1 sensitivity, inference,
+// Gram matrices, row indexing, materialization) is derived.
+//
+// Table 1's fifth primitive, the elementwise square, is absent on purpose:
+// it exists only to derive L2 sensitivity, and no mechanism here uses L2 —
+// the kernel implements the Laplace mechanism alone.  It comes back
+// together with a Gaussian mechanism, not before.
 //
 // The evaluation core is *blocked*: ApplyBlockRaw/ApplyTBlockRaw evaluate a
 // panel of k right-hand sides per traversal of the operator, so
@@ -137,8 +141,6 @@ class LinOp : public std::enable_shared_from_this<LinOp> {
   /// Elementwise |a_ij| as a LinOp.  Binary/non-negative matrices return
   /// themselves (a no-op, per Sec. 7.5); the default materializes sparse.
   virtual LinOpPtr Abs() const;
-  /// Elementwise a_ij^2 as a LinOp.  Same no-op rule for binary matrices.
-  virtual LinOpPtr Sqr() const;
 
   /// M^T M as a first-class operator (see the Gram() contract above).
   virtual LinOpPtr Gram() const;
@@ -154,10 +156,11 @@ class LinOp : public std::enable_shared_from_this<LinOp> {
   /// Max L1 column norm: the Laplace sensitivity of this query set
   /// (computed as max(Abs()^T * 1), Table 1).  Cached per instance: plans
   /// query sensitivity repeatedly (budget splitting, noise calibration)
-  /// and the underlying operator is immutable.
+  /// and the underlying operator is immutable.  Always computed on this
+  /// operator itself — never looked up by structure in a shared cache —
+  /// so the noise a measurement draws is calibrated to exactly the
+  /// matrix it charges for.
   double SensitivityL1() const;
-  /// Max L2 column norm (Gaussian-mechanism sensitivity).  Cached.
-  double SensitivityL2() const;
 
   /// A human-readable structural name, e.g. "Kron(Prefix(256),Identity(7))".
   virtual std::string DebugName() const = 0;
@@ -175,8 +178,8 @@ class LinOp : public std::enable_shared_from_this<LinOp> {
   /// comparison (bitwise on scalars/leaf payloads, recursive on children).
   virtual bool StructuralEq(const LinOp& other) const;
 
-  /// True if all entries are known to lie in {0, 1} (or {0, -1, +1} for
-  /// abs-stability: see set_binary), making Abs()/Sqr() no-ops.
+  /// True if all entries are known to lie in {0, 1}, making Abs() a
+  /// no-op.
   bool is_nonneg_binary() const { return nonneg_binary_; }
 
   /// Panel width used by the blocked materialization fallback.
@@ -185,17 +188,16 @@ class LinOp : public std::enable_shared_from_this<LinOp> {
  protected:
   void set_nonneg_binary(bool b) const { nonneg_binary_ = b; }
 
-  /// A shared_ptr view of this operator for composed results (lazy Grams,
-  /// Abs/Sqr no-ops).  Uses the owning control block when the operator is
+  /// A shared_ptr view of this operator for composed results (lazy
+  /// Grams).  Uses the owning control block when the operator is
   /// shared-owned (the factory functions); otherwise a non-owning alias,
   /// valid only while the operator itself lives — the same lifetime
   /// contract as the const-reference solver APIs that trigger it.
   LinOpPtr SelfPtr() const;
 
-  /// Uncached sensitivity computations; override these, not the public
-  /// cached accessors.
+  /// Uncached sensitivity computation; override this, not the public
+  /// cached accessor.
   virtual double ComputeSensitivityL1() const;
-  virtual double ComputeSensitivityL2() const;
 
   /// Uncached structural-hash computation; override alongside
   /// StructuralEq.  The default mixes the dynamic type and the instance
@@ -205,7 +207,7 @@ class LinOp : public std::enable_shared_from_this<LinOp> {
 
   /// Seeds a StructHash with the shape/flag preamble every override must
   /// mix first: a per-class tag, rows, cols and the binary flag (the flag
-  /// is semantics-bearing: it changes Abs()/Sqr()).
+  /// is semantics-bearing: it changes Abs()).
   StructHash HashBase(uint64_t tag) const {
     StructHash h;
     h.Mix(tag).Mix(rows_).Mix(cols_).Mix(nonneg_binary_ ? 1 : 0);
@@ -224,12 +226,13 @@ class LinOp : public std::enable_shared_from_this<LinOp> {
   // remapped).  Atomic so concurrent first calls race benignly to the
   // same deterministic value.
   mutable std::atomic<uint64_t> struct_hash_{0};
-  // The lazy sensitivity caches are the only mutable state a const LinOp
-  // carries, so this mutex is what makes shared operators safe to use
-  // from concurrent plan branches (note the resulting operator
-  // non-copyability; operators live behind LinOpPtr anyway).
+  // The lazy sensitivity cache is the only mutable state a const LinOp
+  // carries besides the atomic hash, so this mutex is what makes shared
+  // operators safe to use from concurrent plan branches (note the
+  // resulting operator non-copyability; operators live behind LinOpPtr
+  // anyway).
   mutable std::mutex sens_mu_;
-  mutable std::optional<double> sens_l1_, sens_l2_;
+  mutable std::optional<double> sens_l1_;
 };
 
 /// Wrapper over a materialized dense matrix.
@@ -242,7 +245,6 @@ class DenseOp final : public LinOp {
   void ApplyTBlockRaw(const double* x, double* y,
                       std::size_t k) const override;
   LinOpPtr Abs() const override;
-  LinOpPtr Sqr() const override;
   LinOpPtr Gram() const override;
   CsrMatrix MaterializeSparse() const override;
   DenseMatrix MaterializeDense() const override;
@@ -252,7 +254,6 @@ class DenseOp final : public LinOp {
 
  protected:
   double ComputeSensitivityL1() const override;
-  double ComputeSensitivityL2() const override;
   uint64_t ComputeStructuralHash() const override;
 
  private:
@@ -269,7 +270,6 @@ class SparseOp final : public LinOp {
   void ApplyTBlockRaw(const double* x, double* y,
                       std::size_t k) const override;
   LinOpPtr Abs() const override;
-  LinOpPtr Sqr() const override;
   LinOpPtr Gram() const override;
   CsrMatrix MaterializeSparse() const override;
   std::string DebugName() const override;
@@ -278,7 +278,6 @@ class SparseOp final : public LinOp {
 
  protected:
   double ComputeSensitivityL1() const override;
-  double ComputeSensitivityL2() const override;
   uint64_t ComputeStructuralHash() const override;
 
  private:

@@ -1,7 +1,6 @@
 #include "matrix/range_ops.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "util/check.h"
 
@@ -105,10 +104,6 @@ double RangeSetOp::ComputeSensitivityL1() const {
     best = std::max(best, run);
   }
   return best;
-}
-
-double RangeSetOp::ComputeSensitivityL2() const {
-  return std::sqrt(SensitivityL1());  // binary entries
 }
 
 std::string RangeSetOp::DebugName() const {
@@ -261,10 +256,6 @@ double RectangleSetOp::ComputeSensitivityL1() const {
     }
   }
   return best;
-}
-
-double RectangleSetOp::ComputeSensitivityL2() const {
-  return std::sqrt(SensitivityL1());
 }
 
 std::string RectangleSetOp::DebugName() const {

@@ -42,7 +42,6 @@ class RangeSetOp final : public LinOp {
 
  protected:
   double ComputeSensitivityL1() const override;
-  double ComputeSensitivityL2() const override;
   uint64_t ComputeStructuralHash() const override;
 
  private:
@@ -72,7 +71,6 @@ class RectangleSetOp final : public LinOp {
 
  protected:
   double ComputeSensitivityL1() const override;
-  double ComputeSensitivityL2() const override;
   uint64_t ComputeStructuralHash() const override;
 
  private:

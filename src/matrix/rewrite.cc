@@ -1,9 +1,6 @@
 #include "matrix/rewrite.h"
 
-#include <algorithm>
 #include <atomic>
-#include <cstdlib>
-#include <cstring>
 #include <list>
 #include <mutex>
 #include <unordered_map>
@@ -24,31 +21,13 @@ namespace ektelo {
 // ------------------------------------------------------------------ toggle
 
 namespace {
-
-std::atomic<int> g_force{-1};
-
-bool EnvEnabled() {
-  static const bool enabled = [] {
-    const char* v = std::getenv("EKTELO_REWRITE");
-    // Unset, "1", "rules", and historically any non-"0" value: on.
-    return v == nullptr ||
-           (std::strcmp(v, "0") != 0 && std::strcmp(v, "off") != 0);
-  }();
-  return enabled;
-}
-
+std::atomic<bool> g_enabled{true};
 }  // namespace
 
-bool RewriteEnabled() {
-  const int f = g_force.load(std::memory_order_relaxed);
-  if (f == 0) return false;
-  if (f == 1) return true;
-  return EnvEnabled();
-}
+bool RewriteEnabled() { return g_enabled.load(std::memory_order_relaxed); }
 
-void SetRewriteEnabled(int force) {
-  g_force.store(force == 0 || force == 1 ? force : -1,
-                std::memory_order_relaxed);
+void SetRewriteEnabled(bool enabled) {
+  g_enabled.store(enabled, std::memory_order_relaxed);
 }
 
 LinOpPtr Rewrite(LinOpPtr op) { return rules::Canonicalize(op); }
@@ -60,12 +39,10 @@ LinOpPtr MaybeRewrite(LinOpPtr op) {
 // ---------------------------------------------------------- OperatorCache
 
 namespace {
+// The values double as the `kind` attribute of cache.probe trace spans,
+// so they stay fixed; retired kinds' values (0, 1, 3, 4) are not reused.
 enum CacheKind : int {
-  kKindSparse = 0,
-  kKindDense = 1,
   kKindGramDense = 2,
-  kKindSensL1 = 3,
-  kKindSensL2 = 4,
   kKindSparseWrap = 5,
   kKindDenseWrap = 6,
   kKindGramOp = 7,
@@ -79,10 +56,6 @@ obs::Histogram& ProbeSeconds() {
   return h;
 }
 
-std::size_t CsrBytes(const CsrMatrix& m) {
-  return (m.indptr().size() + m.indices().size()) * sizeof(std::size_t) +
-         m.values().size() * sizeof(double);
-}
 std::size_t DenseBytes(const DenseMatrix& m) {
   return m.data().size() * sizeof(double);
 }
@@ -93,16 +66,11 @@ struct OperatorCache::Impl {
     uint64_t hash = 0;
     int kind = 0;
     LinOpPtr key_op;  // keeps the key alive for StructuralEq verification
-    std::shared_ptr<const CsrMatrix> sparse;
     std::shared_ptr<const DenseMatrix> dense;
     LinOpPtr wrapped;  // SparseWrapped / DenseWrapped leaf
     double value = 0.0;
     std::size_t bytes = 0;
   };
-
-  static bool IsSensitivityKind(int kind) {
-    return kind == kKindSensL1 || kind == kKindSensL2;
-  }
 
   // Typed get/fill pairs shared by the accessors below.
   static LinOpPtr GetWrapped(const Entry& e) { return e.wrapped; }
@@ -122,7 +90,6 @@ struct OperatorCache::Impl {
   std::size_t max_entries = 1024;
   std::size_t max_bytes = std::size_t{256} << 20;
   std::size_t bytes = 0;
-  std::size_t sens_entries = 0;
 
   // Traffic counters live in obs::Counter objects so the process-wide
   // instance binds them straight into the metrics registry (the single
@@ -164,7 +131,6 @@ struct OperatorCache::Impl {
         break;
       }
     bytes -= victim->bytes;
-    if (IsSensitivityKind(victim->kind)) --sens_entries;
     lru.erase(victim);
     evictions->Inc();
   }
@@ -178,24 +144,6 @@ struct OperatorCache::Impl {
   /// Must hold mu.
   void Insert(Entry e) {
     if (e.bytes > max_bytes) return;  // larger than the whole cache
-    const bool sens = IsSensitivityKind(e.kind);
-    if (sens) {
-      // Sensitivity entries are cheap, high-volume (every shared node of
-      // every tree inserts one) and often one-shot (MWEM's growing
-      // unions).  Cap them at half the cache so a flood cannot crowd out
-      // the expensive Gram/materialization artifacts the cache exists
-      // for; the cap evicts the least-recently-used sensitivity entry.
-      const std::size_t cap = std::max<std::size_t>(1, max_entries / 2);
-      if (sens_entries >= cap)
-        for (auto it = std::prev(lru.end());; --it) {
-          if (IsSensitivityKind(it->kind)) {
-            Evict(it);
-            break;
-          }
-          if (it == lru.begin()) break;
-        }
-      ++sens_entries;
-    }
     bytes += e.bytes;
     lru.push_front(std::move(e));
     index.emplace(IndexKey(lru.front().hash, lru.front().kind), lru.begin());
@@ -268,34 +216,6 @@ OperatorCache& OperatorCache::Global() {
   return *cache;
 }
 
-std::shared_ptr<const CsrMatrix> OperatorCache::MaterializeSparse(
-    const LinOpPtr& op) {
-  using V = std::shared_ptr<const CsrMatrix>;
-  return impl_->Cached<V>(
-      op, op->StructuralHash(), kKindSparse,
-      [](const Impl::Entry& e) { return e.sparse; },
-      [&] { return std::make_shared<const CsrMatrix>(op->MaterializeSparse()); },
-      [](Impl::Entry& e, const V& v) {
-        e.sparse = v;
-        e.bytes = CsrBytes(*v);
-      });
-}
-
-std::shared_ptr<const DenseMatrix> OperatorCache::MaterializeDense(
-    const LinOpPtr& op) {
-  using V = std::shared_ptr<const DenseMatrix>;
-  return impl_->Cached<V>(
-      op, op->StructuralHash(), kKindDense,
-      [](const Impl::Entry& e) { return e.dense; },
-      [&] {
-        return std::make_shared<const DenseMatrix>(op->MaterializeDense());
-      },
-      [](Impl::Entry& e, const V& v) {
-        e.dense = v;
-        e.bytes = DenseBytes(*v);
-      });
-}
-
 std::shared_ptr<const DenseMatrix> OperatorCache::GramDense(
     const LinOpPtr& op) {
   using V = std::shared_ptr<const DenseMatrix>;
@@ -330,17 +250,6 @@ LinOpPtr OperatorCache::GramOperator(const LinOpPtr& op) {
   return impl_->Cached<LinOpPtr>(
       op, op->StructuralHash(), kKindGramOp,
       Impl::GetWrapped, [&] { return op->Gram(); }, Impl::FillWrapped);
-}
-
-double OperatorCache::Sensitivity(const LinOp& op, int which,
-                                  const std::function<double()>& compute) {
-  const int kind = which == 1 ? kKindSensL1 : kKindSensL2;
-  // A safe cache key needs shared ownership; stack-allocated operators
-  // just compute.
-  LinOpPtr key = op.weak_from_this().lock();
-  if (!key) return compute();
-  return impl_->Cached<double>(key, op.StructuralHash(), kind,
-                               Impl::GetValue, compute, Impl::FillValue);
 }
 
 double OperatorCache::GramNormSq(const LinOp& gram, std::size_t iters,
@@ -386,7 +295,6 @@ void OperatorCache::Clear() {
   impl_->lru.clear();
   impl_->index.clear();
   impl_->bytes = 0;
-  impl_->sens_entries = 0;
 }
 
 }  // namespace ektelo

@@ -2,9 +2,9 @@
 // process-wide OperatorCache (Halide-flavored separation of what an
 // operator *means* from how it is *evaluated*).
 //
-// EKTELO_REWRITE switches the engine on or off:
+// SetRewriteEnabled switches the engine on or off:
 //
-//   rules    (default) the fixed-order bottom-up canonicalizing pass in
+//   on       (default) the fixed-order bottom-up canonicalizing pass in
 //            matrix/rules.h, guarded by the named policy in
 //            matrix/cost.h;
 //   off      no rewriting and no cache consumers, the reference side of
@@ -47,24 +47,25 @@
 //
 // Every rule preserves the represented matrix exactly (most are bitwise
 // result-preserving; the rest agree to floating-point roundoff, which is
-// why consumers sit behind the EKTELO_REWRITE toggle).  The privacy-
-// relevant path is untouched by construction: measurement operators are
-// applied and charged as the plan author composed them; rewriting serves
+// why consumers sit behind the rewrite toggle).  The privacy-relevant
+// path is untouched by construction: measurement operators are applied
+// and charged as the plan author composed them; rewriting serves
 // inference, Gram assembly and materialization — all post-processing.
 //
-// OperatorCache memoizes the expensive derived artifacts (materialized
-// CSR, dense Gram, derived Gram operators and their spectral-norm
-// estimates, L1/L2 sensitivities) under the operator's structural hash
-// (see LinOp::StructuralHash), verified by StructuralEq, so MWEM-style
-// loops and repeated plan executions that re-derive structurally
-// identical operators stop paying per-round recomputation.  The cache is
-// bounded (entries + approximate bytes, LRU eviction) and thread-safe;
-// values are shared_ptr snapshots, so eviction never invalidates a
-// consumer.
+// OperatorCache memoizes the expensive derived artifacts that have a
+// consumer — the materialized SparseOp/DenseOp leaves ApplyMode hands to
+// plans, the dense Gram of direct inference, and NNLS's derived Gram
+// operators and their spectral-norm estimates — under the operator's
+// structural hash (see LinOp::StructuralHash), verified by StructuralEq,
+// so MWEM-style loops and repeated plan executions that re-derive
+// structurally identical operators stop paying per-round recomputation.
+// The cache is bounded (entries + approximate bytes, LRU eviction) and
+// thread-safe; values are shared_ptr snapshots, so eviction never
+// invalidates a consumer.  It lives in process memory only.
 //
-// The cache lives in process memory only: nothing it holds is read
-// from or written to disk, so every memoized sensitivity was computed
-// in this process from the operator it is keyed on.
+// Sensitivity is deliberately not memoized here: LinOp::SensitivityL1 is
+// computed on (and cached by) the operator being charged, so one
+// operator's value can never set another's noise.
 #ifndef EKTELO_MATRIX_REWRITE_H_
 #define EKTELO_MATRIX_REWRITE_H_
 
@@ -78,14 +79,12 @@
 namespace ektelo {
 
 /// Whether the rewrite engine (and the OperatorCache consumers gated on
-/// it) is active.  EKTELO_REWRITE selects it: "0" or "off" -> off;
-/// unset or any other value -> on (`rules`).
+/// it) is active.  On by default.
 bool RewriteEnabled();
 
-/// Runtime override of EKTELO_REWRITE: 1 = force on, 0 = force off,
-/// -1 = follow the environment again.  Used by the A/B benches and the
-/// equivalence tests.
-void SetRewriteEnabled(int force);
+/// Switches the rewrite engine on or off process-wide.  Used by the A/B
+/// benches and the equivalence tests, which restore `true` when done.
+void SetRewriteEnabled(bool enabled);
 
 /// Canonicalize an operator tree with the fixed-order rules pass
 /// (unconditionally — callers wanting the toggle use MaybeRewrite).
@@ -114,31 +113,17 @@ class OperatorCache {
   /// The process-wide instance every consumer shares.
   static OperatorCache& Global();
 
-  /// Materialized sparse form of `op`, computed on miss.  The returned
-  /// snapshot stays valid after eviction.
-  std::shared_ptr<const CsrMatrix> MaterializeSparse(const LinOpPtr& op);
-
-  /// Materialized dense form of `op`.
-  std::shared_ptr<const DenseMatrix> MaterializeDense(const LinOpPtr& op);
-
   /// Dense Gram (op^T op) via op->Gram()->MaterializeDense(), memoized —
-  /// the direct-inference hot path.
+  /// the direct-inference hot path.  The returned snapshot stays valid
+  /// after eviction.
   std::shared_ptr<const DenseMatrix> GramDense(const LinOpPtr& op);
 
   /// Memoized SparseOp / DenseOp *leaf* wrapping op's materialization —
   /// what ApplyMode conversions hand to plans.  A hit is a pointer copy
-  /// (no matrix copy), and the shared instance carries its per-instance
-  /// sensitivity caches across executions.
+  /// (no matrix copy), and the shared leaf carries its own per-instance
+  /// sensitivity cache across executions — computed on that leaf.
   LinOpPtr SparseWrapped(const LinOpPtr& op);
   LinOpPtr DenseWrapped(const LinOpPtr& op);
-
-  /// Memoized sensitivity (`which` = 1 or 2 for L1/L2).  `compute` runs
-  /// on miss; the cached value is whatever the first structurally-equal
-  /// instance computed (deterministic, hence bitwise-reproducible).
-  /// Operators not owned by a shared_ptr are computed without caching
-  /// (the cache could not hold a safe key).
-  double Sensitivity(const LinOp& op, int which,
-                     const std::function<double()>& compute);
 
   /// Memoized op->Gram(): the derived (possibly materialized — see
   /// SparseOp::Gram's fill guard) Gram operator, keyed by op's hash.

@@ -172,11 +172,9 @@ std::string PrometheusText(const Registry& registry) {
         uint64_t cumulative = 0;
         for (int i = 0; i < Histogram::kBuckets; ++i) {
           cumulative += counts[i];
-          // Empty interior buckets are skipped to keep scrapes compact;
-          // cumulative semantics make the omitted points implied.  The
-          // first bucket and +Inf always print so the series is
-          // well-formed even when empty.
-          if (counts[i] == 0 && i != 0) continue;
+          // Every edge prints, empty or not, so a histogram's set of
+          // `_bucket` series is fixed from the first scrape on and
+          // rate()/diff queries never see a series appear mid-run.
           AppendBucketSample(out, series, m.labels,
                              FormatDouble(Histogram::BucketEdge(i)),
                              cumulative);

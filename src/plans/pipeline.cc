@@ -61,10 +61,6 @@ Stage Measure() {
     span.Attr("rows", static_cast<double>(sc.strategy->rows()));
     const double eps = sc.scope->remaining();
     span.Attr("epsilon", eps);
-    // SensitivityL1 consults the process-wide OperatorCache (keyed by
-    // structural hash) when rewriting is enabled, so the grid/striped
-    // plans that select structurally identical strategies per branch —
-    // and repeated executions of the same plan — compute it once.
     const double sens = sc.strategy->SensitivityL1();
     EK_ASSIGN_OR_RETURN(Vec y,
                         sc.data->Laplace(*sc.strategy, eps, *sc.scope));

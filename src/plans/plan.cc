@@ -31,7 +31,7 @@ LinOpPtr ApplyMode(LinOpPtr op, MatrixMode mode) {
       // grid/stripe branch), and materialization is the expensive step
       // of the dense/sparse representation sweep.  A hit returns the
       // shared leaf instance — no matrix copy, and its per-instance
-      // sensitivity caches come along.
+      // sensitivity cache comes along.
       if (RewriteEnabled())
         return OperatorCache::Global().SparseWrapped(op);
       return MakeSparse(op->MaterializeSparse());

@@ -233,7 +233,7 @@ class MwemLoopPlan final : public Plan {
     // operator is exactly the stacked system).  NNLS gram applies then
     // cost one prefix-sum pass instead of one per round — the same
     // canonical form the rewrite engine derives for the MW variants, but
-    // applied at plan level so EKTELO_REWRITE=0 shares it: projected-
+    // applied at plan level so the rewrite-off path shares it: projected-
     // gradient inference selects among non-unique minimizers in a
     // representation-sensitive way, so both A/B paths must hand the
     // solver bitwise-identical operators (see NnlsInference).

@@ -1,7 +1,6 @@
 // Unit tests for the blocked operator core: the Block multi-vector, the
 // dense/CSR/Haar blocked kernels, the LinOp default block fallbacks, the
 // identity-panel materialization fallback, and structured Grams.
-#include <cmath>
 
 #include "gtest/gtest.h"
 #include "linalg/block.h"
@@ -220,18 +219,13 @@ TEST(BlockTest, GramWorksOnStackAllocatedOperators) {
 }
 
 TEST(BlockTest, SensitivityCachingIsStableAcrossRepeatedCalls) {
-  // Regression: cached sensitivities must be bit-identical on repeat and
-  // equal to the materialized column norms.
+  // Regression: the cached sensitivity must be bit-identical on repeat
+  // and equal to the materialized column norm.
   auto op = MakeVStack({MakeWaveletOp(16), MakePrefixOp(16)});
   const double l1_first = op->SensitivityL1();
-  const double l2_first = op->SensitivityL2();
-  for (int i = 0; i < 5; ++i) {
-    EXPECT_EQ(op->SensitivityL1(), l1_first);
-    EXPECT_EQ(op->SensitivityL2(), l2_first);
-  }
+  for (int i = 0; i < 5; ++i) EXPECT_EQ(op->SensitivityL1(), l1_first);
   DenseMatrix d = op->MaterializeDense();
   EXPECT_NEAR(l1_first, d.MaxColNormL1(), 1e-9);
-  EXPECT_NEAR(l2_first, d.MaxColNormL2(), 1e-9);
 }
 
 }  // namespace

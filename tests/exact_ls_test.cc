@@ -50,7 +50,7 @@ class ExactLsTest : public ::testing::Test {
   }
   void TearDown() override {
     obs::SetTimingEnabled(was_armed_);
-    SetRewriteEnabled(-1);
+    SetRewriteEnabled(true);
     ThreadPool::Global().Resize(ThreadPool::DefaultThreadCount());
   }
 
@@ -295,10 +295,10 @@ TEST_F(ExactLsTest, UnrecognizedShapesFallBackToLsmr) {
 TEST_F(ExactLsTest, ExactPathIsBitwiseStableAcrossRewriteAndThreads) {
   for (const Shape& s : RecognizedShapes()) {
     SCOPED_TRACE(s.name);
-    SetRewriteEnabled(0);
+    SetRewriteEnabled(false);
     ThreadPool::Global().Resize(0);
     const Vec ref = LeastSquaresInference(s.mset);
-    SetRewriteEnabled(1);
+    SetRewriteEnabled(true);
     EXPECT_TRUE(BitwiseEqual(LeastSquaresInference(s.mset), ref)) << "rules";
     ThreadPool::Global().Resize(4);
     EXPECT_TRUE(BitwiseEqual(LeastSquaresInference(s.mset), ref))
@@ -387,10 +387,10 @@ TEST_F(ExactLsTest, PlansAreBitwiseStableAcrossRewriteAndThreads) {
                  "-wide dims");
     uint64_t before[kSolvers];
     for (int i = 0; i < kSolvers; ++i) before[i] = SolverCalls(solvers[i]);
-    SetRewriteEnabled(0);
+    SetRewriteEnabled(false);
     ThreadPool::Global().Resize(0);
     const Vec off = run(c);
-    SetRewriteEnabled(1);
+    SetRewriteEnabled(true);
     const Vec rules = run(c);
     ThreadPool::Global().Resize(4);
     EXPECT_TRUE(BitwiseEqual(run(c), rules)) << "threads=4";

@@ -52,7 +52,7 @@ CsrMatrix TestMatrix(std::size_t m, std::size_t n) {
 
 TEST(GramMemoTest, NnlsDerivesTheGramOncePerStructure) {
   OperatorCache::Global().Clear();
-  SetRewriteEnabled(1);
+  SetRewriteEnabled(true);
   auto op = std::make_shared<CountingGramOp>(TestMatrix(24, 10));
   Vec b(24);
   Rng rng(5);
@@ -68,10 +68,10 @@ TEST(GramMemoTest, NnlsDerivesTheGramOncePerStructure) {
     EXPECT_TRUE(BitwiseEq(first.x[i], second.x[i])) << i;
 
   // The cached path must be bitwise-identical to the uncached one.
-  SetRewriteEnabled(0);
+  SetRewriteEnabled(false);
   auto fresh = std::make_shared<CountingGramOp>(TestMatrix(24, 10));
   NnlsResult uncached = Nnls(*fresh, b);
-  SetRewriteEnabled(-1);
+  SetRewriteEnabled(true);
   EXPECT_EQ(uncached.iterations, first.iterations);
   for (std::size_t i = 0; i < first.x.size(); ++i)
     EXPECT_TRUE(BitwiseEq(first.x[i], uncached.x[i])) << i;

@@ -2,12 +2,23 @@
 // a privacy auditor would probe — interleaved queries above and below
 // partition boundaries, refusals mid-plan, stability through split
 // children, and reduce/split chains.
+#include <algorithm>
+#include <cmath>
+#include <functional>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "data/table.h"
 #include "gtest/gtest.h"
 #include "kernel/kernel.h"
 #include "matrix/combinators.h"
 #include "matrix/implicit_ops.h"
 #include "matrix/partition.h"
+#include "matrix/rewrite.h"
+#include "ops/hdmm.h"
+#include "ops/selection.h"
+#include "plans/plan.h"
 
 namespace ektelo {
 namespace {
@@ -191,6 +202,65 @@ TEST(KernelPrivacyTest, TransformAfterMeasurementStillTracked) {
   auto r = k.VReduceByPartition(*x, Partition::FromIntervals({0, 4}, 8));
   ASSERT_TRUE(k.VectorLaplace(*r, *MakeIdentityOp(2), 0.3).ok());
   EXPECT_NEAR(k.BudgetConsumed(), 0.5, 1e-12);
+}
+
+// The Laplace charge is only as good as the sensitivity it is calibrated
+// to.  Oracle: for every catalog strategy, built through its public
+// selection function at a small size and converted to each physical
+// representation with rewriting on and off, SensitivityL1() must equal the
+// max column L1 norm of the densely materialized matrix.
+TEST(KernelPrivacyTest, StrategySensitivityMatchesMaterializedOracle) {
+  auto oracle = [](const LinOp& op) {
+    const DenseMatrix d = op.MaterializeDense();
+    double best = 0.0;
+    for (std::size_t j = 0; j < d.cols(); ++j) {
+      double col = 0.0;
+      for (std::size_t i = 0; i < d.rows(); ++i) col += std::abs(d.At(i, j));
+      best = std::max(best, col);
+    }
+    return best;
+  };
+  const std::vector<RangeQuery> ranges = {
+      {0, 5}, {3, 12}, {8, 8}, {10, 15}, {0, 15}, {6, 9}};
+  // Fresh instances per conversion, so no per-instance cache carries a
+  // value from one case into the next.
+  const std::vector<std::pair<std::string, std::function<LinOpPtr()>>>
+      strategies = {
+          {"Identity", [] { return IdentitySelect(16); }},
+          {"H2", [] { return H2Select(16); }},
+          {"HB", [] { return HbSelect(27); }},
+          {"Privelet", [] { return PriveletSelect(16); }},
+          {"Greedy-H", [&] { return GreedyHSelect(ranges, 16); }},
+          {"QuadTree", [] { return QuadtreeSelect(8, 8); }},
+          {"UniformGrid", [] { return GridCellsSelect(8, 8, 3, 3); }},
+          {"AdaptiveGrid", [] { return GridCellsSelect(10, 7, 4, 3); }},
+          {"HB-Striped_kron", [] { return StripeKronSelect({9, 4}, 0); }},
+          {"HB-Striped_kron factors",
+           [] {
+             return MakeKronecker(
+                 {MakeIdentityOp(3), HbSelect(9), MakeIdentityOp(2)});
+           }},
+          {"HDMM",
+           [] {
+             return HdmmSelect({MakePrefixOp(8), MakeIdentityOp(4)}, {8, 4});
+           }},
+      };
+  for (bool rewrite : {true, false}) {
+    SetRewriteEnabled(rewrite);
+    for (MatrixMode mode :
+         {MatrixMode::kImplicit, MatrixMode::kSparse, MatrixMode::kDense}) {
+      for (const auto& [name, make] : strategies) {
+        SCOPED_TRACE(name + "/" + MatrixModeName(mode) +
+                     (rewrite ? "/rewrite" : "/no-rewrite"));
+        const LinOpPtr op = ApplyMode(make(), mode);
+        const double want = oracle(*op);
+        EXPECT_GT(want, 0.0);
+        EXPECT_NEAR(op->SensitivityL1(), want, 1e-12 * (1.0 + want));
+      }
+    }
+  }
+  SetRewriteEnabled(true);
+  OperatorCache::Global().Clear();
 }
 
 }  // namespace

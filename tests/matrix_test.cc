@@ -1,7 +1,6 @@
 // Property tests for the implicit-matrix engine: every LinOp's primitive
 // methods must agree exactly with its materialized form (implicit
 // representations are lossless, paper Sec. 7.2).
-#include <cmath>
 #include <memory>
 
 #include "gtest/gtest.h"
@@ -48,15 +47,12 @@ void CheckAgainstMaterialized(const LinOp& op, Rng* rng, double tol = 1e-9) {
   Vec z2 = d.RmatVec(u);
   for (std::size_t j = 0; j < z1.size(); ++j) EXPECT_NEAR(z1[j], z2[j], tol);
 
-  // Abs / Sqr.
+  // Abs.
   DenseMatrix da = op.Abs()->MaterializeDense();
-  DenseMatrix ds = op.Sqr()->MaterializeDense();
   EXPECT_TRUE(da.ApproxEquals(d.Abs(), tol));
-  EXPECT_TRUE(ds.ApproxEquals(d.Sqr(), tol));
 
   // Sensitivity.
   EXPECT_NEAR(op.SensitivityL1(), d.MaxColNormL1(), tol);
-  EXPECT_NEAR(op.SensitivityL2(), d.MaxColNormL2(), tol);
 
   // Sparse materialization agrees with dense.
   EXPECT_TRUE(op.MaterializeSparse().ToDense().ApproxEquals(d, tol));
@@ -245,7 +241,6 @@ TEST(LinOpTest, SensitivityOfUnionIsColumnSum) {
   // Identity (1) + Total (1) => 2.
   auto op = MakeVStack({MakeIdentityOp(5), MakeTotalOp(5)});
   EXPECT_DOUBLE_EQ(op->SensitivityL1(), 2.0);
-  EXPECT_DOUBLE_EQ(op->SensitivityL2(), std::sqrt(2.0));
 }
 
 TEST(LinOpTest, KroneckerSensitivityFactorizes) {
@@ -281,7 +276,6 @@ TEST(RangeOpsTest, RangeSetMatchesMaterialized) {
 TEST(RangeOpsTest, RangeSetSensitivityIsMaxCoverage) {
   auto op = MakeRangeSetOp({{0, 3}, {2, 5}, {2, 2}}, 8);
   EXPECT_DOUBLE_EQ(op->SensitivityL1(), 3.0);  // cell 2 covered thrice
-  EXPECT_DOUBLE_EQ(op->SensitivityL2(), std::sqrt(3.0));
 }
 
 TEST(RangeOpsTest, RectangleSetMatchesMaterialized) {

@@ -114,8 +114,45 @@ TEST(ObsExportTest, PrometheusTextGolden) {
       "# HELP lat Latency\n"
       "# TYPE lat histogram\n"
       "lat_bucket{le=\"1e-06\"} 0\n"
+      "lat_bucket{le=\"2e-06\"} 0\n"
+      "lat_bucket{le=\"4e-06\"} 0\n"
+      "lat_bucket{le=\"8e-06\"} 0\n"
+      "lat_bucket{le=\"1.6e-05\"} 0\n"
+      "lat_bucket{le=\"3.2e-05\"} 0\n"
+      "lat_bucket{le=\"6.4e-05\"} 0\n"
+      "lat_bucket{le=\"0.000128\"} 0\n"
+      "lat_bucket{le=\"0.000256\"} 0\n"
+      "lat_bucket{le=\"0.000512\"} 0\n"
+      "lat_bucket{le=\"0.001024\"} 0\n"
+      "lat_bucket{le=\"0.002048\"} 0\n"
+      "lat_bucket{le=\"0.004096\"} 0\n"
+      "lat_bucket{le=\"0.008192\"} 0\n"
+      "lat_bucket{le=\"0.016384\"} 0\n"
+      "lat_bucket{le=\"0.032768\"} 0\n"
+      "lat_bucket{le=\"0.065536\"} 0\n"
+      "lat_bucket{le=\"0.131072\"} 0\n"
       "lat_bucket{le=\"0.262144\"} 1\n"
       "lat_bucket{le=\"0.524288\"} 2\n"
+      "lat_bucket{le=\"1.048576\"} 2\n"
+      "lat_bucket{le=\"2.097152\"} 2\n"
+      "lat_bucket{le=\"4.194304\"} 2\n"
+      "lat_bucket{le=\"8.388608\"} 2\n"
+      "lat_bucket{le=\"16.777216\"} 2\n"
+      "lat_bucket{le=\"33.554432\"} 2\n"
+      "lat_bucket{le=\"67.108864\"} 2\n"
+      "lat_bucket{le=\"134.217728\"} 2\n"
+      "lat_bucket{le=\"268.435456\"} 2\n"
+      "lat_bucket{le=\"536.870912\"} 2\n"
+      "lat_bucket{le=\"1073.741824\"} 2\n"
+      "lat_bucket{le=\"2147.483648\"} 2\n"
+      "lat_bucket{le=\"4294.967296\"} 2\n"
+      "lat_bucket{le=\"8589.934592\"} 2\n"
+      "lat_bucket{le=\"17179.86918\"} 2\n"
+      "lat_bucket{le=\"34359.73837\"} 2\n"
+      "lat_bucket{le=\"68719.47674\"} 2\n"
+      "lat_bucket{le=\"137438.9535\"} 2\n"
+      "lat_bucket{le=\"274877.9069\"} 2\n"
+      "lat_bucket{le=\"549755.8139\"} 2\n"
       "lat_bucket{le=\"+Inf\"} 2\n"
       "lat_sum 0.75\n"
       "lat_count 2\n";

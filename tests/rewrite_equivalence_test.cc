@@ -1,5 +1,5 @@
 // Registry-wide rewrite A/B: every catalog plan must produce the same
-// result with EKTELO_REWRITE on (`rules`) as off — within 1e-9
+// result with the rewrite engine on as off — within 1e-9
 // (relative) — with identical budget and an identical order-normalized
 // kernel transcript (the privacy-relevant path is untouched by
 // construction: measurement operators are applied and charged as
@@ -32,8 +32,8 @@ struct RunResult {
   std::vector<std::tuple<std::string, double, double>> transcript;
 };
 
-RunResult RunPlan(const Plan& plan, int mode) {
-  SetRewriteEnabled(mode);  // 0 = off, 1 = rules
+RunResult RunPlan(const Plan& plan, bool rewrite) {
+  SetRewriteEnabled(rewrite);
   // Each mode starts cold: no artifacts computed by the other mode's run
   // leak across.
   OperatorCache::Global().Clear();
@@ -108,14 +108,13 @@ TEST(RewriteEquivalenceTest, EveryPlanAgreesWithRewriteOff) {
   ASSERT_FALSE(catalog.empty());
   for (const Plan* plan : catalog) {
     SCOPED_TRACE(plan->name());
-    const RunResult off = RunPlan(*plan, 0);
-    const RunResult rules = RunPlan(*plan, 1);
-    SetRewriteEnabled(-1);
+    const RunResult off = RunPlan(*plan, false);
+    const RunResult rules = RunPlan(*plan, true);
     ASSERT_EQ(off.ok, rules.ok) << off.error << " / " << rules.error;
     if (!off.ok) continue;
     ExpectAgree(off, rules, 1e-9);
   }
-  SetRewriteEnabled(-1);
+  SetRewriteEnabled(true);
   OperatorCache::Global().Clear();
 }
 
@@ -127,8 +126,8 @@ TEST(RewriteEquivalenceTest, ModeSweepMatchesRewriteOff) {
     for (const Plan* plan : PlanRegistry::Global().Catalog()) {
       if (!plan->mode_sweep()) continue;
       SCOPED_TRACE(plan->name() + std::string("/") + MatrixModeName(mode));
-      auto run = [&](int rewrite_mode) {
-        SetRewriteEnabled(rewrite_mode);
+      auto run = [&](bool rewrite) {
+        SetRewriteEnabled(rewrite);
         OperatorCache::Global().Clear();
         const double eps = 0.5;
         Rng rng(97);
@@ -148,16 +147,15 @@ TEST(RewriteEquivalenceTest, ModeSweepMatchesRewriteOff) {
         EK_CHECK(xhat.ok());
         return *xhat;
       };
-      const Vec off = run(0);
-      const Vec rules = run(1);
-      SetRewriteEnabled(-1);
+      const Vec off = run(false);
+      const Vec rules = run(true);
       ASSERT_EQ(rules.size(), off.size());
       for (std::size_t i = 0; i < off.size(); ++i)
         EXPECT_NEAR(rules[i], off[i], 1e-9 * std::max(1.0, std::abs(off[i])))
             << i;
     }
   }
-  SetRewriteEnabled(-1);
+  SetRewriteEnabled(true);
   OperatorCache::Global().Clear();
 }
 

@@ -316,11 +316,10 @@ TEST(RewriteRuleTest, NoOpRewriteReturnsOriginalPointer) {
 
 TEST(RewriteToggleTest, MaybeRewriteFollowsToggle) {
   auto op = MakeScaled(MakeScaled(MakePrefixOp(8), 2.0), 3.0);
-  SetRewriteEnabled(0);
+  SetRewriteEnabled(false);
   EXPECT_EQ(MaybeRewrite(op), op);
-  SetRewriteEnabled(1);
+  SetRewriteEnabled(true);
   EXPECT_NE(MaybeRewrite(op), op);
-  SetRewriteEnabled(-1);
 }
 
 TEST(StructuralIdentityTest, EqualConstructionHashesAndComparesEqual) {
@@ -347,50 +346,60 @@ TEST(StructuralIdentityTest, EqualConstructionHashesAndComparesEqual) {
   EXPECT_FALSE(MakePrefixOp(8)->StructuralEq(*MakePrefixOp(9)));
 }
 
-TEST(OperatorCacheTest, SensitivityIsSharedAcrossEqualInstances) {
+TEST(OperatorCacheTest, SensitivityIsComputedPerInstance) {
+  // Sensitivity never goes through the cache, whatever the toggle: two
+  // structurally equal fresh instances each compute their own value (an
+  // equal one), and the global cache sees no traffic.
   OperatorCache& cache = OperatorCache::Global();
   cache.Clear();
-  SetRewriteEnabled(1);
-  auto a = MakeRangeSetOp({{0, 9}, {5, 19}, {0, 19}}, 20);
-  auto b = MakeRangeSetOp({{0, 9}, {5, 19}, {0, 19}}, 20);
-  const auto before = cache.stats();
-  const double sa = a->SensitivityL1();
-  const double sb = b->SensitivityL1();
-  EXPECT_EQ(sa, sb);  // bitwise: b must reuse a's cached value
-  const auto after = cache.stats();
-  EXPECT_GE(after.hits, before.hits + 1);
-  SetRewriteEnabled(-1);
+  for (bool rewrite : {true, false}) {
+    SetRewriteEnabled(rewrite);
+    auto a = MakeScaled(MakeRangeSetOp({{0, 9}, {5, 19}, {0, 19}}, 20), 2.0);
+    auto b = MakeScaled(MakeRangeSetOp({{0, 9}, {5, 19}, {0, 19}}, 20), 2.0);
+    ASSERT_TRUE(a->StructuralEq(*b));
+    const auto before = cache.stats();
+    EXPECT_EQ(a->SensitivityL1(), 6.0);
+    EXPECT_EQ(b->SensitivityL1(), a->SensitivityL1());
+    const auto after = cache.stats();
+    EXPECT_EQ(after.hits, before.hits);
+    EXPECT_EQ(after.misses, before.misses);
+    EXPECT_EQ(after.entries, 0u);
+  }
+  SetRewriteEnabled(true);
 }
 
-TEST(OperatorCacheTest, MaterializeSparseHitsOnStructuralMatch) {
+TEST(OperatorCacheTest, SparseWrappedHitsOnStructuralMatch) {
   OperatorCache& cache = OperatorCache::Global();
   cache.Clear();
   auto a = MakeKronecker(MakePrefixOp(8), MakeWaveletOp(4));
   auto b = MakeKronecker(MakePrefixOp(8), MakeWaveletOp(4));
-  auto m1 = cache.MaterializeSparse(a);
+  LinOpPtr w1 = cache.SparseWrapped(a);
   const auto mid = cache.stats();
-  auto m2 = cache.MaterializeSparse(b);
+  LinOpPtr w2 = cache.SparseWrapped(b);
   const auto end = cache.stats();
   EXPECT_EQ(end.hits, mid.hits + 1);
-  EXPECT_EQ(m1->nnz(), m2->nnz());
-  EXPECT_EQ(m1.get(), m2.get());  // same snapshot
+  EXPECT_EQ(w1.get(), w2.get());  // same shared leaf
+  auto* leaf = dynamic_cast<const SparseOp*>(w1.get());
+  ASSERT_NE(leaf, nullptr);
+  EXPECT_EQ(leaf->csr().nnz(), a->MaterializeSparse().nnz());
 }
 
 TEST(OperatorCacheTest, CapacityBoundEvictsLru) {
   OperatorCache cache;
   cache.SetCapacity(4, std::size_t{64} << 20);
   for (std::size_t i = 0; i < 10; ++i)
-    cache.MaterializeSparse(MakePrefixOp(8 + i));
+    cache.SparseWrapped(MakePrefixOp(8 + i));
   const auto s = cache.stats();
   EXPECT_LE(s.entries, 4u);
   EXPECT_GE(s.evictions, 6u);
 
-  // Byte bound: a panel of large dense grams cannot exceed the budget.
+  // Byte bound: a run of dense leaves cannot exceed the budget.
   OperatorCache small;
   small.SetCapacity(64, 2000);  // ~2 KB
   for (std::size_t i = 0; i < 6; ++i)
-    small.MaterializeDense(MakePrefixOp(10 + i));  // ~800+ bytes each
+    small.DenseWrapped(MakePrefixOp(10 + i));  // ~900+ bytes each
   EXPECT_LE(small.stats().bytes, 2000u);
+  EXPECT_GE(small.stats().evictions, 4u);
 }
 
 TEST(OperatorCacheTest, GramDenseMatchesUncached) {

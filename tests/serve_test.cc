@@ -230,8 +230,9 @@ TEST(Server, CoalescesIdenticalConcurrentRequests) {
 
 // The other half of the hot-dashboard story: even when every request
 // executes (response cache off, no concurrency to coalesce), identical
-// structure means the OperatorCache serves the measurement operators —
-// re-executions skip materialization and the answers stay identical.
+// structure means the OperatorCache serves the sparse-mode conversion of
+// the measurement operator (ApplyMode's SparseWrapped) — re-executions
+// skip materialization and the answers stay identical.
 TEST(Server, RepeatedExecutionsHitTheOperatorCache) {
   ServerOptions opts = BaseOptions("opcache");
   opts.response_cache_entries = 0;
@@ -242,6 +243,7 @@ TEST(Server, RepeatedExecutionsHitTheOperatorCache) {
 
   InvokeRequest req = IdentityRequest("alpha", 0.1);
   req.plan = "H2";  // hierarchical select: real cacheable operator work
+  req.mode = 1;     // sparse: the strategy is materialized through the cache
   req.coalesce = false;
   const uint64_t executed0 = ServeEvents("executed");
   auto first = client->Invoke(req);
