@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # End-to-end smoke of the observability layer through the real binaries:
-# start ektelo_served with EKTELO_TRACE=1, fire a few invocations, then
-# scrape `stats` (validating Prometheus text exposition shape, that the
-# invocation was counted as executed, and that a second scrape after one
-# more invocation exposes the same histogram bucket series) and
+# start ektelo_served with EKTELO_TRACE=1, scrape `stats` once before
+# any invocation (the cache series must already be registered), fire a
+# few invocations, then scrape `stats` (validating Prometheus text
+# exposition shape, that the invocation was counted as executed, and
+# that a second scrape after one more invocation exposes the same
+# histogram bucket series) and
 # `trace --out` (validating the Chrome trace JSON parses and carries the
 # full request lifecycle's span types).
 #
@@ -41,6 +43,14 @@ for _ in $(seq 1 50); do
   sleep 0.1
 done
 [ -S "$SOCK" ] || { fail "daemon did not come up"; exit 1; }
+
+echo "== stats before any invocation already exposes the cache series =="
+"$CLIENT" --socket "$SOCK" stats > "$WORK/metrics0.prom" \
+  || fail "first stats failed"
+for want in ektelo_cache_requests_total ektelo_cache_probe_seconds_bucket; do
+  grep -q "^$want[{ ]" "$WORK/metrics0.prom" \
+    || fail "missing metric before any invocation: $want"
+done
 
 # Sparse mode, so the strategy's conversion goes through the operator
 # cache and its series are exported.

@@ -45,7 +45,7 @@ struct V8Avx2 {
   }
 };
 
-const KernelTable kTable = MakeTable<V8Avx2>("avx2");
+const KernelTable kTable = MakeTable<V8Avx2>("avx2", &Crc32cSse42);
 
 }  // namespace
 

@@ -37,7 +37,7 @@ struct V8Avx512 {
   }
 };
 
-const KernelTable kTable = MakeTable<V8Avx512>("avx512");
+const KernelTable kTable = MakeTable<V8Avx512>("avx512", &Crc32cSse42);
 
 }  // namespace
 

@@ -19,6 +19,12 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
+
+#if defined(__SSE4_2__)
+#include <nmmintrin.h>
+#endif
 
 #include "linalg/simd/simd.h"
 #include "util/aligned.h"
@@ -243,15 +249,42 @@ void HaarSynthesisColsImpl(const double* x, double* y, std::size_t n,
     for (std::size_t c = 0; c < k; ++c) y[c * n + i] = cur[i * k + c];
 }
 
+/// CRC32C (Castagnoli, reflected polynomial 0x82F63B78, initial value
+/// and final xor 0xFFFFFFFF) with a portable slice-by-8 table.  Defined
+/// in the scalar TU, which is compiled for the baseline ISA, so the
+/// scalar and NEON tables can share it.
+uint32_t Crc32cPortable(const uint8_t* data, std::size_t n);
+
+#if defined(__SSE4_2__)
+namespace {
+/// The same CRC32C on the SSE4.2 crc32 instruction, 8 bytes per step.
+/// Internal linkage on purpose: the AVX2 and AVX-512 TUs each get their
+/// own copy, so the linker cannot fold one target's code into the other.
+uint32_t Crc32cSse42(const uint8_t* data, std::size_t n) {
+  uint64_t crc = 0xFFFFFFFFu;
+  for (; n >= 8; data += 8, n -= 8) {
+    uint64_t word;
+    std::memcpy(&word, data, sizeof(word));
+    crc = _mm_crc32_u64(crc, word);
+  }
+  uint32_t c = uint32_t(crc);
+  for (; n > 0; ++data, --n) c = _mm_crc32_u8(c, *data);
+  return ~c;
+}
+}  // namespace
+#endif
+
 template <class V8>
-KernelTable MakeTable(const char* name) {
+KernelTable MakeTable(const char* name,
+                      uint32_t (*crc32c)(const uint8_t*, std::size_t)) {
   return KernelTable{name,
                      &DenseMatmatRowsImpl<V8>,
                      &DenseRmatMatColsImpl<V8>,
                      &CsrMatmatRowsImpl<V8>,
                      &CsrRmatMatColsImpl<V8>,
                      &HaarAnalysisColsImpl<V8>,
-                     &HaarSynthesisColsImpl<V8>};
+                     &HaarSynthesisColsImpl<V8>,
+                     crc32c};
 }
 
 }  // namespace ektelo::simd

@@ -52,7 +52,7 @@ struct V8Neon {
   }
 };
 
-const KernelTable kTable = MakeTable<V8Neon>("neon");
+const KernelTable kTable = MakeTable<V8Neon>("neon", &Crc32cPortable);
 
 }  // namespace
 

@@ -1,4 +1,5 @@
-// Runtime-dispatched SIMD kernel table for the blocked hot kernels.
+// Runtime-dispatched SIMD kernel table for the blocked hot kernels and
+// the wire-frame checksum (CRC32C).
 //
 // One binary carries every kernel target its architecture can express —
 // scalar always, AVX2/AVX-512 on x86-64, NEON on AArch64 — and selects
@@ -28,14 +29,20 @@
 // so "scalar" means one lane per instruction — the honest roofline
 // baseline the bench compares against.
 //
-// The table functions are serial range kernels: the blocked entry points
-// in linalg/block.h and linalg/haar.h keep owning the ParallelFor
-// sharding and call the active table per shard, so thread-count
-// invariance and target invariance compose.
+// The crc32c entry is integer arithmetic, so its contract is plain
+// equality: the x86 tables run the SSE4.2 crc32 instruction (implied by
+// -mavx2/-mavx512f) and the scalar and NEON tables a portable
+// slice-by-8 loop, and all return the same CRC32C of the same bytes.
+//
+// The floating-point table functions are serial range kernels: the
+// blocked entry points in linalg/block.h and linalg/haar.h keep owning
+// the ParallelFor sharding and call the active table per shard, so
+// thread-count invariance and target invariance compose.
 #ifndef EKTELO_LINALG_SIMD_SIMD_H_
 #define EKTELO_LINALG_SIMD_SIMD_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -83,6 +90,11 @@ struct KernelTable {
                              std::size_t k);
   void (*haar_synthesis_cols)(const double* x, double* y, std::size_t n,
                               std::size_t k);
+
+  /// CRC32C (Castagnoli; RFC 3720's iSCSI checksum) of n bytes: initial
+  /// value and final xor 0xFFFFFFFF, so crc32c("123456789") ==
+  /// 0xE3069283.  The wire frames' trailer (serve/protocol.h).
+  uint32_t (*crc32c)(const uint8_t* data, std::size_t n);
 };
 
 /// The selected table.  First call resolves EKTELO_SIMD (unset or empty =

@@ -193,8 +193,11 @@ struct OperatorCache::Impl {
 // the registry the single source of truth for the process-wide cache
 // (the Prometheus endpoint reads the same counters this code
 // increments).  Called once, before the global instance sees any
-// traffic; locally constructed caches keep their private counters.
+// traffic; locally constructed caches keep their private counters.  The
+// probe histogram is registered here too, so every ektelo_cache_* series
+// exists from the first touch of Global(), before any probe.
 void OperatorCache::Impl::BindGlobalMetrics() {
+  ProbeSeconds();
   obs::Registry& r = obs::Registry::Global();
   const char* name = "ektelo_cache_requests";
   const char* help = "Operator-cache lookups by tier and event";

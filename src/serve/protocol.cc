@@ -1,5 +1,6 @@
 #include "serve/protocol.h"
 
+#include "linalg/simd/simd.h"
 #include "store/serialize.h"
 #include "util/net.h"
 
@@ -14,6 +15,15 @@ constexpr std::size_t kMaxDims = 64;
 void PutString(const std::string& s, store::ByteWriter* w) {
   w->U64(s.size());
   w->Raw(reinterpret_cast<const uint8_t*>(s.data()), s.size());
+}
+
+/// A bool is one byte, 0 or 1: any other value is refused, so every
+/// accepted payload re-encodes to the same bytes.
+bool GetBool(store::ByteReader* r, bool* b) {
+  uint8_t v;
+  if (!r->U8(&v) || v > 1) return false;
+  *b = v != 0;
+  return true;
 }
 
 bool GetString(store::ByteReader* r, std::string* s,
@@ -74,12 +84,10 @@ bool DecodeInvokeRequest(const std::vector<uint8_t>& bytes,
     q.hi = std::size_t(hi);
   }
   uint64_t stripe;
-  uint8_t coalesce;
   if (!r.F64(&req->known_total) || !r.U64(&stripe) || !r.U8(&req->mode) ||
-      !r.U8(&coalesce) || r.remaining() != 0)
+      !GetBool(&r, &req->coalesce) || r.remaining() != 0)
     return false;
   req->stripe_dim = std::size_t(stripe);
-  req->coalesce = coalesce != 0;
   return true;
 }
 
@@ -97,15 +105,14 @@ std::vector<uint8_t> EncodeInvokeReply(const InvokeReply& reply) {
 bool DecodeInvokeReply(const std::vector<uint8_t>& bytes,
                        InvokeReply* reply) {
   store::ByteReader r(bytes);
-  uint8_t code, coalesced;
+  uint8_t code;
   if (!r.U64(&reply->request_id) || !r.U8(&code) ||
-      !GetString(&r, &reply->message, kMaxNameLen * 4) || !r.U8(&coalesced) ||
-      !r.F64(&reply->eps_charged) ||
+      !GetString(&r, &reply->message, kMaxNameLen * 4) ||
+      !GetBool(&r, &reply->coalesced) || !r.F64(&reply->eps_charged) ||
       !store::DeserializeVec(&r, &reply->estimate) || r.remaining() != 0 ||
       code > uint8_t(ReplyCode::kDeadlineExceeded))
     return false;
   reply->code = ReplyCode(code);
-  reply->coalesced = coalesced != 0;
   return true;
 }
 
@@ -131,7 +138,7 @@ Status WriteFrame(int fd, MsgType type, const std::vector<uint8_t>& payload) {
   header.U8(uint8_t(type));
   header.U32(uint32_t(payload.size()));
   store::ByteWriter trailer;
-  trailer.U64(store::Checksum64(payload));
+  trailer.U32(simd::Active().crc32c(payload.data(), payload.size()));
   const net::ByteSpan spans[] = {
       {header.bytes().data(), header.bytes().size()},
       {payload.data(), payload.size()},
@@ -168,13 +175,13 @@ Status ReadFrame(int fd, MsgType* type, std::vector<uint8_t>* payload) {
     s = MidFrame(net::RecvAll(fd, payload->data(), len));
     if (!s.ok()) return s;
   }
-  uint8_t sumbuf[8];
+  uint8_t sumbuf[4];
   s = MidFrame(net::RecvAll(fd, sumbuf, sizeof(sumbuf)));
   if (!s.ok()) return s;
   store::ByteReader sr(sumbuf, sizeof(sumbuf));
-  uint64_t want = 0;
-  sr.U64(&want);
-  if (store::Checksum64(*payload) != want)
+  uint32_t want = 0;
+  sr.U32(&want);
+  if (simd::Active().crc32c(payload->data(), payload->size()) != want)
     return Status::InvalidArgument("frame checksum mismatch");
   *type = MsgType(t);
   return Status::Ok();

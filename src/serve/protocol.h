@@ -1,12 +1,21 @@
 // Wire protocol of the serving daemon: length-prefixed, checksummed
 // binary frames over a local stream socket, built on the store/
-// serialization primitives (little-endian framing, Checksum64) so both
-// ends agree byte-for-byte regardless of host width or endianness.
+// serialization primitives (little-endian framing) so both ends agree
+// byte-for-byte regardless of host width or endianness.
 //
 // Frame layout:
 //
-//   {u32 magic "EKFR", u8 msg_type, u32 payload_len, payload bytes,
-//    u64 Checksum64(payload)}
+//   {u32 magic "EKFC", u8 msg_type, u32 payload_len, payload bytes,
+//    u32 CRC32C(payload)}
+//
+// The trailer is CRC32C (Castagnoli), computed by the active SIMD
+// kernel table (linalg/simd/simd.h): the SSE4.2 crc32 instruction on
+// x86-64, a portable slice-by-8 loop elsewhere, the same value on
+// both.  Over the payload and trailer it detects every error burst of up
+// to 32 bits and every odd number of flipped bits; it is an integrity
+// check against torn or corrupted frames, not an authenticator.  The magic
+// names the checksum: frames of the older FNV-1a layout ("EKFR", u64
+// trailer) fail closed on "bad frame magic".
 //
 // Payloads are capped (kMaxPayloadBytes) so a hostile or corrupted
 // length field cannot become an allocation bomb; a bad magic, oversized
@@ -33,7 +42,7 @@
 
 namespace ektelo::serve {
 
-inline constexpr uint32_t kFrameMagic = 0x52464B45u;  // "EKFR" little-endian
+inline constexpr uint32_t kFrameMagic = 0x43464B45u;  // "EKFC" little-endian
 inline constexpr std::size_t kMaxPayloadBytes = std::size_t{64} << 20;
 
 enum class MsgType : uint8_t {

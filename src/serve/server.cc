@@ -23,6 +23,7 @@
 #include "kernel/budget.h"
 #include "kernel/handles.h"
 #include "kernel/kernel.h"
+#include "matrix/rewrite.h"
 #include "obs/export.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
@@ -659,7 +660,9 @@ StatusOr<std::unique_ptr<Server>> Server::Start(
 
   std::unique_ptr<Server> server(new Server);
   Impl& im = *server->impl_;
-  Requests();  // every event series is in the first scrape, even at 0
+  // Every event and cache series is in the first scrape, even at 0.
+  Requests();
+  OperatorCache::Global();
   im.opts = opts;
   im.opts.workers = std::max<std::size_t>(1, im.opts.workers);
   im.opts.queue_capacity = std::max<std::size_t>(1, im.opts.queue_capacity);

@@ -15,8 +15,9 @@
 // buffer, and allocation sizes are validated against the bytes actually
 // present before resizing — a truncated or corrupted payload yields
 // `false`, never a crash or an aborted CHECK.  Whole-record integrity
-// (bit flips that keep the structure plausible) is the framing's job via
-// Checksum64.
+// (bit flips that keep the structure plausible) is the framing's job:
+// Checksum64 for ledger records, CRC32C for wire frames
+// (serve/protocol.h).
 #ifndef EKTELO_STORE_SERIALIZE_H_
 #define EKTELO_STORE_SERIALIZE_H_
 
@@ -33,10 +34,11 @@ namespace ektelo::store {
 /// on open, never reinterpreted.
 inline constexpr uint32_t kFormatVersion = 1;
 
-/// 64-bit FNV-1a over a byte range: the per-record and per-frame
-/// integrity checksum.  Not cryptographic — it guards against torn
-/// writes, truncation and random corruption, not an adversary with write
-/// access to the ledger directory.
+/// 64-bit FNV-1a over a byte range: the ledger's per-record integrity
+/// checksum, and the content hash of requests and estimates.  Not
+/// cryptographic — it guards against torn writes, truncation and random
+/// corruption, not an adversary with write access to the ledger
+/// directory.
 uint64_t Checksum64(const uint8_t* data, std::size_t n);
 inline uint64_t Checksum64(const std::vector<uint8_t>& bytes) {
   return Checksum64(bytes.data(), bytes.size());

@@ -3,16 +3,20 @@
 // exhaustion refused before any kernel-side charge, identical-request
 // coalescing hitting one execution, bitwise response determinism across
 // EKTELO_THREADS settings, malformed-frame rejection, queue-full
-// backpressure, the frame bytes on the wire, and a golden digest of the
-// replies to a fixed request set.
+// backpressure, the frame bytes on the wire, the CRC32C trailer refusing
+// bit flips and bursts, a seeded mutation loop over every decoder of wire
+// bytes, and a golden digest of the replies to a fixed request set.
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <initializer_list>
+#include <iterator>
 #include <limits>
 #include <set>
 #include <string>
@@ -24,6 +28,7 @@
 
 #include "gtest/gtest.h"
 #include "data/generators.h"
+#include "linalg/simd/simd.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/client.h"
@@ -345,6 +350,27 @@ TEST(Server, MalformedFramesRejectedWithoutTakingServerDown) {
     uint8_t buf;
     EXPECT_FALSE(net::RecvAll(*fd, &buf, 1).ok());
     net::CloseFd(*fd);
+  }
+  // An intact frame of the retired FNV-1a layout (magic "EKFR", u64
+  // Checksum64 trailer) carrying a valid invoke: an old peer fails
+  // closed on the magic, without a reply and without a charge.
+  {
+    const std::vector<uint8_t> body =
+        EncodeInvokeRequest(IdentityRequest("alpha", 0.1));
+    store::ByteWriter w;
+    w.Raw(reinterpret_cast<const uint8_t*>("EKFR"), 4);
+    w.U8(uint8_t(MsgType::kInvoke));
+    w.U32(uint32_t(body.size()));
+    w.Raw(body.data(), body.size());
+    w.U64(store::Checksum64(body));
+    const uint64_t received = ServeEvents("received");
+    auto fd = net::ConnectUnix(opts.socket_path);
+    ASSERT_TRUE(fd.ok());
+    ASSERT_TRUE(net::SendAll(*fd, w.bytes().data(), w.bytes().size()).ok());
+    uint8_t buf;
+    EXPECT_FALSE(net::RecvAll(*fd, &buf, 1).ok());
+    net::CloseFd(*fd);
+    EXPECT_EQ(ServeEvents("received"), received);
   }
   // An intact frame whose invoke payload is garbage gets kBadRequest
   // on the same (still healthy) connection.
@@ -817,9 +843,9 @@ TEST(ServeEnv, OutOfRangeValuesKeepTheDefaults) {
   }
 }
 
-// The frame layout on the wire, byte for byte: a 9-byte header (magic,
-// type, payload length, little-endian), the payload, and its 8-byte
-// checksum.  The large payload overflows the socket buffer, so the
+// The frame layout on the wire, byte for byte: a 9-byte header (magic
+// "EKFC", type, payload length, little-endian), the payload, and its
+// 4-byte CRC32C.  The large payload overflows the socket buffer, so the
 // gather write resumes mid-span.
 TEST(Protocol, WriteFrameBytesOnTheWire) {
   for (std::size_t n : {std::size_t{0}, std::size_t{5},
@@ -827,12 +853,13 @@ TEST(Protocol, WriteFrameBytesOnTheWire) {
     SCOPED_TRACE("payload bytes=" + std::to_string(n));
     std::vector<uint8_t> payload(n);
     for (std::size_t i = 0; i < n; ++i) payload[i] = uint8_t(i * 131 % 251);
-    std::vector<uint8_t> want = {0x45, 0x4B, 0x46, 0x52,
+    std::vector<uint8_t> want = {0x45, 0x4B, 0x46, 0x43,
                                  uint8_t(MsgType::kInvokeReply)};
     for (int b = 0; b < 4; ++b) want.push_back(uint8_t(n >> (8 * b)));
     want.insert(want.end(), payload.begin(), payload.end());
-    const uint64_t sum = store::Checksum64(payload);
-    for (int b = 0; b < 8; ++b) want.push_back(uint8_t(sum >> (8 * b)));
+    const uint32_t sum =
+        simd::GetScalarTable()->crc32c(payload.data(), payload.size());
+    for (int b = 0; b < 4; ++b) want.push_back(uint8_t(sum >> (8 * b)));
 
     int fds[2];
     ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
@@ -851,6 +878,252 @@ TEST(Protocol, WriteFrameBytesOnTheWire) {
               StatusCode::kUnavailable);
     net::CloseFd(fds[1]);
     EXPECT_TRUE(got == want);
+  }
+}
+
+constexpr std::size_t kFrameHeaderBytes = 9;
+constexpr std::size_t kFrameTrailerBytes = 4;
+
+// The bytes WriteFrame puts on the wire for one frame.
+std::vector<uint8_t> FrameBytes(MsgType type,
+                                const std::vector<uint8_t>& payload) {
+  int fds[2];
+  EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  std::thread writer([&] {
+    EXPECT_TRUE(WriteFrame(fds[0], type, payload).ok());
+    net::CloseFd(fds[0]);
+  });
+  std::vector<uint8_t> frame(kFrameHeaderBytes + payload.size() +
+                             kFrameTrailerBytes);
+  EXPECT_TRUE(net::RecvAll(fds[1], frame.data(), frame.size()).ok());
+  writer.join();
+  net::CloseFd(fds[1]);
+  return frame;
+}
+
+// Pushes raw bytes through a socketpair into ReadFrame.  The writer
+// closes its end after the last byte, so a frame that claims more bytes
+// than arrive ends in a mid-frame EOF rather than a hang.
+Status ReadFrameFrom(const std::vector<uint8_t>& bytes, MsgType* type,
+                     std::vector<uint8_t>* payload) {
+  int fds[2];
+  EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  std::thread writer([&] {
+    // Fails with EPIPE when ReadFrame gives up first; that is expected.
+    (void)net::SendAll(fds[0], bytes.data(), bytes.size());
+    net::CloseFd(fds[0]);
+  });
+  const Status s = ReadFrame(fds[1], type, payload);
+  net::CloseFd(fds[1]);
+  writer.join();
+  return s;
+}
+
+void FlipBit(std::vector<uint8_t>* bytes, std::size_t bit) {
+  (*bytes)[bit / 8] ^= uint8_t(1u << (bit % 8));
+}
+
+// Every single-bit flip of a 64-byte frame's payload or CRC32C trailer
+// is refused as a checksum mismatch.  (The header is not under the
+// checksum: its magic and length fail on their own.)
+TEST(Protocol, ReadFrameRefusesEverySingleBitFlip) {
+  std::vector<uint8_t> payload(64);
+  for (std::size_t i = 0; i < payload.size(); ++i)
+    payload[i] = uint8_t(i * 37 + 11);
+  const std::vector<uint8_t> frame =
+      FrameBytes(MsgType::kInvokeReply, payload);
+  MsgType type;
+  std::vector<uint8_t> got;
+  ASSERT_TRUE(ReadFrameFrom(frame, &type, &got).ok());
+  ASSERT_TRUE(got == payload);
+  for (std::size_t bit = kFrameHeaderBytes * 8; bit < frame.size() * 8;
+       ++bit) {
+    std::vector<uint8_t> bad = frame;
+    FlipBit(&bad, bit);
+    const Status s = ReadFrameFrom(bad, &type, &got);
+    ASSERT_EQ(s.code(), StatusCode::kInvalidArgument) << "bit " << bit;
+    ASSERT_EQ(s.message(), "frame checksum mismatch") << "bit " << bit;
+  }
+}
+
+// CRC32C detects every error burst of up to 32 bits.  Seeded bursts
+// (first and last bit flipped, the bits between at random) at the start
+// of the payload, in its middle, and across its end into the trailer of
+// a 700 KiB frame, larger than the socket buffer.
+TEST(Protocol, ReadFrameRefusesBurstsOfUpTo32Bits) {
+  std::vector<uint8_t> payload(std::size_t{700} << 10);
+  for (std::size_t i = 0; i < payload.size(); ++i)
+    payload[i] = uint8_t(i * 131 % 251);
+  const std::vector<uint8_t> frame =
+      FrameBytes(MsgType::kInvokeReply, payload);
+  const std::size_t bits = frame.size() * 8;
+  const std::size_t starts[] = {kFrameHeaderBytes * 8,
+                                kFrameHeaderBytes * 8 + payload.size() * 4,
+                                bits - (kFrameTrailerBytes + 8) * 8};
+  Rng rng(32);
+  MsgType type;
+  std::vector<uint8_t> got;
+  for (std::size_t region : starts) {
+    for (int trial = 0; trial < 8; ++trial) {
+      const std::size_t len = std::size_t(rng.UniformInt(1, 32));
+      const std::size_t first = std::min<std::size_t>(
+          region + std::size_t(rng.UniformInt(0, 63)), bits - len);
+      std::vector<uint8_t> bad = frame;
+      FlipBit(&bad, first);
+      if (len > 1) FlipBit(&bad, first + len - 1);
+      for (std::size_t b = first + 1; b + 1 < first + len; ++b)
+        if (rng.UniformInt(0, 1) == 1) FlipBit(&bad, b);
+      const Status s = ReadFrameFrom(bad, &type, &got);
+      ASSERT_EQ(s.code(), StatusCode::kInvalidArgument)
+          << "burst of " << len << " bits at bit " << first;
+    }
+  }
+}
+
+// One seeded mutation of a frame or payload: flipped bits, a
+// truncation, an edited length field (the frame's u32 at byte 5 when
+// `frame`, otherwise a u64 overwritten at a random offset, where the
+// payloads keep their string, vector and count lengths), or inserted
+// bytes.
+std::vector<uint8_t> Mutate(std::vector<uint8_t> m, bool frame, Rng* rng) {
+  const auto pick = [rng](std::size_t n) {
+    return std::size_t(rng->UniformInt(0, int64_t(n) - 1));
+  };
+  switch (rng->UniformInt(0, 3)) {
+    case 0: {
+      const int64_t flips = rng->UniformInt(1, 8);
+      for (int64_t i = 0; i < flips && !m.empty(); ++i)
+        FlipBit(&m, pick(m.size() * 8));
+      break;
+    }
+    case 1:
+      if (!m.empty()) m.resize(pick(m.size()));
+      break;
+    case 2: {
+      const std::size_t at = frame ? 5 : pick(m.size() + 1);
+      const std::size_t width = frame ? 4 : 8;
+      uint64_t was = 0;
+      for (std::size_t b = 0; b < width && at + b < m.size(); ++b)
+        was |= uint64_t(m[at + b]) << (8 * b);
+      const uint64_t values[] = {0,
+                                 1,
+                                 was - 1,
+                                 was + 1,
+                                 was * 2,
+                                 was / 2,
+                                 uint64_t(kMaxPayloadBytes),
+                                 uint64_t(kMaxPayloadBytes) + 1,
+                                 ~uint64_t{0},
+                                 uint64_t(rng->UniformInt(0, INT64_MAX))};
+      const uint64_t v = values[pick(std::size(values))];
+      for (std::size_t b = 0; b < width && at + b < m.size(); ++b)
+        m[at + b] = uint8_t(v >> (8 * b));
+      break;
+    }
+    default: {
+      const std::size_t at = pick(m.size() + 1);
+      const std::size_t n = std::size_t(rng->UniformInt(1, 16));
+      std::vector<uint8_t> extra(n);
+      for (auto& b : extra) b = uint8_t(rng->UniformInt(0, 255));
+      m.insert(m.begin() + std::ptrdiff_t(at), extra.begin(), extra.end());
+      break;
+    }
+  }
+  return m;
+}
+
+// The decoder of a message type's payload must either refuse the bytes
+// or decode them to a message that re-encodes to exactly those bytes.
+// Types without a payload decoder must carry the original payload
+// unchanged (the checksum held).
+::testing::AssertionResult FailsClosedOrRoundTrips(
+    MsgType type, const std::vector<uint8_t>& payload,
+    const std::vector<uint8_t>& original) {
+  std::vector<uint8_t> again;
+  switch (type) {
+    case MsgType::kInvoke: {
+      InvokeRequest req;
+      if (!DecodeInvokeRequest(payload, &req))
+        return ::testing::AssertionSuccess();
+      again = EncodeInvokeRequest(req);
+      break;
+    }
+    case MsgType::kInvokeReply: {
+      InvokeReply reply;
+      if (!DecodeInvokeReply(payload, &reply))
+        return ::testing::AssertionSuccess();
+      again = EncodeInvokeReply(reply);
+      break;
+    }
+    case MsgType::kStatsPromReply:
+    case MsgType::kTraceReply: {
+      std::string text;
+      if (!DecodeTextReply(payload, &text))
+        return ::testing::AssertionSuccess();
+      again = EncodeTextReply(text);
+      break;
+    }
+    default:
+      again = original;
+      break;
+  }
+  if (again == payload) return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure()
+         << "type " << int(type) << ": " << payload.size()
+         << " bytes accepted, re-encoded as " << again.size()
+         << " different bytes";
+}
+
+// Seeded mutation loop over every decoder of wire bytes: valid Invoke,
+// InvokeReply and text-reply frames are mutated and pushed through a
+// socketpair into ReadFrame and then the payload decoders, and the
+// payloads are also mutated and decoded directly, bypassing the
+// checksum.  Every case must fail closed or round-trip exactly.  The
+// seeds are fixed; they are not tuned.
+TEST(Protocol, MutatedFramesAndPayloadsFailClosedOrRoundTrip) {
+  InvokeRequest req;
+  req.request_id = 77;
+  req.tenant = "alpha";
+  req.plan = "HB-Striped";
+  req.eps = 0.25;
+  req.dims = {16, 8};
+  req.ranges = {{0, 127}, {3, 40}, {64, 64}};
+  req.known_total = 1000.0;
+  req.stripe_dim = 1;
+  req.mode = 1;
+  InvokeReply reply;
+  reply.request_id = 77;
+  reply.message = "ok";
+  reply.coalesced = true;
+  reply.eps_charged = 0.25;
+  reply.estimate = Vec(24);
+  for (std::size_t i = 0; i < reply.estimate.size(); ++i)
+    reply.estimate[i] = 0.5 * double(i) - 3.0;
+  const std::pair<MsgType, std::vector<uint8_t>> seeds[] = {
+      {MsgType::kInvoke, EncodeInvokeRequest(req)},
+      {MsgType::kInvokeReply, EncodeInvokeReply(reply)},
+      {MsgType::kStatsPromReply,
+       EncodeTextReply("ektelo_serve_requests_total{event=\"executed\"} 3\n")},
+  };
+  constexpr int kMutationsPerSeed = 400;
+  uint64_t seed = 1;
+  for (const auto& [type, payload] : seeds) {
+    SCOPED_TRACE("seed frame type " + std::to_string(int(type)));
+    ASSERT_TRUE(FailsClosedOrRoundTrips(type, payload, payload));
+    const std::vector<uint8_t> frame = FrameBytes(type, payload);
+    Rng rng(seed++);
+    for (int i = 0; i < kMutationsPerSeed; ++i) {
+      const std::vector<uint8_t> bad = Mutate(frame, /*frame=*/true, &rng);
+      MsgType got_type;
+      std::vector<uint8_t> got;
+      if (ReadFrameFrom(bad, &got_type, &got).ok()) {
+        ASSERT_TRUE(FailsClosedOrRoundTrips(got_type, got, payload))
+            << "frame mutation " << i;
+      }
+      const std::vector<uint8_t> body = Mutate(payload, /*frame=*/false, &rng);
+      ASSERT_TRUE(FailsClosedOrRoundTrips(type, body, payload))
+          << "payload mutation " << i;
+    }
   }
 }
 
