@@ -1,7 +1,7 @@
 // Rewrite-engine A/B: the inference-heavy catalog plans (the MWEM
 // family, the HB/DAWA striped plans, and workload-reduction
-// configurations) run end-to-end with the rewrite engine + OperatorCache
-// OFF and ON (`rules`) — identical seeds, identical inputs.  The run
+// configurations) run end-to-end with the rewrite engine OFF and ON
+// (`rules`) — identical seeds, identical inputs.  The run
 // writes BENCH_rewrite.json: per-plan wall times, speedups, max relative
 // deviation and the geomean.
 //
@@ -40,9 +40,10 @@ double MaxRelDiff(const Vec& a, const Vec& b) {
 /// Best-of-N timing reps per mode.  The striped catalog rows finish in
 /// a few milliseconds; a single sample at that scale is dominated by
 /// scheduler noise, and the acceptance geomean is computed over these
-/// rows.  The cache is cleared before *every* rep, so each sample pays
-/// the full cold canonicalization cost — reps remove OS jitter, not the
-/// work under measurement.
+/// rows.  Nothing is memoized across reps (the rows run in implicit
+/// mode, which prepares no strategy), so each sample pays the full
+/// canonicalization cost — reps remove OS jitter, not the work under
+/// measurement.
 int g_time_reps = 3;
 
 /// Runs `fn` (which returns an estimate vector) with the toggle off,
@@ -59,7 +60,6 @@ RowResult TimeAb(const std::function<Vec()>& fn) {
   for (int rep = 0; rep < g_time_reps; ++rep) {
     for (int mode = 0; mode < 2; ++mode) {
       SetRewriteEnabled(mode == 1);
-      OperatorCache::Global().Clear();
       WallTimer t;
       *outs[mode] = fn();
       const double s = t.Elapsed();
@@ -121,7 +121,7 @@ int main(int argc, char** argv) {
   // `catalog` rows are end-to-end registered/parameterized plans; the
   // acceptance geomean is computed over those alone.  Non-catalog rows
   // (inference ablations) are reported but tracked separately so a
-  // synthetic cache-hit loop cannot carry the bar.
+  // synthetic solver loop cannot carry the bar.
   auto emit = [&](const std::string& name, const RowResult& r,
                   bool catalog = true) {
     if (!r.ok) {
@@ -218,10 +218,10 @@ int main(int argc, char** argv) {
          }));
   }
 
-  // ---- The cache's headline scenario: an inference loop that re-derives
-  // ---- the same measurement union each call (direct normal-equations
-  // ---- backend).  OFF re-assembles the dense Gram every call; ON memoizes
-  // ---- it under the stack's structural hash.
+  // ---- An inference loop that re-derives the same measurement union
+  // ---- each call (direct normal-equations backend).  Both modes
+  // ---- assemble the dense Gram every call; ON first merges the stack's
+  // ---- range sets into one RangeSetOp.
   {
     const std::size_t ng = quick ? 128 : 256;
     const std::size_t k_meas = quick ? 16 : 64;

@@ -1,13 +1,14 @@
 #!/usr/bin/env bash
 # End-to-end smoke of the observability layer through the real binaries:
 # start ektelo_served with EKTELO_TRACE=1, scrape `stats` once before
-# any invocation (the cache series must already be registered), fire a
+# any invocation (the event series must already be registered), fire a
 # few invocations, then scrape `stats` (validating Prometheus text
-# exposition shape, that the invocation was counted as executed, and
-# that a second scrape after one more invocation exposes the same
-# histogram bucket series) and
-# `trace --out` (validating the Chrome trace JSON parses and carries the
-# full request lifecycle's span types).
+# exposition shape, that the invocation was counted as executed, that no
+# ektelo_cache_* series is exported, and that a second scrape after one
+# more invocation exposes the same histogram bucket series) and
+# `trace --out` (validating the Chrome trace JSON parses, carries the
+# full request lifecycle's span types, and shows the repeated sparse
+# request reusing its prepared strategy).
 #
 #   scripts/obs_smoke.sh [BUILD_DIR]       # default: build
 set -u
@@ -44,16 +45,14 @@ for _ in $(seq 1 50); do
 done
 [ -S "$SOCK" ] || { fail "daemon did not come up"; exit 1; }
 
-echo "== stats before any invocation already exposes the cache series =="
+echo "== stats before any invocation already exposes the event series =="
 "$CLIENT" --socket "$SOCK" stats > "$WORK/metrics0.prom" \
   || fail "first stats failed"
-for want in ektelo_cache_requests_total ektelo_cache_probe_seconds_bucket; do
-  grep -q "^$want[{ ]" "$WORK/metrics0.prom" \
-    || fail "missing metric before any invocation: $want"
-done
+grep -q '^ektelo_serve_requests_total{' "$WORK/metrics0.prom" \
+  || fail "missing metric before any invocation: ektelo_serve_requests_total"
 
-# Sparse mode, so the strategy's conversion goes through the operator
-# cache and its series are exported.
+# Sparse mode, so the Select stage materializes and prepares the
+# strategy (the second invoke below reuses it).
 echo "== invoke (H2, sparse: full lifecycle under trace) =="
 "$CLIENT" --socket "$SOCK" invoke --tenant alpha --plan H2 --eps 0.1 \
   --mode sparse --request-id 7 > "$WORK/invoke.out" || fail "H2 invoke failed"
@@ -85,10 +84,14 @@ for line in open(path):
         executed = float(line.split(" ")[1])
 for want in ("ektelo_serve_requests_total",
              "ektelo_serve_stage_seconds_bucket",
-             "ektelo_tenant_budget_eps",
-             "ektelo_cache_requests_total"):
+             "ektelo_tenant_budget_eps"):
     if want not in names:
         print("missing metric:", want)
+        ok = False
+# The operator cache and its series are gone; none may come back.
+for name in sorted(names):
+    if name.startswith("ektelo_cache_"):
+        print("unexpected metric:", name)
         ok = False
 if executed < 1:
     print("executed requests:", executed, "want >= 1")
@@ -132,6 +135,12 @@ if missing:
     sys.exit(1)
 if len(spans) < 6:
     print("too few distinct span types:", sorted(spans))
+    sys.exit(1)
+# The second sparse H2 invoke reused the strategy the first prepared.
+prepared = [e["args"].get("prepared") for e in events
+            if e.get("name") == "plan.select"]
+if "hit" not in prepared:
+    print("no plan.select span reused a prepared strategy:", prepared)
     sys.exit(1)
 print("span types:", len(spans))
 EOF

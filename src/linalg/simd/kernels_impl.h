@@ -33,12 +33,20 @@ namespace ektelo::simd {
 
 inline constexpr std::size_t kLanes = 8;
 
+// Every function here that is not a template over the TU's V8 (whose
+// instantiations already have internal linkage: each V8 lives in its TU's
+// unnamed namespace) sits in an unnamed namespace too.  The TUs are
+// compiled with different -m flags, and an external-linkage inline copy
+// would let the linker keep one target's code for all of them — at -O0,
+// the AVX-512 copy inside the scalar table.
+namespace {
 /// The canonical 8-lane reduction tree over a spilled accumulator group.
 inline double ReduceTree(const double* l) {
   const double s01 = l[0] + l[1], s23 = l[2] + l[3];
   const double s45 = l[4] + l[5], s67 = l[6] + l[7];
   return (s01 + s23) + (s45 + s67);
 }
+}  // namespace
 
 /// dot(r, x) over n elements with 8-lane accumulation + the canonical
 /// reduction tree.  This is the ONLY kernel whose result differs from a
@@ -169,11 +177,13 @@ void CsrRmatMatColsImpl(const std::size_t* indptr, const std::size_t* indices,
 
 namespace impl_detail {
 
+namespace {
 inline std::size_t Log2(std::size_t n) {
   std::size_t k = 0;
   while ((std::size_t{1} << k) < n) ++k;
   return k;
 }
+}  // namespace
 
 /// Elementwise z[c] = a[c] + b[c], w[c] = a[c] - b[c] over k contiguous
 /// values: the Haar butterfly, vectorized over columns.

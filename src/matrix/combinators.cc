@@ -569,115 +569,6 @@ std::string ScaleOp::DebugName() const {
   return "Scale(" + std::to_string(c_) + "," + child_->DebugName() + ")";
 }
 
-// ---------------------------------------------------- structural identity
-
-namespace {
-// Structural-hash tags (distinct across all LinOp subclasses; the leaf
-// tags live in linop.cc / implicit_ops.cc / range_ops.cc).
-constexpr uint64_t kTagTranspose = 4;
-constexpr uint64_t kTagVStack = 5;
-constexpr uint64_t kTagHStack = 6;
-constexpr uint64_t kTagSum = 7;
-constexpr uint64_t kTagProduct = 8;
-constexpr uint64_t kTagKron = 9;
-constexpr uint64_t kTagRowWeight = 10;
-constexpr uint64_t kTagScale = 11;
-
-bool ChildrenEq(const std::vector<LinOpPtr>& a,
-                const std::vector<LinOpPtr>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i)
-    if (!a[i]->StructuralEq(*b[i])) return false;
-  return true;
-}
-
-uint64_t MixChildren(StructHash h, const std::vector<LinOpPtr>& cs) {
-  h.Mix(cs.size());
-  for (const auto& c : cs) h.Mix(c->StructuralHash());
-  return h.Finish();
-}
-}  // namespace
-
-uint64_t TransposeOp::ComputeStructuralHash() const {
-  return HashBase(kTagTranspose).Mix(child_->StructuralHash()).Finish();
-}
-bool TransposeOp::StructuralEq(const LinOp& other) const {
-  auto* o = dynamic_cast<const TransposeOp*>(&other);
-  return o && EqBase(other) && child_->StructuralEq(*o->child_);
-}
-
-uint64_t VStackOp::ComputeStructuralHash() const {
-  return MixChildren(HashBase(kTagVStack), children_);
-}
-bool VStackOp::StructuralEq(const LinOp& other) const {
-  auto* o = dynamic_cast<const VStackOp*>(&other);
-  return o && EqBase(other) && ChildrenEq(children_, o->children_);
-}
-
-uint64_t HStackOp::ComputeStructuralHash() const {
-  return MixChildren(HashBase(kTagHStack), children_);
-}
-bool HStackOp::StructuralEq(const LinOp& other) const {
-  auto* o = dynamic_cast<const HStackOp*>(&other);
-  return o && EqBase(other) && ChildrenEq(children_, o->children_);
-}
-
-uint64_t SumOp::ComputeStructuralHash() const {
-  return MixChildren(HashBase(kTagSum), children_);
-}
-bool SumOp::StructuralEq(const LinOp& other) const {
-  auto* o = dynamic_cast<const SumOp*>(&other);
-  return o && EqBase(other) && ChildrenEq(children_, o->children_);
-}
-
-uint64_t ProductOp::ComputeStructuralHash() const {
-  return HashBase(kTagProduct)
-      .Mix(a_->StructuralHash())
-      .Mix(b_->StructuralHash())
-      .Finish();
-}
-bool ProductOp::StructuralEq(const LinOp& other) const {
-  auto* o = dynamic_cast<const ProductOp*>(&other);
-  return o && EqBase(other) && a_->StructuralEq(*o->a_) &&
-         b_->StructuralEq(*o->b_);
-}
-
-uint64_t KroneckerOp::ComputeStructuralHash() const {
-  return HashBase(kTagKron)
-      .Mix(a_->StructuralHash())
-      .Mix(b_->StructuralHash())
-      .Finish();
-}
-bool KroneckerOp::StructuralEq(const LinOp& other) const {
-  auto* o = dynamic_cast<const KroneckerOp*>(&other);
-  return o && EqBase(other) && a_->StructuralEq(*o->a_) &&
-         b_->StructuralEq(*o->b_);
-}
-
-uint64_t RowWeightOp::ComputeStructuralHash() const {
-  return HashBase(kTagRowWeight)
-      .MixDoubles(w_)
-      .Mix(child_->StructuralHash())
-      .Finish();
-}
-bool RowWeightOp::StructuralEq(const LinOp& other) const {
-  auto* o = dynamic_cast<const RowWeightOp*>(&other);
-  return o && EqBase(other) && BitwiseEq(w_, o->w_) &&
-         child_->StructuralEq(*o->child_);
-}
-
-uint64_t ScaleOp::ComputeStructuralHash() const {
-  return HashBase(kTagScale)
-      .MixDouble(c_)
-      .Mix(child_->StructuralHash())
-      .Finish();
-}
-bool ScaleOp::StructuralEq(const LinOp& other) const {
-  auto* o = dynamic_cast<const ScaleOp*>(&other);
-  return o && EqBase(other) && BitwiseEq(c_, o->c_) &&
-         child_->StructuralEq(*o->child_);
-}
-
 // -------------------------------------------------------------- factories
 
 LinOpPtr MakeTranspose(LinOpPtr a) {

@@ -32,11 +32,7 @@ class TransposeOp final : public LinOp {
   LinOpPtr Abs() const override;
   CsrMatrix MaterializeSparse() const override;
   std::string DebugName() const override;
-  bool StructuralEq(const LinOp& other) const override;
   const LinOpPtr& child() const { return child_; }
-
- protected:
-  uint64_t ComputeStructuralHash() const override;
 
  private:
   LinOpPtr child_;
@@ -55,11 +51,7 @@ class VStackOp final : public LinOp {
   LinOpPtr Gram() const override;  // sum of the children's Grams
   CsrMatrix MaterializeSparse() const override;
   std::string DebugName() const override;
-  bool StructuralEq(const LinOp& other) const override;
   const std::vector<LinOpPtr>& children() const { return children_; }
-
- protected:
-  uint64_t ComputeStructuralHash() const override;
 
  private:
   std::vector<LinOpPtr> children_;
@@ -78,12 +70,10 @@ class HStackOp final : public LinOp {
   LinOpPtr Abs() const override;
   CsrMatrix MaterializeSparse() const override;
   std::string DebugName() const override;
-  bool StructuralEq(const LinOp& other) const override;
   const std::vector<LinOpPtr>& children() const { return children_; }
 
  protected:
   double ComputeSensitivityL1() const override;
-  uint64_t ComputeStructuralHash() const override;
 
  private:
   std::vector<LinOpPtr> children_;
@@ -101,11 +91,7 @@ class SumOp final : public LinOp {
                       std::size_t k) const override;
   CsrMatrix MaterializeSparse() const override;
   std::string DebugName() const override;
-  bool StructuralEq(const LinOp& other) const override;
   const std::vector<LinOpPtr>& children() const { return children_; }
-
- protected:
-  uint64_t ComputeStructuralHash() const override;
 
  private:
   std::vector<LinOpPtr> children_;
@@ -125,12 +111,8 @@ class ProductOp final : public LinOp {
   LinOpPtr Gram() const override;  // B^T Gram(A) B
   CsrMatrix MaterializeSparse() const override;
   std::string DebugName() const override;
-  bool StructuralEq(const LinOp& other) const override;
   const LinOpPtr& a() const { return a_; }
   const LinOpPtr& b() const { return b_; }
-
- protected:
-  uint64_t ComputeStructuralHash() const override;
 
  private:
   LinOpPtr a_, b_;
@@ -152,13 +134,11 @@ class KroneckerOp final : public LinOp {
   LinOpPtr Gram() const override;  // Gram(A) ⊗ Gram(B)
   CsrMatrix MaterializeSparse() const override;
   std::string DebugName() const override;
-  bool StructuralEq(const LinOp& other) const override;
   const LinOpPtr& a() const { return a_; }
   const LinOpPtr& b() const { return b_; }
 
  protected:
   double ComputeSensitivityL1() const override;
-  uint64_t ComputeStructuralHash() const override;
 
  private:
   LinOpPtr a_, b_;
@@ -176,12 +156,8 @@ class RowWeightOp final : public LinOp {
   LinOpPtr Abs() const override;
   CsrMatrix MaterializeSparse() const override;
   std::string DebugName() const override;
-  bool StructuralEq(const LinOp& other) const override;
   const LinOpPtr& child() const { return child_; }
   const Vec& weights() const { return w_; }
-
- protected:
-  uint64_t ComputeStructuralHash() const override;
 
  private:
   LinOpPtr child_;
@@ -202,13 +178,11 @@ class ScaleOp final : public LinOp {
   LinOpPtr Gram() const override;
   CsrMatrix MaterializeSparse() const override;
   std::string DebugName() const override;
-  bool StructuralEq(const LinOp& other) const override;
   double scale() const { return c_; }
   const LinOpPtr& child() const { return child_; }
 
  protected:
   double ComputeSensitivityL1() const override;
-  uint64_t ComputeStructuralHash() const override;
 
  private:
   LinOpPtr child_;

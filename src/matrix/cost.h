@@ -1,12 +1,9 @@
 // Cost policy for LinOp expression trees: the named guards of the
-// rewrite pass's sparse-fuse rule (matrix/rules.h) and the retained-byte
-// estimate that sizes the OperatorCache's byte bound (matrix/rewrite.h).
+// rewrite pass's sparse-fuse rule (matrix/rules.h).
 #ifndef EKTELO_MATRIX_COST_H_
 #define EKTELO_MATRIX_COST_H_
 
 #include <cstddef>
-
-#include "matrix/linop.h"
 
 namespace ektelo {
 
@@ -34,15 +31,6 @@ inline bool SparseFuseKeepsDensity(std::size_t fused_nnz, std::size_t nnz_a,
   return double(fused_nnz) <=
          kSparseFuseMaxDensityRatio * double(nnz_a + nnz_b);
 }
-
-// ------------------------------------------------------------ footprint
-
-/// Approximate bytes a tree pins while someone holds it alive: leaf
-/// payloads (dense data, CSR arrays, interval/rectangle lists) plus a
-/// fixed per-node overhead.  Shared subtrees are counted once per
-/// reference — over-, never under-counting against a byte bound.  Used
-/// by OperatorCache to budget what it keeps resident.
-std::size_t ApproxRetainedBytes(const LinOp& op);
 
 }  // namespace ektelo
 

@@ -265,53 +265,6 @@ std::string WaveletOp::DebugName() const {
   return "Wavelet(" + std::to_string(rows()) + ")";
 }
 
-// ---------------------------------------------------- structural identity
-
-// These operators carry no state beyond their shape, so the shared
-// per-class tag + shape preamble is the whole fingerprint.
-namespace {
-constexpr uint64_t kTagIdentity = 12;
-constexpr uint64_t kTagOnes = 13;
-constexpr uint64_t kTagPrefix = 14;
-constexpr uint64_t kTagSuffix = 15;
-constexpr uint64_t kTagWavelet = 16;
-}  // namespace
-
-uint64_t IdentityOp::ComputeStructuralHash() const {
-  return HashBase(kTagIdentity).Finish();
-}
-bool IdentityOp::StructuralEq(const LinOp& other) const {
-  return dynamic_cast<const IdentityOp*>(&other) && EqBase(other);
-}
-
-uint64_t OnesOp::ComputeStructuralHash() const {
-  return HashBase(kTagOnes).Finish();
-}
-bool OnesOp::StructuralEq(const LinOp& other) const {
-  return dynamic_cast<const OnesOp*>(&other) && EqBase(other);
-}
-
-uint64_t PrefixOp::ComputeStructuralHash() const {
-  return HashBase(kTagPrefix).Finish();
-}
-bool PrefixOp::StructuralEq(const LinOp& other) const {
-  return dynamic_cast<const PrefixOp*>(&other) && EqBase(other);
-}
-
-uint64_t SuffixOp::ComputeStructuralHash() const {
-  return HashBase(kTagSuffix).Finish();
-}
-bool SuffixOp::StructuralEq(const LinOp& other) const {
-  return dynamic_cast<const SuffixOp*>(&other) && EqBase(other);
-}
-
-uint64_t WaveletOp::ComputeStructuralHash() const {
-  return HashBase(kTagWavelet).Finish();
-}
-bool WaveletOp::StructuralEq(const LinOp& other) const {
-  return dynamic_cast<const WaveletOp*>(&other) && EqBase(other);
-}
-
 LinOpPtr MakeIdentityOp(std::size_t n) {
   return std::make_shared<IdentityOp>(n);
 }

@@ -23,11 +23,9 @@ class IdentityOp final : public LinOp {
   LinOpPtr Gram() const override;  // I^T I = I
   CsrMatrix MaterializeSparse() const override;
   std::string DebugName() const override;
-  bool StructuralEq(const LinOp& other) const override;
 
  protected:
   double ComputeSensitivityL1() const override { return 1.0; }
-  uint64_t ComputeStructuralHash() const override;
 };
 
 /// m x n all-ones matrix; (Ones x)_i = sum(x).
@@ -42,11 +40,9 @@ class OnesOp final : public LinOp {
   LinOpPtr Gram() const override;  // m * Ones(n, n)
   CsrMatrix MaterializeSparse() const override;
   std::string DebugName() const override;
-  bool StructuralEq(const LinOp& other) const override;
 
  protected:
   double ComputeSensitivityL1() const override;
-  uint64_t ComputeStructuralHash() const override;
 };
 
 /// n x n lower-triangular all-ones: y_k = x_1 + ... + x_k (empirical CDF).
@@ -60,11 +56,9 @@ class PrefixOp final : public LinOp {
                       std::size_t k) const override;
   CsrMatrix MaterializeSparse() const override;
   std::string DebugName() const override;
-  bool StructuralEq(const LinOp& other) const override;
 
  protected:
   double ComputeSensitivityL1() const override;
-  uint64_t ComputeStructuralHash() const override;
 };
 
 /// n x n upper-triangular all-ones: y_k = x_k + ... + x_n.
@@ -78,11 +72,9 @@ class SuffixOp final : public LinOp {
                       std::size_t k) const override;
   CsrMatrix MaterializeSparse() const override;
   std::string DebugName() const override;
-  bool StructuralEq(const LinOp& other) const override;
 
  protected:
   double ComputeSensitivityL1() const override;
-  uint64_t ComputeStructuralHash() const override;
 };
 
 /// n x n Haar wavelet analysis matrix (n must be a power of two).
@@ -98,11 +90,9 @@ class WaveletOp final : public LinOp {
                       std::size_t k) const override;
   CsrMatrix MaterializeSparse() const override;
   std::string DebugName() const override;
-  bool StructuralEq(const LinOp& other) const override;
 
  protected:
   double ComputeSensitivityL1() const override;
-  uint64_t ComputeStructuralHash() const override;
 };
 
 LinOpPtr MakeIdentityOp(std::size_t n);

@@ -1,21 +1,11 @@
 #include "matrix/linop.h"
 
 #include <algorithm>
-#include <typeinfo>
 
 #include "util/check.h"
 #include "util/thread_pool.h"
 
 namespace ektelo {
-
-namespace {
-// Structural-hash tags of the operator classes defined in this file
-// (every LinOp subclass mixes a distinct tag; see kTag* in the other
-// operator translation units).
-constexpr uint64_t kTagDense = 1;
-constexpr uint64_t kTagSparse = 2;
-constexpr uint64_t kTagGram = 3;
-}  // namespace
 
 Vec LinOp::Apply(const Vec& x) const {
   EK_CHECK_EQ(x.size(), cols());
@@ -157,28 +147,6 @@ double LinOp::ComputeSensitivityL1() const {
                         : *std::max_element(colsum.begin(), colsum.end());
 }
 
-// ------------------------------------------------- structural identity
-
-uint64_t LinOp::StructuralHash() const {
-  uint64_t h = struct_hash_.load(std::memory_order_relaxed);
-  if (h != 0) return h;
-  h = ComputeStructuralHash();
-  if (h == 0) h = 0x9e3779b97f4a7c15ull;  // reserve 0 as "unset"
-  struct_hash_.store(h, std::memory_order_relaxed);
-  return h;
-}
-
-uint64_t LinOp::ComputeStructuralHash() const {
-  // Unknown subclass: unique per instance, so a memo cache can still
-  // serve repeated queries against the *same* object but never conflates
-  // two distinct ones.
-  StructHash h = HashBase(typeid(*this).hash_code());
-  h.Mix(reinterpret_cast<uintptr_t>(this));
-  return h.Finish();
-}
-
-bool LinOp::StructuralEq(const LinOp& other) const { return this == &other; }
-
 // ---------------------------------------------------------------- DenseOp
 
 DenseOp::DenseOp(DenseMatrix m) : LinOp(m.rows(), m.cols()), m_(std::move(m)) {
@@ -224,15 +192,6 @@ CsrMatrix DenseOp::MaterializeSparse() const {
 DenseMatrix DenseOp::MaterializeDense() const { return m_; }
 
 double DenseOp::ComputeSensitivityL1() const { return m_.MaxColNormL1(); }
-
-uint64_t DenseOp::ComputeStructuralHash() const {
-  return HashBase(kTagDense).MixDoubles(m_.data()).Finish();
-}
-
-bool DenseOp::StructuralEq(const LinOp& other) const {
-  auto* o = dynamic_cast<const DenseOp*>(&other);
-  return o && EqBase(other) && BitwiseEq(m_.data(), o->m_.data());
-}
 
 std::string DenseOp::DebugName() const {
   return "Dense(" + std::to_string(rows()) + "x" + std::to_string(cols()) +
@@ -295,19 +254,6 @@ CsrMatrix SparseOp::MaterializeSparse() const { return m_; }
 
 double SparseOp::ComputeSensitivityL1() const { return m_.MaxColNormL1(); }
 
-uint64_t SparseOp::ComputeStructuralHash() const {
-  StructHash h = HashBase(kTagSparse);
-  h.MixSizes(m_.indptr()).MixSizes(m_.indices()).MixDoubles(m_.values());
-  return h.Finish();
-}
-
-bool SparseOp::StructuralEq(const LinOp& other) const {
-  auto* o = dynamic_cast<const SparseOp*>(&other);
-  return o && EqBase(other) && m_.indptr() == o->m_.indptr() &&
-         m_.indices() == o->m_.indices() &&
-         BitwiseEq(m_.values(), o->m_.values());
-}
-
 std::string SparseOp::DebugName() const {
   return "Sparse(" + std::to_string(rows()) + "x" + std::to_string(cols()) +
          ",nnz=" + std::to_string(m_.nnz()) + ")";
@@ -345,15 +291,6 @@ LinOpPtr GramOp::Gram() const {
 
 std::string GramOp::DebugName() const {
   return "Gram(" + child_->DebugName() + ")";
-}
-
-uint64_t GramOp::ComputeStructuralHash() const {
-  return HashBase(kTagGram).Mix(child_->StructuralHash()).Finish();
-}
-
-bool GramOp::StructuralEq(const LinOp& other) const {
-  auto* o = dynamic_cast<const GramOp*>(&other);
-  return o && EqBase(other) && child_->StructuralEq(*o->child_);
 }
 
 LinOpPtr MakeDense(DenseMatrix m) {

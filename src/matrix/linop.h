@@ -36,9 +36,7 @@
 #ifndef EKTELO_MATRIX_LINOP_H_
 #define EKTELO_MATRIX_LINOP_H_
 
-#include <atomic>
 #include <cstddef>
-#include <cstdint>
 #include <cstring>
 #include <memory>
 #include <mutex>
@@ -56,50 +54,9 @@ namespace ektelo {
 class LinOp;
 using LinOpPtr = std::shared_ptr<const LinOp>;
 
-/// Accumulator for order-sensitive 64-bit structural fingerprints
-/// (splitmix64 mixing).  Doubles are hashed by bit pattern, so -0.0 and
-/// 0.0 (and any two NaN payloads) are distinct — matching the bitwise
-/// equality StructuralEq uses, which is what a memo cache keyed by the
-/// hash needs (hash-equal must be implied by eq, never the reverse).
-/// The hash keys only the in-process OperatorCache and is never
-/// persisted, so its mixing scheme and per-class tags carry no version
-/// and may change freely.
-class StructHash {
- public:
-  StructHash& Mix(uint64_t v) {
-    h_ += 0x9e3779b97f4a7c15ull + v;
-    uint64_t z = h_;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    h_ = z ^ (z >> 31);
-    return *this;
-  }
-  StructHash& MixDouble(double v) {
-    uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    return Mix(bits);
-  }
-  /// Accepts any std::vector<double, Alloc> (plain or AlignedVec).
-  template <typename Alloc>
-  StructHash& MixDoubles(const std::vector<double, Alloc>& vs) {
-    Mix(vs.size());
-    for (double v : vs) MixDouble(v);
-    return *this;
-  }
-  StructHash& MixSizes(const std::vector<std::size_t>& vs) {
-    Mix(vs.size());
-    for (std::size_t v : vs) Mix(v);
-    return *this;
-  }
-  uint64_t Finish() const { return h_; }
-
- private:
-  uint64_t h_ = 0x243f6a8885a308d3ull;
-};
-
 /// Bitwise equality of double payloads (memcmp semantics: NaNs compare by
-/// payload, -0.0 != 0.0) — the equality relation structural hashing and
-/// the operator cache are defined over.
+/// payload, -0.0 != 0.0) — what the rewrite rules use to recognize an
+/// exact unit weight or an unchanged scalar.
 inline bool BitwiseEq(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
@@ -165,19 +122,6 @@ class LinOp : public std::enable_shared_from_this<LinOp> {
   /// A human-readable structural name, e.g. "Kron(Prefix(256),Identity(7))".
   virtual std::string DebugName() const = 0;
 
-  /// Order-sensitive structural fingerprint: two operators that are
-  /// StructuralEq (same construction — operator kinds, shapes, scalars,
-  /// leaf contents, in order) always hash equal.  Cached per instance
-  /// (operators are immutable).  The rewrite engine's OperatorCache keys
-  /// on this hash and resolves collisions with StructuralEq.
-  uint64_t StructuralHash() const;
-
-  /// Deep structural equality.  The default is identity (`this == &other`),
-  /// which is the only safe answer for subclasses the core does not know;
-  /// every built-in operator overrides it with a by-construction
-  /// comparison (bitwise on scalars/leaf payloads, recursive on children).
-  virtual bool StructuralEq(const LinOp& other) const;
-
   /// True if all entries are known to lie in {0, 1}, making Abs() a
   /// no-op.
   bool is_nonneg_binary() const { return nonneg_binary_; }
@@ -199,38 +143,13 @@ class LinOp : public std::enable_shared_from_this<LinOp> {
   /// cached accessor.
   virtual double ComputeSensitivityL1() const;
 
-  /// Uncached structural-hash computation; override alongside
-  /// StructuralEq.  The default mixes the dynamic type and the instance
-  /// address, making unknown subclasses unique per instance — consistent
-  /// with the default StructuralEq.
-  virtual uint64_t ComputeStructuralHash() const;
-
-  /// Seeds a StructHash with the shape/flag preamble every override must
-  /// mix first: a per-class tag, rows, cols and the binary flag (the flag
-  /// is semantics-bearing: it changes Abs()).
-  StructHash HashBase(uint64_t tag) const {
-    StructHash h;
-    h.Mix(tag).Mix(rows_).Mix(cols_).Mix(nonneg_binary_ ? 1 : 0);
-    return h;
-  }
-  /// The shape/flag preamble of StructuralEq overrides.
-  bool EqBase(const LinOp& other) const {
-    return rows_ == other.rows_ && cols_ == other.cols_ &&
-           nonneg_binary_ == other.nonneg_binary_;
-  }
-
  private:
   std::size_t rows_, cols_;
   mutable bool nonneg_binary_ = false;
-  // Cached structural hash; 0 = not yet computed (a computed 0 is
-  // remapped).  Atomic so concurrent first calls race benignly to the
-  // same deterministic value.
-  mutable std::atomic<uint64_t> struct_hash_{0};
   // The lazy sensitivity cache is the only mutable state a const LinOp
-  // carries besides the atomic hash, so this mutex is what makes shared
-  // operators safe to use from concurrent plan branches (note the
-  // resulting operator non-copyability; operators live behind LinOpPtr
-  // anyway).
+  // carries, so this mutex is what makes shared operators safe to use
+  // from concurrent plan branches (note the resulting operator
+  // non-copyability; operators live behind LinOpPtr anyway).
   mutable std::mutex sens_mu_;
   mutable std::optional<double> sens_l1_;
 };
@@ -249,12 +168,10 @@ class DenseOp final : public LinOp {
   CsrMatrix MaterializeSparse() const override;
   DenseMatrix MaterializeDense() const override;
   std::string DebugName() const override;
-  bool StructuralEq(const LinOp& other) const override;
   const DenseMatrix& dense() const { return m_; }
 
  protected:
   double ComputeSensitivityL1() const override;
-  uint64_t ComputeStructuralHash() const override;
 
  private:
   DenseMatrix m_;
@@ -273,12 +190,10 @@ class SparseOp final : public LinOp {
   LinOpPtr Gram() const override;
   CsrMatrix MaterializeSparse() const override;
   std::string DebugName() const override;
-  bool StructuralEq(const LinOp& other) const override;
   const CsrMatrix& csr() const { return m_; }
 
  protected:
   double ComputeSensitivityL1() const override;
-  uint64_t ComputeStructuralHash() const override;
 
  private:
   CsrMatrix m_;
@@ -297,11 +212,7 @@ class GramOp final : public LinOp {
                       std::size_t k) const override;
   LinOpPtr Gram() const override;  // Gram of a Gram composes lazily too
   std::string DebugName() const override;
-  bool StructuralEq(const LinOp& other) const override;
   const LinOpPtr& child() const { return child_; }
-
- protected:
-  uint64_t ComputeStructuralHash() const override;
 
  private:
   LinOpPtr child_;

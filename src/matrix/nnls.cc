@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "matrix/rewrite.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/check.h"
@@ -74,28 +73,11 @@ NnlsResult Nnls(const LinOp& a, const Vec& b, const NnlsOptions& opts) {
   // iteration costs a single Gram apply — structured Grams (sparse A^T A,
   // Kron of Grams) make it cheaper still, and A itself is applied exactly
   // once, for the final residual report.
-  // Both the derived Gram and its spectral-norm estimate are memoized
-  // under structural hashes (ROADMAP: "Gram memoization for iterative
-  // solvers"): per-solve Gram re-materialization and the power-iteration
-  // Lipschitz estimate vanish on repeated solves of structurally
-  // identical stacks.  Both computations are deterministic functions of
-  // the stack's structure, so a hit is bitwise-identical to a fresh
-  // compute — the solver's landing point never moves.
-  LinOpPtr g = OperatorCache::CachedGramOrNull(a);
-  const bool cacheable = g != nullptr;
-  if (!g) g = a.Gram();
+  const LinOpPtr g = a.Gram();
   const Vec atb = a.ApplyT(b);
   const double btb = Dot(b, b);
 
-  const auto compute_lip = [&] {
-    return EstimateSpectralNormSqGram(*g, opts.power_iters);
-  };
-  // EstimateSpectralNormSqGram clamps iters to >= 1; key on the clamped
-  // count so equal work shares an entry.
-  double lip = cacheable ? OperatorCache::Global().GramNormSq(
-                               *g, std::max<std::size_t>(opts.power_iters, 1),
-                               compute_lip)
-                         : compute_lip();
+  double lip = EstimateSpectralNormSqGram(*g, opts.power_iters);
   if (lip <= 0.0) lip = 1.0;
   const double step = 1.0 / (1.05 * lip);  // slack for estimation error
 

@@ -263,54 +263,6 @@ std::string RectangleSetOp::DebugName() const {
          std::to_string(nx_) + "x" + std::to_string(ny_) + ")";
 }
 
-// ---------------------------------------------------- structural identity
-
-namespace {
-constexpr uint64_t kTagRangeSet = 17;
-constexpr uint64_t kTagRectSet = 18;
-}  // namespace
-
-uint64_t RangeSetOp::ComputeStructuralHash() const {
-  StructHash h = HashBase(kTagRangeSet);
-  h.Mix(ranges_.size());
-  for (const auto& r : ranges_) h.Mix(r.lo).Mix(r.hi);
-  return h.Finish();
-}
-
-bool RangeSetOp::StructuralEq(const LinOp& other) const {
-  auto* o = dynamic_cast<const RangeSetOp*>(&other);
-  if (!o || !EqBase(other) || ranges_.size() != o->ranges_.size())
-    return false;
-  for (std::size_t i = 0; i < ranges_.size(); ++i)
-    if (ranges_[i].lo != o->ranges_[i].lo ||
-        ranges_[i].hi != o->ranges_[i].hi)
-      return false;
-  return true;
-}
-
-uint64_t RectangleSetOp::ComputeStructuralHash() const {
-  StructHash h = HashBase(kTagRectSet);
-  h.Mix(nx_).Mix(ny_).Mix(rects_.size());
-  for (const auto& r : rects_)
-    h.Mix(r.x_lo).Mix(r.x_hi).Mix(r.y_lo).Mix(r.y_hi);
-  return h.Finish();
-}
-
-bool RectangleSetOp::StructuralEq(const LinOp& other) const {
-  auto* o = dynamic_cast<const RectangleSetOp*>(&other);
-  if (!o || !EqBase(other) || nx_ != o->nx_ || ny_ != o->ny_ ||
-      rects_.size() != o->rects_.size())
-    return false;
-  for (std::size_t i = 0; i < rects_.size(); ++i) {
-    const auto& a = rects_[i];
-    const auto& b = o->rects_[i];
-    if (a.x_lo != b.x_lo || a.x_hi != b.x_hi || a.y_lo != b.y_lo ||
-        a.y_hi != b.y_hi)
-      return false;
-  }
-  return true;
-}
-
 LinOpPtr MakeRangeSetOp(std::vector<Interval> ranges, std::size_t n) {
   return std::make_shared<RangeSetOp>(std::move(ranges), n);
 }

@@ -37,12 +37,10 @@ class RangeSetOp final : public LinOp {
                       std::size_t k) const override;
   CsrMatrix MaterializeSparse() const override;
   std::string DebugName() const override;
-  bool StructuralEq(const LinOp& other) const override;
   const std::vector<Interval>& ranges() const { return ranges_; }
 
  protected:
   double ComputeSensitivityL1() const override;
-  uint64_t ComputeStructuralHash() const override;
 
  private:
   std::vector<Interval> ranges_;
@@ -64,14 +62,12 @@ class RectangleSetOp final : public LinOp {
                       std::size_t k) const override;
   CsrMatrix MaterializeSparse() const override;
   std::string DebugName() const override;
-  bool StructuralEq(const LinOp& other) const override;
   const std::vector<Rectangle>& rects() const { return rects_; }
   std::size_t nx() const { return nx_; }
   std::size_t ny() const { return ny_; }
 
  protected:
   double ComputeSensitivityL1() const override;
-  uint64_t ComputeStructuralHash() const override;
 
  private:
   std::vector<Rectangle> rects_;

@@ -1,14 +1,13 @@
-// Algebraic rewrite engine for LinOp expression trees, plus the
-// process-wide OperatorCache (Halide-flavored separation of what an
-// operator *means* from how it is *evaluated*).
+// Algebraic rewrite engine for LinOp expression trees (Halide-flavored
+// separation of what an operator *means* from how it is *evaluated*).
 //
 // SetRewriteEnabled switches the engine on or off:
 //
 //   on       (default) the fixed-order bottom-up canonicalizing pass in
 //            matrix/rules.h, guarded by the named policy in
 //            matrix/cost.h;
-//   off      no rewriting and no cache consumers, the reference side of
-//            the A/B tests and benches.
+//   off      no rewriting, the reference side of the A/B tests and
+//            benches.
 //
 // Plans compose operators in whatever shape is natural to write —
 // per-round measurement stacks, Scale/Transpose wrappers, products with
@@ -52,34 +51,20 @@
 // and charged as the plan author composed them; rewriting serves
 // inference, Gram assembly and materialization — all post-processing.
 //
-// OperatorCache memoizes the expensive derived artifacts that have a
-// consumer — the materialized SparseOp/DenseOp leaves ApplyMode hands to
-// plans, the dense Gram of direct inference, and NNLS's derived Gram
-// operators and their spectral-norm estimates — under the operator's
-// structural hash (see LinOp::StructuralHash), verified by StructuralEq,
-// so MWEM-style loops and repeated plan executions that re-derive
-// structurally identical operators stop paying per-round recomputation.
-// The cache is bounded (entries + approximate bytes, LRU eviction) and
-// thread-safe; values are shared_ptr snapshots, so eviction never
-// invalidates a consumer.  It lives in process memory only.
-//
-// Sensitivity is deliberately not memoized here: LinOp::SensitivityL1 is
-// computed on (and cached by) the operator being charged, so one
-// operator's value can never set another's noise.
+// Nothing here is kept across calls.  Derived quantities are methods of
+// the operator they describe: SensitivityL1() is cached per instance, on
+// the operator being charged, and Gram() is re-derived by each consumer.
+// What repeats across executions is the data-independent strategy a plan
+// selects from its public inputs, and the pipeline Select stage prepares
+// that once (plans/pipeline.h).
 #ifndef EKTELO_MATRIX_REWRITE_H_
 #define EKTELO_MATRIX_REWRITE_H_
-
-#include <cstddef>
-#include <cstdint>
-#include <functional>
-#include <memory>
 
 #include "matrix/linop.h"
 
 namespace ektelo {
 
-/// Whether the rewrite engine (and the OperatorCache consumers gated on
-/// it) is active.  On by default.
+/// Whether the rewrite engine is active.  On by default.
 bool RewriteEnabled();
 
 /// Switches the rewrite engine on or off process-wide.  Used by the A/B
@@ -94,79 +79,6 @@ LinOpPtr Rewrite(LinOpPtr op);
 
 /// Rewrite(op) when the engine is enabled, op unchanged otherwise.
 LinOpPtr MaybeRewrite(LinOpPtr op);
-
-/// Bounded, thread-safe memo cache: structural hash -> derived artifact.
-class OperatorCache {
- public:
-  /// One cache's own counts.  The global instance's hits, misses and
-  /// evictions are registry series (ektelo_cache_*); this struct stays
-  /// because `entries` and `bytes`, and every count of a locally built
-  /// cache, are not in the registry.
-  struct Stats {
-    std::size_t hits = 0;
-    std::size_t misses = 0;
-    std::size_t evictions = 0;
-    std::size_t entries = 0;
-    std::size_t bytes = 0;
-  };
-
-  /// The process-wide instance every consumer shares.
-  static OperatorCache& Global();
-
-  /// Dense Gram (op^T op) via op->Gram()->MaterializeDense(), memoized —
-  /// the direct-inference hot path.  The returned snapshot stays valid
-  /// after eviction.
-  std::shared_ptr<const DenseMatrix> GramDense(const LinOpPtr& op);
-
-  /// Memoized SparseOp / DenseOp *leaf* wrapping op's materialization —
-  /// what ApplyMode conversions hand to plans.  A hit is a pointer copy
-  /// (no matrix copy), and the shared leaf carries its own per-instance
-  /// sensitivity cache across executions — computed on that leaf.
-  LinOpPtr SparseWrapped(const LinOpPtr& op);
-  LinOpPtr DenseWrapped(const LinOpPtr& op);
-
-  /// Memoized op->Gram(): the derived (possibly materialized — see
-  /// SparseOp::Gram's fill guard) Gram operator, keyed by op's hash.
-  /// Gram derivation is a deterministic function of op's structure, so a
-  /// hit is bitwise-equivalent to re-deriving — NNLS consumes this so
-  /// repeated solves against structurally identical stacks stop paying
-  /// the sparse A^T A re-materialization.
-  LinOpPtr GramOperator(const LinOpPtr& op);
-
-  /// Memoized spectral-norm-squared estimate of a Gram operator (the
-  /// NNLS Lipschitz constant), keyed by {gram's structural hash, iters}.
-  /// `compute` must be EstimateSpectralNormSqGram(gram, iters) or an
-  /// equally deterministic function — a hit reproduces it bitwise while
-  /// skipping the power iterations.  Uncached when `gram` is not
-  /// shared-owned.
-  double GramNormSq(const LinOp& gram, std::size_t iters,
-                    const std::function<double()>& compute);
-
-  /// The memoized Gram for `a` via GramOperator, or nullptr when caching
-  /// does not apply — rewriting disabled, or `a` not shared-owned (a
-  /// Gram derived from a stack-allocated operator aliases it non-
-  /// owningly and must never outlive the solve as a cache key).  Callers
-  /// fall back to a.Gram() on nullptr and must not cache artifacts keyed
-  /// on that fallback.  Used by the NNLS solver.
-  static LinOpPtr CachedGramOrNull(const LinOp& a);
-
-  /// Capacity bounds; entries older than the bound are evicted LRU-first.
-  void SetCapacity(std::size_t max_entries, std::size_t max_bytes);
-
-  Stats stats() const;
-  /// Empties the cache (counters are kept): Clear + re-execution is the
-  /// cold-start path a fresh process takes.
-  void Clear();
-
-  OperatorCache();
-  ~OperatorCache();
-  OperatorCache(const OperatorCache&) = delete;
-  OperatorCache& operator=(const OperatorCache&) = delete;
-
- private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
-};
 
 }  // namespace ektelo
 

@@ -73,7 +73,7 @@ DenseMatrix VConcatDense(const std::vector<LinOpPtr>& run) {
 /// The fixed-order canonicalizing pass.  Run() memoizes by node
 /// identity, so shared subtrees rewrite once, and returns the *original*
 /// pointer when nothing fires — preserving the per-instance
-/// sensitivity/hash caches of an already-canonical tree.
+/// sensitivity cache of an already-canonical tree.
 ///
 /// Each canonical constructor (Scaled, Producted, ...) re-applies the
 /// local rules for one node kind on already-rewritten children, never
@@ -463,8 +463,8 @@ LinOpPtr Canonicalizer::Summed(std::vector<LinOpPtr> children) {
 }
 
 // ---- dispatch: rewrite children bottom-up, then canonicalize the node.
-// ---- Returns the original pointer when nothing fires, so per-instance
-// ---- caches (sensitivity, structural hash) survive a no-op pass.
+// ---- Returns the original pointer when nothing fires, so the
+// ---- per-instance sensitivity cache survives a no-op pass.
 
 LinOpPtr Canonicalizer::Dispatch(const LinOpPtr& op) {
   if (auto s = As<ScaleOp>(op)) {

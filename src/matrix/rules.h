@@ -2,9 +2,9 @@
 // applied by one fixed-order bottom-up canonicalizing pass (identity
 // elimination, scale/row-weight hoisting, the Kronecker mixed-product
 // identity, guarded CSR fusion, stack flattening and run merging).
-// matrix/rewrite.h keeps the on/off toggle, the OperatorCache and the
-// public Rewrite()/MaybeRewrite() entry points; the sparse-fuse guards
-// the pass applies are named in matrix/cost.h.
+// matrix/rewrite.h keeps the on/off toggle and the public
+// Rewrite()/MaybeRewrite() entry points; the sparse-fuse guards the pass
+// applies are named in matrix/cost.h.
 #ifndef EKTELO_MATRIX_RULES_H_
 #define EKTELO_MATRIX_RULES_H_
 
@@ -15,8 +15,8 @@ namespace rules {
 
 /// One full fixed-order pass over a tree (the body of ektelo::Rewrite).
 /// Shared subtrees rewrite once, and the original pointer comes back for
-/// any subtree no rule changes, so per-instance sensitivity/hash caches
-/// of an already-canonical tree survive.
+/// any subtree no rule changes, so the per-instance sensitivity cache of
+/// an already-canonical tree survives.
 LinOpPtr Canonicalize(const LinOpPtr& op);
 
 }  // namespace rules

@@ -4,11 +4,10 @@
 //
 // EKTELO's core claim is transparency — plans are inspectable operator
 // compositions with explicit accounting — and this layer extends that
-// to the *running system*: every subsystem built over PRs 1-9 (serve
-// lifecycle, plan pipeline, rewrite, operator cache, solvers,
-// ledger I/O, ParallelFor) reports into one registry
-// under one naming scheme, replacing three generations of ad-hoc stats
-// structs as the single source of truth.
+// to the *running system*: every subsystem (serve lifecycle, plan
+// pipeline, rewrite, solvers, ledger I/O, ParallelFor) reports into one
+// registry under one naming scheme, the single source of truth for its
+// counters.
 //
 // Two hard invariants, mirrored from util/failpoint.h:
 //
@@ -93,9 +92,9 @@ uint32_t ThreadId();
 inline constexpr std::size_t kMetricShards = 16;
 
 /// Monotone counter: lock-free sharded relaxed adds, aggregated on
-/// read.  Constructible standalone (per-instance stats, e.g. a locally
-/// built OperatorCache) or registered (Registry::GetCounter) — the
-/// registered ones are what the Prometheus exporter walks.
+/// read.  Constructible standalone (per-instance stats) or registered
+/// (Registry::GetCounter) — the registered ones are what the Prometheus
+/// exporter walks.
 class Counter {
  public:
   Counter() = default;

@@ -4,10 +4,10 @@
 // chrome://tracing.
 //
 // Privacy boundary: span attributes are DATA-INDEPENDENT only —
-// operator kind, matrix shapes/nnz, thread id, cache tier, epsilon
-// (already public via the ledger).  Never cell values, never noisy or
-// true query answers.  Attribute keys and string values must be
-// static-duration strings (string literals), which makes accidental
+// operator kind, matrix shapes/nnz, thread id, prepared-strategy hit or
+// miss, epsilon (already public via the ledger).  Never cell values,
+// never noisy or true query answers.  Attribute keys and string values
+// must be static-duration strings (string literals), which makes accidental
 // formatting of data into a span a compile-visible std::string
 // conversion rather than a silent leak.
 //

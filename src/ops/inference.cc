@@ -380,12 +380,7 @@ Vec DirectLeastSquaresInference(const MeasurementSet& mset) {
   // is usually much taller than the domain, and Gram() materializes via
   // blocked identity panels when no closed form applies.
   LinOpPtr a = MaybeRewrite(mset.WeightedOp());
-  // The n x n Gram of a given measurement union is a prime memo-cache
-  // target: iterative plans and repeated executions re-derive structurally
-  // identical stacks, and assembly dominates the solve.
-  DenseMatrix gram = RewriteEnabled()
-                         ? *OperatorCache::Global().GramDense(a)
-                         : a->Gram()->MaterializeDense();
+  DenseMatrix gram = a->Gram()->MaterializeDense();
   Vec atb = a->ApplyT(mset.WeightedY());
   return SolveNormalEquations(std::move(gram), atb);
 }

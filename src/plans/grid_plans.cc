@@ -19,8 +19,8 @@ std::unique_ptr<Plan> MakeQuadtreePlan() {
   return std::make_unique<PipelinePlan>(
       "QuadTree", PlanTraits{"SQ LM LS", DomainKind::k2D, false},
       std::vector<Stage>{
-          Select([](const StageContext& sc) -> StatusOr<LinOpPtr> {
-            return QuadtreeSelect(sc.dims[0], sc.dims[1]);
+          Select([](const SelectInput& in) -> StatusOr<LinOpPtr> {
+            return QuadtreeSelect(in.dims[0], in.dims[1]);
           }),
           Measure(), Infer(InferKind::kLeastSquares)});
 }

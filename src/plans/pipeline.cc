@@ -1,6 +1,9 @@
 #include "plans/pipeline.h"
 
 #include <algorithm>
+#include <list>
+#include <mutex>
+#include <string>
 #include <utility>
 
 #include "matrix/combinators.h"
@@ -42,13 +45,129 @@ obs::Histogram& StageSeconds(const char* stage_label) {
 }
 }  // namespace
 
+// ------------------------------------------------- prepared strategies
+
+namespace {
+
+// Bounds of the prepared-strategy memo: entries, and bytes of the
+// materialized operators they keep alive.  A strategy larger than the
+// byte bound is handed out without being kept.
+constexpr std::size_t kPreparedMaxEntries = 64;
+constexpr std::size_t kPreparedMaxBytes = std::size_t{256} << 20;
+
+struct PreparedEntry {
+  std::string plan;
+  MatrixMode mode;
+  SelectInput in;  // the key; holds the workload operators alive
+  LinOpPtr strategy;
+  std::size_t bytes;
+};
+
+bool SameKey(const PreparedEntry& e, const std::string& plan,
+             MatrixMode mode, const SelectInput& in) {
+  return e.mode == mode && e.plan == plan && e.in.dims == in.dims &&
+         e.in.workload == in.workload &&
+         e.in.workload_factors == in.workload_factors &&
+         std::equal(e.in.ranges.begin(), e.in.ranges.end(),
+                    in.ranges.begin(), in.ranges.end(),
+                    [](const RangeQuery& a, const RangeQuery& b) {
+                      return a.lo == b.lo && a.hi == b.hi;
+                    });
+}
+
+/// Bytes a materialized (SparseOp or DenseOp) strategy keeps resident.
+std::size_t ResidentBytes(const LinOp& op) {
+  if (auto* s = dynamic_cast<const SparseOp*>(&op)) {
+    const CsrMatrix& m = s->csr();
+    return (m.indptr().size() + m.indices().size()) * sizeof(std::size_t) +
+           m.values().size() * sizeof(double);
+  }
+  return op.rows() * op.cols() * sizeof(double);
+}
+
+struct PreparedMemo {
+  std::mutex mu;
+  std::list<PreparedEntry> lru;  // front = most recently used
+  std::size_t bytes = 0;
+
+  /// Must hold mu.  Null on a miss.
+  LinOpPtr Find(const std::string& plan, MatrixMode mode,
+                const SelectInput& in) {
+    for (auto it = lru.begin(); it != lru.end(); ++it)
+      if (SameKey(*it, plan, mode, in)) {
+        lru.splice(lru.begin(), lru, it);
+        return it->strategy;
+      }
+    return nullptr;
+  }
+
+  static PreparedMemo& Global() {
+    static PreparedMemo* memo = new PreparedMemo;
+    return *memo;
+  }
+};
+
+}  // namespace
+
+StatusOr<LinOpPtr> PrepareStrategy(const std::string& plan, MatrixMode mode,
+                                   const SelectInput& in,
+                                   const SelectFn& select, bool* hit) {
+  if (hit != nullptr) *hit = false;
+  if (mode == MatrixMode::kImplicit) return select(in);
+  PreparedMemo& memo = PreparedMemo::Global();
+  {
+    std::lock_guard<std::mutex> lock(memo.mu);
+    if (LinOpPtr op = memo.Find(plan, mode, in)) {
+      if (hit != nullptr) *hit = true;
+      return op;
+    }
+  }
+  // Materialize outside the lock.  When a concurrent preparation of the
+  // same key lands first, its instance wins, so every caller measures one
+  // operator.
+  EK_ASSIGN_OR_RETURN(LinOpPtr op, select(in));
+  op = ApplyMode(std::move(op), mode);
+  const std::size_t bytes = ResidentBytes(*op);
+  std::lock_guard<std::mutex> lock(memo.mu);
+  if (LinOpPtr first = memo.Find(plan, mode, in)) return first;
+  if (bytes > kPreparedMaxBytes) return op;
+  memo.lru.push_front({plan, mode, in, op, bytes});
+  memo.bytes += bytes;
+  while (memo.lru.size() > kPreparedMaxEntries ||
+         memo.bytes > kPreparedMaxBytes) {
+    memo.bytes -= memo.lru.back().bytes;
+    memo.lru.pop_back();
+  }
+  return op;
+}
+
+void ClearPreparedStrategies() {
+  PreparedMemo& memo = PreparedMemo::Global();
+  std::lock_guard<std::mutex> lock(memo.mu);
+  memo.lru.clear();
+  memo.bytes = 0;
+}
+
+// ------------------------------------------------------------- stages
+
 Stage Select(SelectFn fn) {
   return [fn = std::move(fn)](StageContext& sc) -> Status {
     obs::Span span("plan.select", "plan", &StageSeconds("select"));
-    EK_ASSIGN_OR_RETURN(LinOpPtr op, fn(sc));
+    const SelectInput in{sc.dims, sc.ranges, sc.in->workload,
+                         sc.in->workload_factors};
+    LinOpPtr op;
+    if (sc.reduce_op) {
+      EK_ASSIGN_OR_RETURN(op, fn(in));
+      op = ApplyMode(std::move(op), sc.mode);
+    } else {
+      bool hit = false;
+      EK_ASSIGN_OR_RETURN(op, PrepareStrategy(*sc.plan, sc.mode, in, fn, &hit));
+      if (sc.mode != MatrixMode::kImplicit)
+        span.Attr("prepared", hit ? "hit" : "miss");
+    }
     span.Attr("rows", static_cast<double>(op->rows()));
     span.Attr("cols", static_cast<double>(op->cols()));
-    sc.strategy = ApplyMode(std::move(op), sc.mode);
+    sc.strategy = std::move(op);
     return Status::Ok();
   };
 }
@@ -180,6 +299,7 @@ StatusOr<Vec> PipelinePlan::Execute(const ProtectedVector& x,
   StageContext sc;
   EK_ASSIGN_OR_RETURN(sc.dims, ResolveDims(x, in));
   sc.in = &in;
+  sc.plan = &name();
   sc.mode = in.mode;
   sc.data = &x;
   sc.scope = &scope;

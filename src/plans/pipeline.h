@@ -20,12 +20,22 @@
 //
 // Iterative plans (MWEM) and parallel-composition plans (grids, stripes)
 // implement Plan directly over the typed handles instead.
+//
+// Selection (Fig. 2's S*) is a function of public inputs only: a SelectFn
+// sees a SelectInput — domain shape, range workload, workload operators —
+// and no data handle, budget scope or rng.  In the materializing modes
+// (sparse/dense), the strategy a plan selects before any partition stage
+// is therefore the same for every execution with the same public inputs,
+// and PrepareStrategy keeps it: a later execution reuses the materialized
+// operator, and the sensitivity cached on that very instance, instead of
+// re-materializing it.
 #ifndef EKTELO_PLANS_PIPELINE_H_
 #define EKTELO_PLANS_PIPELINE_H_
 
 #include <deque>
 #include <functional>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "matrix/partition.h"
@@ -37,17 +47,13 @@ namespace ektelo {
 /// Mutable execution state shared by the stages of one pipeline run.
 struct StageContext {
   const PlanInput* in = nullptr;
+  const std::string* plan = nullptr;  // the running plan's catalog name
   MatrixMode mode = MatrixMode::kImplicit;
 
   /// Current protected data: starts at the plan's input vector; partition
   /// stages repoint it at the reduced source they derive.
   const ProtectedVector* data = nullptr;
   std::vector<std::size_t> dims;  // current domain shape
-  std::size_t n() const {
-    std::size_t total = 1;
-    for (std::size_t d : dims) total *= d;
-    return total;
-  }
 
   /// Current budget allowance; partition stages replace it with the
   /// post-selection sub-scope.
@@ -81,9 +87,43 @@ struct StageContext {
 
 using Stage = std::function<Status(StageContext&)>;
 
-/// Strategy selector: builds the (implicit) measurement matrix from the
-/// current context; Select applies the matrix mode.
-using SelectFn = std::function<StatusOr<LinOpPtr>(const StageContext&)>;
+/// The public inputs a strategy selector reads: the current domain shape
+/// and range workload (remapped onto the reduced domain after a partition
+/// stage) and the client's workload operators.  Every field has a default
+/// initializer, so a designated initializer may name any subset.
+struct SelectInput {
+  std::vector<std::size_t> dims{};
+  std::vector<RangeQuery> ranges{};
+  LinOpPtr workload{};
+  std::vector<LinOpPtr> workload_factors{};
+
+  std::size_t n() const {
+    std::size_t total = 1;
+    for (std::size_t d : dims) total *= d;
+    return total;
+  }
+};
+
+/// Strategy selector: builds the (implicit) measurement matrix from public
+/// inputs; Select applies the matrix mode.
+using SelectFn = std::function<StatusOr<LinOpPtr>(const SelectInput&)>;
+
+/// ApplyMode(select(in), mode), prepared once per exact public key — plan
+/// name, mode, in.dims, in.ranges and the identities of in.workload and
+/// in.workload_factors — and kept in a small process-wide LRU memo.  An
+/// entry holds the workload operators it was keyed on, so their addresses
+/// stay unique while it lives.  Repeated calls with an equal key return
+/// the same LinOpPtr, whose per-instance SensitivityL1 is then computed
+/// once.  `select` must read nothing but `in`.  In implicit mode nothing
+/// is materialized and nothing is kept: the result is select(in).  `hit`,
+/// when given, reports whether the strategy was already prepared.
+StatusOr<LinOpPtr> PrepareStrategy(const std::string& plan, MatrixMode mode,
+                                   const SelectInput& in,
+                                   const SelectFn& select,
+                                   bool* hit = nullptr);
+
+/// Drops every prepared strategy: the cold start a fresh process takes.
+void ClearPreparedStrategies();
 
 /// Data-adaptive partition selector; spends `eps` through `scope`.
 using PartitionFn = std::function<StatusOr<Partition>(
@@ -95,7 +135,9 @@ enum class InferKind {
   kClampedLeastSquares,  // LS followed by max(., 0) (AHP's post-process)
 };
 
-/// S*: sc.strategy = ApplyMode(fn(sc), sc.mode).
+/// S*: sc.strategy = ApplyMode(fn(public inputs), sc.mode), through
+/// PrepareStrategy unless a partition stage ran before it (the reduced
+/// domain and remapped workload then change with every execution).
 Stage Select(SelectFn fn);
 
 /// LM: measure the selected strategy with the scope's entire remaining

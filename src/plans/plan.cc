@@ -1,7 +1,5 @@
 #include "plans/plan.h"
 
-#include "matrix/rewrite.h"
-
 namespace ektelo {
 
 const char* MatrixModeName(MatrixMode mode) {
@@ -26,19 +24,9 @@ LinOpPtr ApplyMode(LinOpPtr op, MatrixMode mode) {
       return op;
     case MatrixMode::kSparse:
       if (std::dynamic_pointer_cast<const SparseOp>(op)) return op;
-      // Conversions memoize through the OperatorCache: plans rebuild
-      // structurally identical strategies every execution (and per
-      // grid/stripe branch), and materialization is the expensive step
-      // of the dense/sparse representation sweep.  A hit returns the
-      // shared leaf instance — no matrix copy, and its per-instance
-      // sensitivity cache comes along.
-      if (RewriteEnabled())
-        return OperatorCache::Global().SparseWrapped(op);
       return MakeSparse(op->MaterializeSparse());
     case MatrixMode::kDense:
       if (std::dynamic_pointer_cast<const DenseOp>(op)) return op;
-      if (RewriteEnabled())
-        return OperatorCache::Global().DenseWrapped(op);
       return MakeDense(op->MaterializeDense());
   }
   return op;

@@ -37,8 +37,8 @@ std::unique_ptr<Plan> MakeIdentityPlan() {
   return std::make_unique<PipelinePlan>(
       "Identity", PlanTraits{"SI LM", DomainKind::k1D, true},
       std::vector<Stage>{
-          Select([](const StageContext& sc) -> StatusOr<LinOpPtr> {
-            return IdentitySelect(sc.n());
+          Select([](const SelectInput& in) -> StatusOr<LinOpPtr> {
+            return IdentitySelect(in.n());
           }),
           Measure(), Infer(InferKind::kNone)});
 }
@@ -47,8 +47,8 @@ std::unique_ptr<Plan> MakeUniformPlan() {
   // ST LM LS: measure the total; min-norm LS spreads it uniformly.
   return SelectMeasureLsPlan(
       "Uniform", "ST LM LS", true,
-      [](const StageContext& sc) -> StatusOr<LinOpPtr> {
-        return TotalSelect(sc.n());
+      [](const SelectInput& in) -> StatusOr<LinOpPtr> {
+        return TotalSelect(in.n());
       });
 }
 
@@ -56,9 +56,9 @@ std::unique_ptr<Plan> MakePriveletPlan() {
   // SP LM LS: per-dimension Haar wavelets composed by Kronecker.
   return SelectMeasureLsPlan(
       "Privelet", "SP LM LS", true,
-      [](const StageContext& sc) -> StatusOr<LinOpPtr> {
+      [](const SelectInput& in) -> StatusOr<LinOpPtr> {
         std::vector<LinOpPtr> factors;
-        for (std::size_t d : sc.dims) {
+        for (std::size_t d : in.dims) {
           if (!IsPowerOfTwo(d))
             return Status::InvalidArgument(
                 "Privelet requires power-of-two dimensions");
@@ -71,35 +71,35 @@ std::unique_ptr<Plan> MakePriveletPlan() {
 std::unique_ptr<Plan> MakeH2Plan() {
   return SelectMeasureLsPlan(
       "H2", "SH2 LM LS", true,
-      [](const StageContext& sc) -> StatusOr<LinOpPtr> {
-        return H2Select(sc.n());
+      [](const SelectInput& in) -> StatusOr<LinOpPtr> {
+        return H2Select(in.n());
       });
 }
 
 std::unique_ptr<Plan> MakeHbPlan() {
   return SelectMeasureLsPlan(
       "HB", "SHB LM LS", true,
-      [](const StageContext& sc) -> StatusOr<LinOpPtr> {
-        return HbSelect(sc.n());
+      [](const SelectInput& in) -> StatusOr<LinOpPtr> {
+        return HbSelect(in.n());
       });
 }
 
 std::unique_ptr<Plan> MakeGreedyHPlan() {
   return SelectMeasureLsPlan(
       "Greedy-H", "SG LM LS", true,
-      [](const StageContext& sc) -> StatusOr<LinOpPtr> {
-        return GreedyHSelect(sc.ranges, sc.n());
+      [](const SelectInput& in) -> StatusOr<LinOpPtr> {
+        return GreedyHSelect(in.ranges, in.n());
       });
 }
 
 std::unique_ptr<Plan> MakeHdmmPlan() {
   return SelectMeasureLsPlan(
       "HDMM", "SHD LM LS", false,
-      [](const StageContext& sc) -> StatusOr<LinOpPtr> {
-        if (sc.in->workload_factors.size() != sc.dims.size())
+      [](const SelectInput& in) -> StatusOr<LinOpPtr> {
+        if (in.workload_factors.size() != in.dims.size())
           return Status::InvalidArgument(
               "one workload factor per dimension");
-        return HdmmSelect(sc.in->workload_factors, sc.dims);
+        return HdmmSelect(in.workload_factors, in.dims);
       });
 }
 
@@ -110,9 +110,9 @@ std::unique_ptr<Plan> MakeWorkloadPlan(bool ls_inference) {
   return SelectMeasureLsPlan(
       ls_inference ? "WorkloadLS" : "Workload",
       ls_inference ? "SW LM LS" : "SW LM", false,
-      [](const StageContext& sc) -> StatusOr<LinOpPtr> {
-        if (sc.in->workload) return sc.in->workload;
-        if (!sc.ranges.empty()) return RangeQueryOp(sc.ranges, sc.n());
+      [](const SelectInput& in) -> StatusOr<LinOpPtr> {
+        if (in.workload) return in.workload;
+        if (!in.ranges.empty()) return RangeQueryOp(in.ranges, in.n());
         return Status::InvalidArgument("Workload plan needs a workload");
       });
 }
@@ -131,8 +131,8 @@ std::unique_ptr<Plan> MakeAhpPlan(const AhpPlanOptions& opts) {
                 return AhpPartitionSelect(*sc.data, eps, scope, ahp);
               },
               opts.partition_frac, /*remap_ranges=*/false),
-          Select([](const StageContext& sc) -> StatusOr<LinOpPtr> {
-            return IdentitySelect(sc.n());
+          Select([](const SelectInput& in) -> StatusOr<LinOpPtr> {
+            return IdentitySelect(in.n());
           }),
           Measure(), Infer(InferKind::kClampedLeastSquares)});
 }
@@ -166,8 +166,8 @@ std::unique_ptr<Plan> MakeDawaPlan(const DawaPlanOptions& opts) {
                 return DawaPartitionSelect(*sc.data, eps, scope, dawa);
               },
               opts.partition_frac, /*remap_ranges=*/true),
-          Select([](const StageContext& sc) -> StatusOr<LinOpPtr> {
-            return GreedyHSelect(sc.ranges, sc.n());
+          Select([](const SelectInput& in) -> StatusOr<LinOpPtr> {
+            return GreedyHSelect(in.ranges, in.n());
           }),
           Measure(), Infer(InferKind::kLeastSquares)});
 }

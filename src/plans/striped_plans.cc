@@ -8,6 +8,7 @@
 #include "matrix/lsmr.h"
 #include "ops/inference.h"
 #include "ops/selection.h"
+#include "plans/pipeline.h"
 #include "plans/plans.h"
 #include "util/check.h"
 #include "util/thread_pool.h"
@@ -15,6 +16,10 @@
 namespace ektelo {
 
 namespace {
+
+StatusOr<LinOpPtr> HbStrategy(const SelectInput& in) {
+  return HbSelect(in.n());
+}
 
 Status CheckStripe(const std::vector<std::size_t>& dims,
                    std::size_t stripe_dim) {
@@ -44,8 +49,10 @@ class HbStripedPlan final : public Plan {
     auto groups = stripes.Groups();
 
     // HB selection is data-independent: one strategy shared by all
-    // stripes.
-    LinOpPtr hb = ApplyMode(HbSelect(ns), in.mode);
+    // stripes, and prepared once across executions.
+    EK_ASSIGN_OR_RETURN(LinOpPtr hb, PrepareStrategy(name(), in.mode,
+                                                     {.dims = {ns}},
+                                                     HbStrategy));
     const double sens = hb->SensitivityL1();
 
     // Stripes are partition children under a SplitParallel scope:
@@ -90,9 +97,14 @@ class HbStripedKronPlan final : public Plan {
     // "basic sparse" ablation flattens the whole product instead.
     std::vector<LinOpPtr> factors;
     for (std::size_t d = 0; d < dims.size(); ++d) {
-      LinOpPtr f = (d == in.stripe_dim) ? HbSelect(dims[d])
-                                        : MakeIdentityOp(dims[d]);
-      factors.push_back(ApplyMode(std::move(f), in.mode));
+      if (d != in.stripe_dim) {
+        factors.push_back(ApplyMode(MakeIdentityOp(dims[d]), in.mode));
+        continue;
+      }
+      EK_ASSIGN_OR_RETURN(LinOpPtr hb, PrepareStrategy(name(), in.mode,
+                                                       {.dims = {dims[d]}},
+                                                       HbStrategy));
+      factors.push_back(std::move(hb));
     }
     LinOpPtr m = MakeKronecker(std::move(factors));
     if (materialize_full_) m = MakeSparse(m->MaterializeSparse());

@@ -599,6 +599,12 @@ struct Server::Impl {
         if (!WriteFrame(fd, MsgType::kInvokeReply, EncodeInvokeReply(reply))
                  .ok())
           break;
+      } else if (!payload.empty()) {
+        // kStatsProm, kTrace and kShutdown carry no payload.  The type
+        // byte is outside the frame checksum, so one of them with a
+        // payload is most likely an invoke whose type bit flipped (1 ^ 4
+        // is kShutdown): drop the connection without acting on it.
+        break;
       } else if (type == MsgType::kStatsProm) {
         if (!WriteFrame(fd, MsgType::kStatsPromReply,
                         EncodeTextReply(BuildPromText()))
@@ -660,9 +666,8 @@ StatusOr<std::unique_ptr<Server>> Server::Start(
 
   std::unique_ptr<Server> server(new Server);
   Impl& im = *server->impl_;
-  // Every event and cache series is in the first scrape, even at 0.
+  // Every event series is in the first scrape, even at 0.
   Requests();
-  OperatorCache::Global();
   im.opts = opts;
   im.opts.workers = std::max<std::size_t>(1, im.opts.workers);
   im.opts.queue_capacity = std::max<std::size_t>(1, im.opts.queue_capacity);

@@ -50,9 +50,10 @@
 // stay in a bounded per-server response cache.  Both are privacy-free
 // replays of an answer whose epsilon was already durably charged; a
 // cache eviction costs a re-charge on the next identical request
-// (conservative — never under-counts).  The OperatorCache underneath
-// additionally turns the *operator* work of similar-but-distinct
-// requests into cache hits, which is what makes a hot dashboard one
+// (conservative — never under-counts).  Below the reply level, a
+// sparse- or dense-mode request whose plan selects a data-independent
+// strategy reuses the strategy prepared for an earlier request with the
+// same public fields (plans/pipeline.h), so a hot dashboard pays for one
 // materialization instead of many.
 #ifndef EKTELO_SERVE_SERVER_H_
 #define EKTELO_SERVE_SERVER_H_

@@ -1,8 +1,6 @@
 // Rewrite cost policy (matrix/cost.h): the named sparse-fuse guards the
-// rules pass applies, their boundary behavior, and the retained-byte
-// estimate that sizes the OperatorCache's byte bound.
+// rules pass applies and their boundary behavior.
 #include "gtest/gtest.h"
-#include "matrix/combinators.h"
 #include "matrix/cost.h"
 
 namespace ektelo {
@@ -30,18 +28,6 @@ TEST(CostGuardsTest, GuardConstantsKeepTheirContractedValues) {
   // contract: changing them changes which trees `rules` mode emits.
   EXPECT_EQ(kSparseFuseMaxUpdates, std::size_t{1} << 24);
   EXPECT_EQ(kSparseFuseMaxDensityRatio, 1.0);
-}
-
-// ----------------------------------------------------------- footprint
-
-TEST(RetainedBytesTest, DenseLeafAndProductCountEveryChild) {
-  const std::size_t rows = 8, cols = 16;
-  LinOpPtr a = MakeDense(DenseMatrix(rows, cols, 1.0));
-  EXPECT_EQ(ApproxRetainedBytes(*a), 64 + 8 * rows * cols);
-  LinOpPtr b = MakeDense(DenseMatrix(cols, 4, 1.0));
-  // A Product node adds its own overhead on top of both children.
-  EXPECT_EQ(ApproxRetainedBytes(*MakeProduct(a, b)),
-            64 + (64 + 8 * rows * cols) + (64 + 8 * cols * 4));
 }
 
 }  // namespace

@@ -260,7 +260,6 @@ TEST(KernelPrivacyTest, StrategySensitivityMatchesMaterializedOracle) {
     }
   }
   SetRewriteEnabled(true);
-  OperatorCache::Global().Clear();
 }
 
 }  // namespace

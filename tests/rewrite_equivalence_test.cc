@@ -18,6 +18,7 @@
 #include "data/generators.h"
 #include "gtest/gtest.h"
 #include "matrix/rewrite.h"
+#include "plans/pipeline.h"
 #include "plans/registry.h"
 #include "workload/workloads.h"
 
@@ -34,9 +35,9 @@ struct RunResult {
 
 RunResult RunPlan(const Plan& plan, bool rewrite) {
   SetRewriteEnabled(rewrite);
-  // Each mode starts cold: no artifacts computed by the other mode's run
-  // leak across.
-  OperatorCache::Global().Clear();
+  // Each mode starts cold: no strategy prepared by the other mode's run
+  // leaks across.
+  ClearPreparedStrategies();
 
   const double eps = 0.5;
   Rng rng(31);  // identical environment for every mode
@@ -115,12 +116,11 @@ TEST(RewriteEquivalenceTest, EveryPlanAgreesWithRewriteOff) {
     ExpectAgree(off, rules, 1e-9);
   }
   SetRewriteEnabled(true);
-  OperatorCache::Global().Clear();
 }
 
-// The dense/sparse physical-representation sweep goes through the
-// OperatorCache (ApplyMode conversions); the cache must be invisible in
-// the results.
+// The dense/sparse physical-representation sweep prepares its strategies
+// once (PrepareStrategy); the rewrite-on run reuses what the rewrite-off
+// run prepared, and the reuse must be invisible in the results.
 TEST(RewriteEquivalenceTest, ModeSweepMatchesRewriteOff) {
   for (MatrixMode mode : {MatrixMode::kDense, MatrixMode::kSparse}) {
     for (const Plan* plan : PlanRegistry::Global().Catalog()) {
@@ -128,7 +128,6 @@ TEST(RewriteEquivalenceTest, ModeSweepMatchesRewriteOff) {
       SCOPED_TRACE(plan->name() + std::string("/") + MatrixModeName(mode));
       auto run = [&](bool rewrite) {
         SetRewriteEnabled(rewrite);
-        OperatorCache::Global().Clear();
         const double eps = 0.5;
         Rng rng(97);
         Vec hist = MakeHistogram1D(Shape1D::kStep, 32, 1500.0, &rng);
@@ -156,7 +155,6 @@ TEST(RewriteEquivalenceTest, ModeSweepMatchesRewriteOff) {
     }
   }
   SetRewriteEnabled(true);
-  OperatorCache::Global().Clear();
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Unit tests for the algebraic rewrite engine: each rule is checked both
 // structurally (the canonical form it must produce) and numerically
-// (the rewritten operator represents the same matrix), plus coverage for
-// StructuralHash/StructuralEq and the bounded OperatorCache.
+// (the rewritten operator represents the same matrix), plus the toggle
+// and per-instance sensitivity.
 #include <cmath>
 #include <memory>
 
@@ -322,98 +322,18 @@ TEST(RewriteToggleTest, MaybeRewriteFollowsToggle) {
   EXPECT_NE(MaybeRewrite(op), op);
 }
 
-TEST(StructuralIdentityTest, EqualConstructionHashesAndComparesEqual) {
-  Rng rng(12);
-  auto make = [&](uint64_t seed) {
-    Rng r(seed);
-    CsrMatrix m = RandomSparse(4, 6, &r);
-    return MakeVStack(
-        {MakeScaled(MakeRangeSetOp({{0, 2}, {1, 5}}, 6), 1.5),
-         MakeSparse(std::move(m)),
-         MakeKronecker(MakeIdentityOp(2), MakePrefixOp(3))});
-  };
-  auto a = make(77);
-  auto b = make(77);
-  EXPECT_NE(a.get(), b.get());
-  EXPECT_TRUE(a->StructuralEq(*b));
-  EXPECT_EQ(a->StructuralHash(), b->StructuralHash());
-
-  auto c = make(78);  // different sparse payload
-  EXPECT_FALSE(a->StructuralEq(*c));
-
-  // Different shapes / kinds never compare equal.
-  EXPECT_FALSE(MakePrefixOp(8)->StructuralEq(*MakeSuffixOp(8)));
-  EXPECT_FALSE(MakePrefixOp(8)->StructuralEq(*MakePrefixOp(9)));
-}
-
-TEST(OperatorCacheTest, SensitivityIsComputedPerInstance) {
-  // Sensitivity never goes through the cache, whatever the toggle: two
-  // structurally equal fresh instances each compute their own value (an
-  // equal one), and the global cache sees no traffic.
-  OperatorCache& cache = OperatorCache::Global();
-  cache.Clear();
+TEST(SensitivityTest, EqualConstructionsEachComputeTheirOwn) {
+  // Sensitivity is a method of the operator being charged: two equal
+  // fresh instances each compute (and cache) an equal value, whatever the
+  // rewrite toggle.
   for (bool rewrite : {true, false}) {
     SetRewriteEnabled(rewrite);
     auto a = MakeScaled(MakeRangeSetOp({{0, 9}, {5, 19}, {0, 19}}, 20), 2.0);
     auto b = MakeScaled(MakeRangeSetOp({{0, 9}, {5, 19}, {0, 19}}, 20), 2.0);
-    ASSERT_TRUE(a->StructuralEq(*b));
-    const auto before = cache.stats();
     EXPECT_EQ(a->SensitivityL1(), 6.0);
     EXPECT_EQ(b->SensitivityL1(), a->SensitivityL1());
-    const auto after = cache.stats();
-    EXPECT_EQ(after.hits, before.hits);
-    EXPECT_EQ(after.misses, before.misses);
-    EXPECT_EQ(after.entries, 0u);
   }
   SetRewriteEnabled(true);
-}
-
-TEST(OperatorCacheTest, SparseWrappedHitsOnStructuralMatch) {
-  OperatorCache& cache = OperatorCache::Global();
-  cache.Clear();
-  auto a = MakeKronecker(MakePrefixOp(8), MakeWaveletOp(4));
-  auto b = MakeKronecker(MakePrefixOp(8), MakeWaveletOp(4));
-  LinOpPtr w1 = cache.SparseWrapped(a);
-  const auto mid = cache.stats();
-  LinOpPtr w2 = cache.SparseWrapped(b);
-  const auto end = cache.stats();
-  EXPECT_EQ(end.hits, mid.hits + 1);
-  EXPECT_EQ(w1.get(), w2.get());  // same shared leaf
-  auto* leaf = dynamic_cast<const SparseOp*>(w1.get());
-  ASSERT_NE(leaf, nullptr);
-  EXPECT_EQ(leaf->csr().nnz(), a->MaterializeSparse().nnz());
-}
-
-TEST(OperatorCacheTest, CapacityBoundEvictsLru) {
-  OperatorCache cache;
-  cache.SetCapacity(4, std::size_t{64} << 20);
-  for (std::size_t i = 0; i < 10; ++i)
-    cache.SparseWrapped(MakePrefixOp(8 + i));
-  const auto s = cache.stats();
-  EXPECT_LE(s.entries, 4u);
-  EXPECT_GE(s.evictions, 6u);
-
-  // Byte bound: a run of dense leaves cannot exceed the budget.
-  OperatorCache small;
-  small.SetCapacity(64, 2000);  // ~2 KB
-  for (std::size_t i = 0; i < 6; ++i)
-    small.DenseWrapped(MakePrefixOp(10 + i));  // ~900+ bytes each
-  EXPECT_LE(small.stats().bytes, 2000u);
-  EXPECT_GE(small.stats().evictions, 4u);
-}
-
-TEST(OperatorCacheTest, GramDenseMatchesUncached) {
-  Rng rng(13);
-  auto op = MakeScaled(MakeRangeSetOp({{0, 3}, {2, 9}, {5, 11}}, 12), 1.7);
-  OperatorCache cache;
-  auto cached = cache.GramDense(op);
-  DenseMatrix direct = op->Gram()->MaterializeDense();
-  ASSERT_EQ(cached->rows(), direct.rows());
-  for (std::size_t i = 0; i < direct.data().size(); ++i)
-    EXPECT_DOUBLE_EQ(cached->data()[i], direct.data()[i]);
-  // Second call is a hit returning the same snapshot.
-  auto again = cache.GramDense(op);
-  EXPECT_EQ(cached.get(), again.get());
 }
 
 }  // namespace

@@ -31,6 +31,7 @@
 #include "linalg/simd/simd.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "plans/pipeline.h"
 #include "serve/client.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
@@ -102,11 +103,6 @@ uint64_t RegistryCounter(const std::string& name, const std::string& labels) {
 
 uint64_t ServeEvents(const std::string& event) {
   return RegistryCounter("ektelo_serve_requests", "event=\"" + event + "\"");
-}
-
-uint64_t MemCacheHits() {
-  return RegistryCounter("ektelo_cache_requests",
-                         "tier=\"mem\",event=\"hit\"");
 }
 
 TEST(Server, ServesTwoTenantsConcurrently) {
@@ -234,12 +230,15 @@ TEST(Server, CoalescesIdenticalConcurrentRequests) {
 }
 
 // The other half of the hot-dashboard story: even when every request
-// executes (response cache off, no concurrency to coalesce), identical
-// structure means the OperatorCache serves the sparse-mode conversion of
-// the measurement operator (ApplyMode's SparseWrapped) — re-executions
-// skip materialization and the answers stay identical.
-TEST(Server, RepeatedExecutionsHitTheOperatorCache) {
-  ServerOptions opts = BaseOptions("opcache");
+// executes (response cache off, no concurrency to coalesce), a sparse-mode
+// H2 request prepares its strategy once — the Select stage reuses the
+// materialized operator prepared for the first request with the same
+// public fields, and the answers stay bitwise identical.  The trace
+// endpoint shows it on the plan.select span's `prepared` attribute.
+TEST(Server, RepeatedExecutionsReuseThePreparedStrategy) {
+  ClearPreparedStrategies();
+  obs::SetTraceEnabled(true);
+  ServerOptions opts = BaseOptions("prepared");
   opts.response_cache_entries = 0;
   auto server = Server::Start(opts, {MakeTenant("alpha", 41, 2.0, 512)});
   ASSERT_TRUE(server.ok()) << server.status().ToString();
@@ -247,27 +246,38 @@ TEST(Server, RepeatedExecutionsHitTheOperatorCache) {
   ASSERT_TRUE(client.ok());
 
   InvokeRequest req = IdentityRequest("alpha", 0.1);
-  req.plan = "H2";  // hierarchical select: real cacheable operator work
-  req.mode = 1;     // sparse: the strategy is materialized through the cache
+  req.plan = "H2";  // hierarchical select: a real materialization
+  req.mode = 1;     // sparse: the strategy is materialized and prepared
   req.coalesce = false;
   const uint64_t executed0 = ServeEvents("executed");
-  auto first = client->Invoke(req);
-  ASSERT_TRUE(first.ok());
-  ASSERT_EQ(first->code, ReplyCode::kOk);
-  const uint64_t hits_after_first = MemCacheHits();
-
-  for (int i = 0; i < 3; ++i) {
+  std::vector<Vec> estimates;
+  for (int i = 0; i < 4; ++i) {
     auto reply = client->Invoke(req);
     ASSERT_TRUE(reply.ok());
     ASSERT_EQ(reply->code, ReplyCode::kOk);
-    ASSERT_EQ(reply->estimate.size(), first->estimate.size());
-    EXPECT_EQ(std::memcmp(reply->estimate.data(), first->estimate.data(),
-                          reply->estimate.size() * sizeof(double)),
+    estimates.push_back(reply->estimate);
+  }
+  for (const Vec& e : estimates) {
+    ASSERT_EQ(e.size(), estimates[0].size());
+    EXPECT_EQ(std::memcmp(e.data(), estimates[0].data(),
+                          e.size() * sizeof(double)),
               0);
   }
   EXPECT_EQ(ServeEvents("executed") - executed0, 4u);
-  EXPECT_GT(MemCacheHits(), hits_after_first);
+
+  auto json = client->Trace();
+  ASSERT_TRUE(json.ok()) << json.status().ToString();
+  const auto count = [&](const std::string& needle) {
+    std::size_t n = 0;
+    for (std::size_t at = json->find(needle); at != std::string::npos;
+         at = json->find(needle, at + 1))
+      ++n;
+    return n;
+  };
+  EXPECT_EQ(count("\"prepared\":\"miss\""), 1u) << *json;
+  EXPECT_EQ(count("\"prepared\":\"hit\""), 3u) << *json;
   (*server)->Stop();
+  obs::SetTraceEnabled(false);
   Cleanup(opts);
 }
 
@@ -367,6 +377,23 @@ TEST(Server, MalformedFramesRejectedWithoutTakingServerDown) {
     auto fd = net::ConnectUnix(opts.socket_path);
     ASSERT_TRUE(fd.ok());
     ASSERT_TRUE(net::SendAll(*fd, w.bytes().data(), w.bytes().size()).ok());
+    uint8_t buf;
+    EXPECT_FALSE(net::RecvAll(*fd, &buf, 1).ok());
+    net::CloseFd(*fd);
+    EXPECT_EQ(ServeEvents("received"), received);
+  }
+  // An intact invoke frame whose type byte flipped into one of the
+  // payload-free requests (1 ^ 4 = kShutdown; kStatsProm and kTrace
+  // alike) is dropped without a reply and without acting on it: the
+  // daemon keeps serving, and nothing is received or charged.
+  for (MsgType flipped :
+       {MsgType::kShutdown, MsgType::kStatsProm, MsgType::kTrace}) {
+    const uint64_t received = ServeEvents("received");
+    auto fd = net::ConnectUnix(opts.socket_path);
+    ASSERT_TRUE(fd.ok());
+    ASSERT_TRUE(WriteFrame(*fd, flipped,
+                           EncodeInvokeRequest(IdentityRequest("alpha", 0.1)))
+                    .ok());
     uint8_t buf;
     EXPECT_FALSE(net::RecvAll(*fd, &buf, 1).ok());
     net::CloseFd(*fd);

@@ -1,17 +1,13 @@
 // Byte framing shared by the budget ledger and the wire protocol:
 // little-endian primitives, bit-exact vector round trips, rejection of
-// truncated input, and the record checksum.  Also the structural-hash
-// property the in-memory OperatorCache keys on.
+// truncated input, and the record checksum.
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <vector>
 
 #include "gtest/gtest.h"
-#include "matrix/combinators.h"
-#include "matrix/implicit_ops.h"
 #include "matrix/linop.h"
-#include "matrix/range_ops.h"
 #include "store/serialize.h"
 #include "util/rng.h"
 
@@ -20,15 +16,6 @@ namespace {
 
 using store::ByteReader;
 using store::ByteWriter;
-
-CsrMatrix RandomCsr(std::size_t m, std::size_t n, Rng* rng,
-                    double density = 0.3) {
-  std::vector<Triplet> t;
-  for (std::size_t i = 0; i < m; ++i)
-    for (std::size_t j = 0; j < n; ++j)
-      if (rng->Uniform() < density) t.push_back({i, j, rng->Normal()});
-  return CsrMatrix::FromTriplets(m, n, std::move(t));
-}
 
 template <typename AllocA, typename AllocB>
 bool BitEqual(const std::vector<double, AllocA>& a,
@@ -139,24 +126,6 @@ TEST(SerializeTest, ChecksumDetectsBitFlips) {
     data[i] ^= 0x40;
   }
   EXPECT_EQ(store::Checksum64(data), sum);
-}
-
-// ----------------------------------------------- structural-hash stability
-
-TEST(HashStabilityTest, EqualConstructionHashesEqualAcrossInstances) {
-  Rng rng(11);
-  CsrMatrix c = RandomCsr(5, 16, &rng);
-  auto build = [&c] {
-    return MakeVStack(
-        {MakeScaled(MakeSparse(c), 3.25),
-         MakeKronecker(MakePrefixOp(4), MakeWaveletOp(4)),
-         MakeRangeSetOp({{1, 2}, {0, 15}}, 16)});
-  };
-  auto a = build();
-  auto b = build();
-  EXPECT_NE(a.get(), b.get());
-  EXPECT_EQ(a->StructuralHash(), b->StructuralHash());
-  EXPECT_TRUE(a->StructuralEq(*b));
 }
 
 }  // namespace
