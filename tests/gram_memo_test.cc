@@ -1,25 +1,21 @@
-// Gram memoization: NNLS derives its Gram and spectral-norm estimate
-// through the OperatorCache, so repeated solves of structurally identical
-// stacks skip the per-solve re-derivation bitwise-invisibly.
+// NNLS Gram derivation: the solver keeps no memo of Grams or Lipschitz
+// estimates, so every solve derives its Gram exactly once from the
+// operator it is given, shared or stack-allocated, and repeated solves of
+// the same system land bitwise on the same point.
 #include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "matrix/linop.h"
 #include "matrix/nnls.h"
-#include "matrix/rewrite.h"
 #include "util/rng.h"
 
 namespace ektelo {
 namespace {
 
-// ---------------------------------------------------- Gram memoization
-
-/// Wraps a sparse matrix and counts Gram() derivations.  As an unknown
-/// LinOp subclass it hashes per-instance, so cache hits only occur for
-/// the *same* shared instance — which is exactly the repeated-solve
-/// pattern the memoization targets.
+/// Wraps a sparse matrix and counts Gram() derivations.
 class CountingGramOp final : public LinOp {
  public:
   explicit CountingGramOp(CsrMatrix m)
@@ -50,9 +46,7 @@ CsrMatrix TestMatrix(std::size_t m, std::size_t n) {
   return CsrMatrix::FromTriplets(m, n, std::move(t));
 }
 
-TEST(GramMemoTest, NnlsDerivesTheGramOncePerStructure) {
-  OperatorCache::Global().Clear();
-  SetRewriteEnabled(true);
+TEST(GramMemoTest, NnlsDerivesTheGramOncePerSolve) {
   auto op = std::make_shared<CountingGramOp>(TestMatrix(24, 10));
   Vec b(24);
   Rng rng(5);
@@ -61,34 +55,38 @@ TEST(GramMemoTest, NnlsDerivesTheGramOncePerStructure) {
   NnlsResult first = Nnls(*op, b);
   EXPECT_EQ(op->gram_calls.load(), 1);
   NnlsResult second = Nnls(*op, b);
-  // Second solve: Gram and Lipschitz estimate both come from the cache.
-  EXPECT_EQ(op->gram_calls.load(), 1);
+  // No memo: the second solve of the same shared instance derives again.
+  EXPECT_EQ(op->gram_calls.load(), 2);
+  EXPECT_EQ(first.iterations, second.iterations);
   ASSERT_EQ(first.x.size(), second.x.size());
   for (std::size_t i = 0; i < first.x.size(); ++i)
     EXPECT_TRUE(BitwiseEq(first.x[i], second.x[i])) << i;
 
-  // The cached path must be bitwise-identical to the uncached one.
-  SetRewriteEnabled(false);
+  // A fresh instance of the same matrix reaches the same point bitwise.
   auto fresh = std::make_shared<CountingGramOp>(TestMatrix(24, 10));
-  NnlsResult uncached = Nnls(*fresh, b);
-  SetRewriteEnabled(true);
-  EXPECT_EQ(uncached.iterations, first.iterations);
+  NnlsResult other = Nnls(*fresh, b);
+  EXPECT_EQ(fresh->gram_calls.load(), 1);
+  EXPECT_EQ(other.iterations, first.iterations);
   for (std::size_t i = 0; i < first.x.size(); ++i)
-    EXPECT_TRUE(BitwiseEq(first.x[i], uncached.x[i])) << i;
-  OperatorCache::Global().Clear();
+    EXPECT_TRUE(BitwiseEq(first.x[i], other.x[i])) << i;
 }
 
-TEST(GramMemoTest, StackAllocatedOperatorsStayUncachedButCorrect) {
-  // No shared ownership -> no safe cache key; the solver must fall back
-  // to per-solve derivation without touching the cache.
-  OperatorCache::Global().Clear();
+TEST(GramMemoTest, StackAllocatedOperatorsSolveCorrectly) {
+  // Each solve derives its own Gram; repeated solves land on the same
+  // point, and that point is the one the same matrix reaches behind a
+  // shared SparseOp.
   CountingGramOp op(TestMatrix(16, 6));
   Vec b(16, 1.0);
   NnlsResult r1 = Nnls(op, b);
   NnlsResult r2 = Nnls(op, b);
   EXPECT_EQ(op.gram_calls.load(), 2);
-  for (std::size_t i = 0; i < r1.x.size(); ++i)
+  NnlsResult shared = Nnls(*MakeSparse(TestMatrix(16, 6)), b);
+  ASSERT_EQ(r1.x.size(), 6u);
+  for (std::size_t i = 0; i < r1.x.size(); ++i) {
     EXPECT_TRUE(BitwiseEq(r1.x[i], r2.x[i])) << i;
+    EXPECT_NEAR(r1.x[i], shared.x[i], 1e-9) << i;
+    EXPECT_GE(r1.x[i], 0.0) << i;
+  }
 }
 
 }  // namespace

@@ -1,9 +1,6 @@
 // Tests for the iterative solvers (LSMR, NNLS) that power EKTELO's
 // general-purpose inference operators.
-#include <atomic>
 #include <cmath>
-#include <string>
-#include <vector>
 
 #include "gtest/gtest.h"
 #include "linalg/dense.h"
@@ -155,57 +152,6 @@ TEST(NnlsTest, HierarchicalMeasurementsNonneg) {
   for (auto& v : y) v += rng.Laplace(2.0);
   NnlsResult res = Nnls(*m, y, {.max_iters = 1000});
   for (double v : res.x) EXPECT_GE(v, -1e-12);
-}
-
-/// A sparse operator that counts its Gram() derivations.  Built on the
-/// stack it has no shared ownership, so the Gram it derives aliases it
-/// non-owningly for the length of one solve.
-class CountingGramOp final : public LinOp {
- public:
-  explicit CountingGramOp(CsrMatrix m)
-      : LinOp(m.rows(), m.cols()), m_(std::move(m)) {}
-  void ApplyRaw(const double* x, double* y) const override {
-    m_.Matvec(x, y);
-  }
-  void ApplyTRaw(const double* x, double* y) const override {
-    m_.RmatVec(x, y);
-  }
-  LinOpPtr Gram() const override {
-    ++gram_calls;
-    return MakeSparse(m_.Transpose().Matmul(m_));
-  }
-  std::string DebugName() const override { return "CountingGram"; }
-  mutable std::atomic<int> gram_calls{0};
-
- private:
-  CsrMatrix m_;
-};
-
-CsrMatrix PositiveSparse(std::size_t m, std::size_t n) {
-  Rng rng(99);
-  std::vector<Triplet> t;
-  for (std::size_t i = 0; i < m; ++i)
-    for (std::size_t j = 0; j < n; ++j)
-      if (rng.Uniform() < 0.4) t.push_back({i, j, rng.Normal() + 2.0});
-  return CsrMatrix::FromTriplets(m, n, std::move(t));
-}
-
-TEST(NnlsTest, StackAllocatedOperatorSolvesCorrectly) {
-  // Each solve derives its own Gram; repeated solves land on the same
-  // point, and that point is the one the same matrix reaches behind a
-  // shared SparseOp.
-  CountingGramOp op(PositiveSparse(16, 6));
-  Vec b(16, 1.0);
-  NnlsResult r1 = Nnls(op, b);
-  NnlsResult r2 = Nnls(op, b);
-  EXPECT_EQ(op.gram_calls.load(), 2);
-  NnlsResult shared = Nnls(*MakeSparse(PositiveSparse(16, 6)), b);
-  ASSERT_EQ(r1.x.size(), 6u);
-  for (std::size_t i = 0; i < r1.x.size(); ++i) {
-    EXPECT_TRUE(BitwiseEq(r1.x[i], r2.x[i])) << i;
-    EXPECT_NEAR(r1.x[i], shared.x[i], 1e-9) << i;
-    EXPECT_GE(r1.x[i], 0.0) << i;
-  }
 }
 
 TEST(SpectralNormTest, MatchesKnownValue) {
