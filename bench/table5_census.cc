@@ -5,15 +5,46 @@
 // Usage: table5_census [income_bins] [eps]
 // The default reproduces the paper's domain geometry; pass a smaller bin
 // count (e.g. 500) for a quick run.
+#include <cctype>
+#include <cerrno>
+#include <cmath>
+#include <cstdlib>
+
 #include "bench_util.h"
 
 using namespace ektelo;
 using namespace ektelo::bench;
 
+namespace {
+
+int Usage(const char* prog) {
+  std::fprintf(stderr, "usage: %s [income_bins (integer > 0)] [eps (> 0)]\n",
+               prog);
+  return 2;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
-  const std::size_t income_bins =
-      argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 5000;
-  const double eps = argc > 2 ? std::atof(argv[2]) : 0.1;
+  if (argc > 3) return Usage(argv[0]);
+  std::size_t income_bins = 5000;
+  double eps = 0.1;
+  if (argc > 1) {
+    const char* arg = argv[1];
+    char* end = nullptr;
+    errno = 0;
+    const unsigned long bins = std::strtoul(arg, &end, 10);
+    if (!std::isdigit(static_cast<unsigned char>(arg[0])) || *end != '\0' ||
+        errno != 0 || bins == 0)
+      return Usage(argv[0]);
+    income_bins = bins;
+  }
+  if (argc > 2) {
+    char* end = nullptr;
+    eps = std::strtod(argv[2], &end);
+    if (end == argv[2] || *end != '\0' || !std::isfinite(eps) || eps <= 0.0)
+      return Usage(argv[0]);
+  }
 
   Rng rng(42);
   WallTimer setup;

@@ -92,9 +92,7 @@ StatusOr<NbHistograms> EstimateNbHistograms(NbPlanKind kind,
     case NbPlanKind::kWorkload: {
       // Measure the histogram workload directly; read answers slice-wise.
       LinOpPtr w = MakeVStack(s.hist_ops);
-      const double sens = w->SensitivityL1();
       EK_ASSIGN_OR_RETURN(Vec y, kernel.VectorLaplace(x, *w, eps));
-      (void)sens;
       NbHistograms h;
       h.predictor_domains = s.predictor_domains;
       std::size_t off = 0;

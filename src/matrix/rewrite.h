@@ -1,55 +1,34 @@
-// Algebraic rewrite engine for LinOp expression trees (Halide-flavored
+// Algebraic rewrite pass for LinOp expression trees (Halide-flavored
 // separation of what an operator *means* from how it is *evaluated*).
 //
-// SetRewriteEnabled switches the engine on or off:
+// SetRewriteEnabled switches the pass on or off:
 //
-//   on       (default) the fixed-order bottom-up canonicalizing pass in
-//            matrix/rules.h, guarded by the named policy in
-//            matrix/cost.h;
+//   on       (default) the bottom-up canonicalizing pass below;
 //   off      no rewriting, the reference side of the A/B tests and
 //            benches.
 //
 // Plans compose operators in whatever shape is natural to write —
-// per-round measurement stacks, Scale/Transpose wrappers, products with
-// partition reductions — and execute that tree node by node.  Rewrite()
-// canonicalizes the tree with local, semantics-preserving rules before
-// the solve/Gram hot paths consume it:
+// per-round measurement stacks, Scale wrappers over materialized
+// strategies, Kronecker products of per-dimension factors — and execute
+// that tree node by node.  Rewrite() canonicalizes the tree with local,
+// semantics-preserving rules before the solve hot paths consume it.  It
+// descends through Scale, VStack and Kronecker nodes only and returns
+// every other node as the same pointer:
 //
-//   scale-collapse     Scale(c1, Scale(c2, A))        -> Scale(c1*c2, A)
-//   scale-fold         Scale(c, Dense/Sparse leaf)    -> scaled leaf
-//   scale-hoist        Product/Kron/VStack of Scales  -> one outer Scale
-//   transpose-push     T(T(A)) -> A;  T(AB) -> T(B)T(A);  T(A (x) B) ->
-//                      T(A) (x) T(B);  T([A;B]) -> [T(A)|T(B)];  T(Gram)
-//                      -> Gram;  T(Dense/Sparse/Identity) -> leaf
-//   identity-elim      Product(I, A) / Product(A, I)  -> A;
-//                      Kron(I_1, A) / Kron(A, I_1)    -> A;
-//                      Kron(I_m, I_n)                 -> I_mn
-//   kron-fuse          (A (x) B)(C (x) D) -> (AC) (x) (BD) when shapes
-//                      conform (the mixed-product identity)
-//   sparse-fuse        Product of two CSR leaves -> one CSR leaf when the
-//                      product is affordable and no denser than its
-//                      factors (this is what recognizes P P^T of a
-//                      partition/selection as diagonal and short-circuits
-//                      its Gram)
-//   rowweight-fuse     RowWeight of RowWeight/Scale -> one RowWeight;
-//                      RowWeight of a Dense/CSR leaf -> scaled leaf;
-//                      all-ones weights -> child
-//   stack-flatten      nested VStack/HStack/Sum -> one n-ary node
-//   stack-merge        adjacent VStack runs of RangeSet/Total rows -> one
-//                      RangeSetOp (one prefix-sum pass per apply instead
-//                      of one per child — the MWEM measurement-union
-//                      fast path); adjacent CSR leaves -> one CSR;
-//                      RowWeight/Scale children -> hoisted row weights
-//   sum-merge          CSR / dense leaves inside a Sum -> one leaf
-//   gram-unwrap        Gram(X) re-derives X's structured Gram after X
-//                      itself has been rewritten
+//   scale-fold     Scale(c, Dense/CSR leaf)  -> scaled leaf
+//   stack-merge    adjacent VStack runs of RangeSet/Total rows -> one
+//                  RangeSetOp (one prefix-sum pass per apply instead of
+//                  one per child — the MWEM measurement-union fast
+//                  path); adjacent CSR leaves -> one CSR; adjacent dense
+//                  leaves -> one dense leaf
+//   identity-kron  Kron(I_m, I_n)            -> I_mn
 //
-// Every rule preserves the represented matrix exactly (most are bitwise
-// result-preserving; the rest agree to floating-point roundoff, which is
-// why consumers sit behind the rewrite toggle).  The privacy-relevant
-// path is untouched by construction: measurement operators are applied
-// and charged as the plan author composed them; rewriting serves
-// inference, Gram assembly and materialization — all post-processing.
+// Every rule preserves the represented matrix; scale-fold agrees with
+// the wrapper to floating-point roundoff, which is why consumers sit
+// behind the toggle.  The privacy-relevant path is untouched by
+// construction: measurement operators are applied and charged as the
+// plan author composed them; rewriting serves inference and
+// materialization — post-processing.
 //
 // Nothing here is kept across calls.  Derived quantities are methods of
 // the operator they describe: SensitivityL1() is cached per instance, on
@@ -64,20 +43,20 @@
 
 namespace ektelo {
 
-/// Whether the rewrite engine is active.  On by default.
+/// Whether the rewrite pass is active.  On by default.
 bool RewriteEnabled();
 
-/// Switches the rewrite engine on or off process-wide.  Used by the A/B
+/// Switches the rewrite pass on or off process-wide.  Used by the A/B
 /// benches and the equivalence tests, which restore `true` when done.
 void SetRewriteEnabled(bool enabled);
 
-/// Canonicalize an operator tree with the fixed-order rules pass
-/// (unconditionally — callers wanting the toggle use MaybeRewrite).
-/// Returns the original pointer when no rule fires, so per-instance
-/// caches survive a no-op pass.
+/// Canonicalize an operator tree with the rules above (unconditionally —
+/// callers wanting the toggle use MaybeRewrite).  Returns the original
+/// pointer when no rule fires, so per-instance caches survive a no-op
+/// pass.
 LinOpPtr Rewrite(LinOpPtr op);
 
-/// Rewrite(op) when the engine is enabled, op unchanged otherwise.
+/// Rewrite(op) when the pass is enabled, op unchanged otherwise.
 LinOpPtr MaybeRewrite(LinOpPtr op);
 
 }  // namespace ektelo

@@ -308,8 +308,8 @@ Vec LeastSquaresInference(const MeasurementSet& mset,
   if (std::optional<Vec> x = HaarLeastSquares(mset, t0)) return *std::move(x);
   if (std::optional<Vec> x = TreeLeastSquares(mset, t0)) return *std::move(x);
   // Canonicalize the weighted stack before the iterative solve: merged
-  // measurement unions and hoisted weights cut the per-iteration apply
-  // cost without changing the represented matrix.
+  // measurement unions and scale-folded leaves cut the per-iteration
+  // apply cost without changing the represented matrix.
   LinOpPtr a = MaybeRewrite(mset.WeightedOp());
   Vec b = mset.WeightedY();
   return Lsmr(*a, b, opts).x;

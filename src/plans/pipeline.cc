@@ -270,10 +270,8 @@ Stage Infer(InferKind kind) {
       const auto& items = sc.mset.items();
       for (std::size_t i = 0; i < items.size(); ++i) {
         const LinOpPtr& reduce = sc.mset_reduce[i];
-        // The composed reduce chains are canonicalized (sparse P fused
-        // into sparse strategies, identity reductions dropped) by the
-        // whole-stack rewrite inside LeastSquaresInference — one pass
-        // over the final tree instead of one per measurement here.
+        // Each composed product reaches the solver as built: the rewrite
+        // pass inside LeastSquaresInference does not enter Product nodes.
         global.Add(reduce ? MakeProduct(items[i].m, reduce) : items[i].m,
                    items[i].y, items[i].noise_scale);
       }

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "matrix/combinators.h"
-#include "matrix/rewrite.h"
 #include "util/check.h"
 
 namespace ektelo {
@@ -47,11 +46,7 @@ Partition WorkloadBasedPartition(const LinOp& workload, Rng* rng,
 
 LinOpPtr ReduceWorkload(LinOpPtr workload, const Partition& p) {
   EK_CHECK_EQ(workload->cols(), p.num_cells());
-  // The rewrite pass fuses W (when it is a CSR leaf) with the sparse
-  // pseudo-inverse and folds the per-group scaling, so reduced workloads
-  // enter plans in canonical form.
-  return MaybeRewrite(
-      MakeProduct(std::move(workload), p.PseudoInverseOp()));
+  return MakeProduct(std::move(workload), p.PseudoInverseOp());
 }
 
 Vec ExpandEstimate(const Partition& p, const Vec& reduced) {
