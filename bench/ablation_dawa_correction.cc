@@ -10,7 +10,8 @@ using namespace ektelo::bench;
 
 int main(int argc, char** argv) {
   const std::size_t n = 2048;
-  const double scale = argc > 1 ? std::atof(argv[1]) : 1e6;
+  double scale = 1e6;
+  Args(argc, argv).Positive("scale", &scale).Parse();
   Rng rng(31);
 
   std::printf(

@@ -16,8 +16,9 @@ using namespace ektelo;
 using namespace ektelo::bench;
 
 int main(int argc, char** argv) {
-  const std::size_t n = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 2048;
-  const double eps = argc > 2 ? std::atof(argv[2]) : 0.1;
+  std::size_t n = 2048;
+  double eps = 0.1;
+  Args(argc, argv).Count("n", &n).Positive("eps", &eps).Parse();
   Rng rng(21);
 
   std::printf(

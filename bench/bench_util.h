@@ -1,11 +1,16 @@
-// Shared helpers for the benchmark harnesses: kernel/environment setup
-// from a histogram, error metrics, time-capped execution, and a minimal
-// machine-readable JSON emitter so benchmark runs leave a BENCH_*.json
-// trail for the perf trajectory.
+// Shared helpers for the benchmark harnesses: a strict command-line
+// parser, kernel/environment setup from a histogram, error metrics,
+// time-capped execution, and a minimal machine-readable JSON emitter so
+// benchmark runs leave a BENCH_*.json trail for the perf trajectory.
 #ifndef EKTELO_BENCH_BENCH_UTIL_H_
 #define EKTELO_BENCH_BENCH_UTIL_H_
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <functional>
 #include <optional>
 #include <sstream>
@@ -15,6 +20,97 @@
 #include "ektelo/ektelo.h"
 
 namespace ektelo::bench {
+
+/// A bench's command line: the flags it declares (e.g. --quick) and its
+/// optional positional values, in order.  Anything else (an unknown flag,
+/// a value that does not parse or is out of range, a surplus argument)
+/// prints the usage line to stderr and exits 2, so a mistyped argument
+/// never runs the bench on a default or on a zero.  Usage:
+///
+///   std::size_t rows = 30000;
+///   double eps = 0.1;
+///   Args(argc, argv).Count("rows", &rows).Positive("eps", &eps).Parse();
+class Args {
+ public:
+  Args(int argc, char** argv) : argc_(argc), argv_(argv) {}
+
+  /// A flag, false unless given.
+  Args& Flag(const char* name, bool* value) {
+    *value = false;
+    flags_.push_back({name, value});
+    return *this;
+  }
+  /// The next positional value: an integer > 0.
+  Args& Count(const char* name, std::size_t* value) {
+    positional_.push_back({name, value, nullptr});
+    return *this;
+  }
+  /// The next positional value: a finite number > 0.
+  Args& Positive(const char* name, double* value) {
+    positional_.push_back({name, nullptr, value});
+    return *this;
+  }
+
+  /// Reads argv into the declared values, or exits 2 with the usage line.
+  void Parse() const {
+    std::size_t next = 0;
+    for (int i = 1; i < argc_; ++i) {
+      const char* arg = argv_[i];
+      if (std::strncmp(arg, "--", 2) == 0) {
+        bool known = false;
+        for (const FlagSpec& f : flags_)
+          if (std::strcmp(arg, f.name) == 0) *f.value = known = true;
+        if (!known) Usage();
+      } else if (next == positional_.size() || !positional_[next++].Read(arg)) {
+        Usage();
+      }
+    }
+  }
+
+ private:
+  struct FlagSpec {
+    const char* name;
+    bool* value;
+  };
+  struct PositionalSpec {
+    const char* name;
+    std::size_t* count;
+    double* positive;
+
+    bool Read(const char* arg) const {
+      char* end = nullptr;
+      errno = 0;
+      if (count != nullptr) {
+        const unsigned long long v = std::strtoull(arg, &end, 10);
+        if (!std::isdigit(static_cast<unsigned char>(arg[0])) ||
+            *end != '\0' || errno != 0 || v == 0)
+          return false;
+        *count = static_cast<std::size_t>(v);
+        return true;
+      }
+      const double v = std::strtod(arg, &end);
+      if (end == arg || *end != '\0' || !std::isfinite(v) || v <= 0.0)
+        return false;
+      *positive = v;
+      return true;
+    }
+  };
+
+  [[noreturn]] void Usage() const {
+    std::string line = "usage: " + std::string(argv_[0]);
+    for (const FlagSpec& f : flags_) line += " [" + std::string(f.name) + "]";
+    for (const PositionalSpec& p : positional_)
+      line += " [" + std::string(p.name) +
+              (p.count != nullptr ? " (integer > 0)]" : " (> 0)]");
+    std::fprintf(stderr, "%s\n", line.c_str());
+    std::exit(2);
+  }
+
+  int argc_;
+  char** argv_;
+  std::vector<FlagSpec> flags_;
+  std::vector<PositionalSpec> positional_;
+};
 
 /// A protected kernel wrapping a histogram: the vector handle, the eps a
 /// plan execution may spend, and the public PlanInput (dims, mode, client

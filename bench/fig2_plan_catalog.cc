@@ -76,7 +76,8 @@ CsrMatrix PercolumnGramSparse(const LinOp& op) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  Args(argc, argv).Parse();
   Rng rng(2);
   const double eps = 0.5;
   JsonRecords json;

@@ -12,10 +12,9 @@ using namespace ektelo;
 using namespace ektelo::bench;
 
 int main(int argc, char** argv) {
-  const std::size_t rows =
-      argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 30000;
-  const std::size_t reps =
-      argc > 2 ? std::strtoul(argv[2], nullptr, 10) : 2;
+  std::size_t rows = 30000;
+  std::size_t reps = 2;
+  Args(argc, argv).Count("rows", &rows).Count("reps", &reps).Parse();
   const std::size_t folds = 10;
 
   Rng rng(3);

@@ -29,9 +29,12 @@ struct PlanSpec {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t max_exp =
-      argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 9;
-  const double time_cap = argc > 2 ? std::atof(argv[2]) : 5.0;
+  std::size_t max_exp = 9;
+  double time_cap = 5.0;
+  Args(argc, argv)
+      .Count("max_exp", &max_exp)
+      .Positive("time_cap_s", &time_cap)
+      .Parse();
   const double eps = 0.1;
 
   Rng rng(8);

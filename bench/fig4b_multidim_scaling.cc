@@ -33,9 +33,12 @@ Table RandomTable(const std::vector<std::size_t>& dims, std::size_t rows,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t max_level =
-      argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 3;
-  const double time_cap = argc > 2 ? std::atof(argv[2]) : 20.0;
+  std::size_t max_level = 3;
+  double time_cap = 20.0;
+  Args(argc, argv)
+      .Count("max_level", &max_level)
+      .Positive("time_cap_s", &time_cap)
+      .Parse();
   const double eps = 0.1;
 
   // Domain ladder: ~1e4, 1e5, 1e6, 1e7 cells (stripe dim first).

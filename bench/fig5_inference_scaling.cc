@@ -163,4 +163,15 @@ BENCHMARK(BM_NnlsImplicitIterative)
     ->RangeMultiplier(4)->Range(1 << 10, 1 << 20)
     ->Unit(benchmark::kMillisecond)->Iterations(1);
 
-BENCHMARK_MAIN();
+// BENCHMARK_MAIN, except that an argument Google Benchmark does not
+// recognize exits 2 with the usage line, as every bench here does.
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
+    std::fprintf(stderr, "usage: %s [--benchmark_* flags]\n", argv[0]);
+    return 2;
+  }
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -119,7 +119,8 @@ LatencyResult RunSequence(bool armed, std::size_t warmup, std::size_t n,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool quick = argc > 1 && std::strcmp(argv[1], "--quick") == 0;
+  bool quick = false;
+  bench::Args(argc, argv).Flag("--quick", &quick).Parse();
   const std::size_t warmup = quick ? 10 : 30;
   const std::size_t n = quick ? 150 : 600;
   const std::size_t domain_n = quick ? 1024 : 4096;

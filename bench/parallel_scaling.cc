@@ -89,7 +89,8 @@ double TimePerCall(const std::function<void()>& fn, bool quick) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool quick = argc > 1 && std::strcmp(argv[1], "--quick") == 0;
+  bool quick = false;
+  Args(argc, argv).Flag("--quick", &quick).Parse();
   const double eps = 0.5;
   Rng rng(2);
 

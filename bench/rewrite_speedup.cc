@@ -94,8 +94,8 @@ Vec MustExecute(const Plan& plan, const Vec& hist,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool quick =
-      argc > 1 && std::strcmp(argv[1], "--quick") == 0;
+  bool quick = false;
+  Args(argc, argv).Flag("--quick", &quick).Parse();
 
   // Preset: --quick keeps CI wall time low; the default preset is what
   // the committed BENCH_rewrite.json tracks.

@@ -128,7 +128,8 @@ StormResult RunStorm(bool coalesce, std::size_t threads,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool quick = argc > 1 && std::strcmp(argv[1], "--quick") == 0;
+  bool quick = false;
+  bench::Args(argc, argv).Flag("--quick", &quick).Parse();
   const std::size_t threads = 4;
   const std::size_t per_thread = quick ? 25 : 100;
   const std::size_t domain_n = quick ? 2048 : 16384;

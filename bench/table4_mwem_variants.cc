@@ -15,7 +15,8 @@ int main(int argc, char** argv) {
   const std::size_t n = 4096;
   const double eps = 0.1;
   const std::size_t n_queries = 1000;
-  const double scale = argc > 1 ? std::atof(argv[1]) : 1e5;
+  double scale = 1e5;
+  Args(argc, argv).Positive("scale", &scale).Parse();
 
   Rng rng(4);
   auto shapes = AllShapes1D();

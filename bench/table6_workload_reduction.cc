@@ -22,8 +22,10 @@ struct Case {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const double eps = argc > 1 ? std::atof(argv[1]) : 0.1;
-  const int trials = argc > 2 ? std::atoi(argv[2]) : 3;
+  double eps = 0.1;
+  std::size_t trial_count = 3;
+  Args(argc, argv).Positive("eps", &eps).Count("trials", &trial_count).Parse();
+  const int trials = static_cast<int>(trial_count);
   Rng rng(6);
 
   const std::vector<Case> cases = {{"AHP", {128, 128}, true},

@@ -138,6 +138,19 @@ double LinOp::SensitivityL1() const {
   return *sens_l1_;
 }
 
+// Unlike the sensitivity, the build runs under the lock: a builder never
+// asks for the topology of the operator it is building, and one build of
+// a large strategy is worth a wait.
+std::shared_ptr<const LaminarTopology> LinOp::Topology(
+    TopologyBuilder build) const {
+  std::lock_guard<std::mutex> lock(topo_mu_);
+  if (!topo_built_) {
+    topo_ = build(*this);
+    topo_built_ = true;
+  }
+  return topo_;
+}
+
 double LinOp::ComputeSensitivityL1() const {
   // max over columns of sum_i |a_ij| = max(Abs()^T * ones).
   LinOpPtr a = Abs();

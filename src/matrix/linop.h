@@ -53,6 +53,7 @@ namespace ektelo {
 
 class LinOp;
 using LinOpPtr = std::shared_ptr<const LinOp>;
+class LaminarTopology;  // ops/hierarchy.h
 
 /// Bitwise equality of double payloads (memcmp semantics: NaNs compare by
 /// payload, -0.0 != 0.0) — what the rewrite rules use to recognize an
@@ -119,6 +120,17 @@ class LinOp : public std::enable_shared_from_this<LinOp> {
   /// matrix it charges for.
   double SensitivityL1() const;
 
+  /// Builds the laminar tree topology of an operator's rows, or returns
+  /// null when they are not a laminar family of scaled indicators.
+  using TopologyBuilder =
+      std::shared_ptr<const LaminarTopology> (*)(const LinOp&);
+  /// This operator's tree topology, built by `build` on the first call
+  /// and cached on this instance, like SensitivityL1: a strategy prepared
+  /// once (plans/pipeline.h) carries its topology into every later solve.
+  /// Concurrent first calls build it once.  The tree solver
+  /// (ops/inference.cc) is the one caller.
+  std::shared_ptr<const LaminarTopology> Topology(TopologyBuilder build) const;
+
   /// A human-readable structural name, e.g. "Kron(Prefix(256),Identity(7))".
   virtual std::string DebugName() const = 0;
 
@@ -152,6 +164,11 @@ class LinOp : public std::enable_shared_from_this<LinOp> {
   // non-copyability; operators live behind LinOpPtr anyway).
   mutable std::mutex sens_mu_;
   mutable std::optional<double> sens_l1_;
+  // Held while the topology is built, so concurrent first solves of one
+  // shared strategy build it once.
+  mutable std::mutex topo_mu_;
+  mutable bool topo_built_ = false;
+  mutable std::shared_ptr<const LaminarTopology> topo_;
 };
 
 /// Wrapper over a materialized dense matrix.

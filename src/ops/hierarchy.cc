@@ -85,13 +85,13 @@ namespace {
 constexpr uint32_t kNone = UINT32_MAX;
 }  // namespace
 
-std::optional<LaminarForest> LaminarForest::Build(IndicatorRows rows,
-                                                  std::size_t n) {
+std::optional<LaminarTopology> LaminarTopology::Build(IndicatorRows rows,
+                                                      std::size_t n) {
   const std::size_t m = rows.rows();
   if (n > kMaxCells || m > kMaxCells) return std::nullopt;
-  LaminarForest f;
-  f.row_node_.assign(m, kNone);
-  f.owner_.assign(n, kNone);
+  LaminarTopology t;
+  t.row_node_.assign(m, kNone);
+  t.owner_.assign(n, kNone);
 
   // Rows that constrain nothing (empty support or zero value) drop out.
   // The rest are ordered largest support first (ties by row index, a
@@ -119,89 +119,113 @@ std::optional<LaminarForest> LaminarForest::Build(IndicatorRows rows,
   // one owner; it is a duplicate iff that owner has its size.
   std::vector<uint32_t> node_size;
   node_size.reserve(order.size());
-  f.parent_.reserve(order.size());
-  f.uncovered_.reserve(order.size());
-  f.prec_.reserve(order.size());
+  t.parent_.reserve(order.size());
+  t.uncovered_.reserve(order.size());
   for (uint32_t r : order) {
     const std::size_t lo = rows.row_start[r], hi = rows.row_start[r + 1];
-    const uint32_t p = f.owner_[rows.runs[lo].first];
+    const uint32_t p = t.owner_[rows.runs[lo].first];
     const bool duplicate = p != kNone && node_size[p] == size[r];
     const uint32_t v = duplicate ? p : static_cast<uint32_t>(node_size.size());
     for (std::size_t k = lo; k < hi; ++k)
       for (uint32_t c = rows.runs[k].first; c < rows.runs[k].second; ++c) {
-        if (f.owner_[c] != p) return std::nullopt;
-        f.owner_[c] = v;
+        if (t.owner_[c] != p) return std::nullopt;
+        t.owner_[c] = v;
       }
-    f.row_node_[r] = v;
-    const double a = rows.coef[r];
-    if (duplicate) {
-      f.prec_[p] += a * a;
-      continue;
-    }
+    t.row_node_[r] = v;
+    if (duplicate) continue;
     node_size.push_back(size[r]);
-    f.parent_.push_back(p);
-    f.uncovered_.push_back(size[r]);
-    f.prec_.push_back(a * a);
-    if (p != kNone) f.uncovered_[p] -= size[r];
+    t.parent_.push_back(p);
+    t.uncovered_.push_back(size[r]);
+    if (p != kNone) t.uncovered_[p] -= size[r];
   }
-  f.coef_ = std::move(rows.coef);
+  t.coef_ = std::move(rows.coef);
+  return t;
+}
+
+std::optional<LaminarForest> LaminarForest::Build(IndicatorRows rows,
+                                                  std::size_t n) {
+  std::optional<LaminarTopology> t =
+      LaminarTopology::Build(std::move(rows), n);
+  if (!t.has_value()) return std::nullopt;
+  return Weigh(std::make_shared<const LaminarTopology>(*std::move(t)), 1.0);
+}
+
+std::optional<LaminarForest> LaminarForest::Weigh(
+    std::shared_ptr<const LaminarTopology> topology, double scale) {
+  const LaminarTopology& t = *topology;
+  // A non-finite scale turns zero rows into NaN ones, which Build keeps.
+  if (!std::isfinite(scale)) return std::nullopt;
+  LaminarForest f;
+  const std::size_t count = t.parent_.size();
+  // prec[v]: the sum of coef^2 over the node's rows.  A node's rows share
+  // one size, so Build's order visits them by row index, as this loop does.
+  f.prec_.assign(count, 0.0);
+  for (std::size_t r = 0; r < t.row_node_.size(); ++r) {
+    if (t.row_node_[r] == kNone) continue;
+    const double a = t.coef_[r] * scale;
+    if (a == 0.0) return std::nullopt;  // underflow: Build drops the row
+    f.prec_[t.row_node_[r]] += a * a;
+  }
 
   // The variances do not depend on b: var[v] is the variance of node v's
   // subtree estimate (in units where a row's variance is 1 / coef^2).  A
   // node with uncovered cells learns nothing from its children, since
   // those cells absorb any residual.
-  const std::size_t count = f.parent_.size();
   Vec var(count), child_var(count, 0.0);
   f.w_own_.assign(count, 1.0);
   for (std::size_t v = count; v-- > 0;) {
     const double own_var = 1.0 / f.prec_[v];
-    if (f.uncovered_[v] > 0) {
+    if (t.uncovered_[v] > 0) {
       var[v] = own_var;
     } else {
       f.w_own_[v] = child_var[v] / (own_var + child_var[v]);
       var[v] = own_var * child_var[v] / (own_var + child_var[v]);
     }
-    if (f.parent_[v] != kNone) child_var[f.parent_[v]] += var[v];
+    if (t.parent_[v] != kNone) child_var[t.parent_[v]] += var[v];
   }
   // A fully covered node hands its consistency surplus to its children in
   // proportion to their variances (the exact least-squares adjustment).
   f.share_.assign(count, 0.0);
   for (std::size_t v = 0; v < count; ++v) {
-    const uint32_t p = f.parent_[v];
-    if (p != kNone && f.uncovered_[p] == 0)
+    const uint32_t p = t.parent_[v];
+    if (p != kNone && t.uncovered_[p] == 0)
       f.share_[v] = var[v] / child_var[p];
   }
+  f.topo_ = std::move(topology);
+  f.scale_ = scale;
   return f;
 }
 
 Vec LaminarForest::Solve(const Vec& b) const {
-  EK_CHECK_EQ(b.size(), row_node_.size());
-  const std::size_t count = parent_.size();
+  const LaminarTopology& t = *topo_;
+  EK_CHECK_EQ(b.size(), t.row_node_.size());
+  const std::size_t count = t.parent_.size();
   // est[v]: sum of coef * b over the node's rows, then (bottom-up) the
   // best estimate of its total from its subtree.  down[v]: the sum of its
   // children's estimates, then (top-down) what it passes down: its
   // surplus to its children, or the value of each uncovered cell.
   Vec est(count, 0.0), down(count, 0.0);
   for (std::size_t r = 0; r < b.size(); ++r)
-    if (row_node_[r] != kNone) est[row_node_[r]] += coef_[r] * b[r];
+    if (t.row_node_[r] != kNone)
+      est[t.row_node_[r]] += t.coef_[r] * scale_ * b[r];
   for (std::size_t v = count; v-- > 0;) {
     const double own = est[v] / prec_[v];
-    est[v] = uncovered_[v] > 0
+    est[v] = t.uncovered_[v] > 0
                  ? own
                  : w_own_[v] * own + (1.0 - w_own_[v]) * down[v];
-    if (parent_[v] != kNone) down[parent_[v]] += est[v];
+    if (t.parent_[v] != kNone) down[t.parent_[v]] += est[v];
   }
   for (std::size_t v = 0; v < count; ++v) {
     double total = est[v];
-    if (share_[v] != 0.0) total += share_[v] * down[parent_[v]];
+    if (share_[v] != 0.0) total += share_[v] * down[t.parent_[v]];
     const double surplus = total - down[v];
-    down[v] = uncovered_[v] > 0
-                  ? surplus / static_cast<double>(uncovered_[v])
+    down[v] = t.uncovered_[v] > 0
+                  ? surplus / static_cast<double>(t.uncovered_[v])
                   : surplus;
   }
-  Vec x(owner_.size(), 0.0);
-  for (std::size_t c = 0; c < owner_.size(); ++c)
-    if (owner_[c] != kNone) x[c] = down[owner_[c]];
+  Vec x(t.owner_.size(), 0.0);
+  for (std::size_t c = 0; c < t.owner_.size(); ++c)
+    if (t.owner_[c] != kNone) x[c] = down[t.owner_[c]];
   return x;
 }
 

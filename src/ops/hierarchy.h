@@ -3,7 +3,10 @@
 // against the general-purpose iterative inference.  The tree solver is
 // generalized to any laminar family of weighted counting queries
 // (LaminarForest): LeastSquaresInference dispatches hierarchical, grid
-// and partition measurement sets to it.
+// and partition measurement sets to it.  The forest's row-only part
+// (LaminarTopology) is cached on the measured operator, so a strategy
+// prepared once (plans/pipeline.h) solves each later measurement in
+// O(rows + n), without the O(nnz) link step.
 //
 // A hierarchy over n cells is a complete b-ary tree of interval-sum
 // queries: the root covers [0, n), each node's children split its interval
@@ -15,6 +18,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -58,7 +62,7 @@ std::size_t HbBranchingFactor(std::size_t n);
 /// Runs of one row are disjoint.  Cell and run indices are 32-bit (the
 /// laminar solver's working set is a few arrays of them per row and cell,
 /// so their width is its memory traffic); callers keep cells below
-/// LaminarForest::kMaxCells.
+/// LaminarTopology::kMaxCells.
 struct IndicatorRows {
   Vec coef;
   /// Runs of row r are runs[row_start[r] .. row_start[r + 1]).
@@ -89,30 +93,34 @@ struct IndicatorRows {
   }
 };
 
-/// Weighted least squares argmin_x ||diag(coef) S x - b||_2 over n cells,
-/// where S stacks the indicator rows, when the row supports form a
-/// laminar family (any two are nested or disjoint).  Solved by a two-pass
-/// tree estimator generalizing Hay et al.: rows with the same support
-/// merge by inverse variance; a node whose children do not cover it
-/// leaves the residual to its uncovered cells; the result is the
-/// minimum-norm solution (uniform within each atom of the family, 0 on
-/// cells no row covers).  The forest depends only on the rows, so one
-/// build serves any number of right-hand sides.
-class LaminarForest {
+/// The part of a laminar least-squares system that depends only on its
+/// rows: which rows constrain anything, the node each row belongs to, the
+/// smallest node owning each cell, each node's parent and uncovered cell
+/// count, and the rows' own coefficients.  It is immutable once built, so
+/// one topology serves every solve of the same rows under any common
+/// scaling of their coefficients (a measurement's noise weight): the
+/// solver caches it on the measured operator (LinOp::Topology).
+class LaminarTopology {
  public:
   /// Domains at or above this size are not supported (indices are 32-bit).
   static constexpr std::size_t kMaxCells = UINT32_MAX - 1;
 
-  /// O(nnz + rows + n).  Returns nullopt when the supports are not
+  /// O(nnz + rows + n): the node link step, which checks laminarity with
+  /// a per-cell owner map.  Returns nullopt when the supports are not
   /// laminar, or when n or the row count exceeds kMaxCells.
-  static std::optional<LaminarForest> Build(IndicatorRows rows,
-                                            std::size_t n);
-  /// The solution for b (one entry per row), O(rows + n).
-  Vec Solve(const Vec& b) const;
+  static std::optional<LaminarTopology> Build(IndicatorRows rows,
+                                              std::size_t n);
 
   std::size_t nodes() const { return parent_.size(); }
+  /// An upper bound on the bytes a topology of `rows` rows over `cells`
+  /// cells holds.
+  static std::size_t MaxBytes(std::size_t rows, std::size_t cells) {
+    return rows * (sizeof(double) + 3 * sizeof(uint32_t)) +
+           cells * sizeof(uint32_t);
+  }
 
  private:
+  friend class LaminarForest;
   Vec coef_;
   std::vector<uint32_t> row_node_;  // each row's node (or none)
   std::vector<uint32_t> owner_;     // smallest node containing each cell
@@ -120,6 +128,38 @@ class LaminarForest {
   // allocation is wider than one word per node.
   std::vector<uint32_t> parent_;
   std::vector<uint32_t> uncovered_;  // cells in none of its children
+};
+
+/// Weighted least squares argmin_x ||diag(coef) S x - b||_2 over n cells,
+/// where S stacks the indicator rows, when the row supports form a
+/// laminar family (any two are nested or disjoint).  Solved by a two-pass
+/// tree estimator generalizing Hay et al.: rows with the same support
+/// merge by inverse variance; a node whose children do not cover it
+/// leaves the residual to its uncovered cells; the result is the
+/// minimum-norm solution (uniform within each atom of the family, 0 on
+/// cells no row covers).  A forest is a LaminarTopology plus the weights
+/// its coefficients give each node, so one build serves any number of
+/// right-hand sides.
+class LaminarForest {
+ public:
+  /// LaminarTopology::Build, then Weigh(topology, 1.0).
+  static std::optional<LaminarForest> Build(IndicatorRows rows,
+                                            std::size_t n);
+  /// The forest of `topology` with every coefficient multiplied by
+  /// `scale`, O(rows + nodes): bitwise the forest Build makes from the
+  /// rows with those scaled coefficients.  Returns nullopt when the
+  /// scaling would change which rows are zero (the caller then builds
+  /// from the scaled rows).
+  static std::optional<LaminarForest> Weigh(
+      std::shared_ptr<const LaminarTopology> topology, double scale);
+  /// The solution for b (one entry per row), O(rows + n).
+  Vec Solve(const Vec& b) const;
+
+  std::size_t nodes() const { return topo_->nodes(); }
+
+ private:
+  std::shared_ptr<const LaminarTopology> topo_;
+  double scale_ = 1.0;  // multiplies every coefficient of topo_
   Vec prec_;   // sum of coef^2 over the node's rows
   Vec w_own_;  // weight of its own rows in its subtree estimate
   Vec share_;  // its part of a fully covered parent's surplus

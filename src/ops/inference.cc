@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <utility>
 
 #include "linalg/dense.h"
@@ -177,9 +178,35 @@ bool AppendIndicatorRows(const LinOp& op, IndicatorRows* out) {
   return false;
 }
 
+/// LinOp::Topology's builder: the topology of `op`'s indicator rows.
+std::shared_ptr<const LaminarTopology> BuildTopology(const LinOp& op) {
+  IndicatorRows rows;
+  if (op.cols() > LaminarTopology::kMaxCells ||
+      !AppendIndicatorRows(op, &rows))
+    return nullptr;
+  std::optional<LaminarTopology> t =
+      LaminarTopology::Build(std::move(rows), op.cols());
+  if (!t.has_value()) return nullptr;
+  return std::make_shared<const LaminarTopology>(*std::move(t));
+}
+
+/// The forest of `op`'s rows with every coefficient multiplied by `scale`:
+/// the topology cached on `op` with this solve's weights, or, when the
+/// scaling zeroes a row, a fresh build from the scaled rows.
+std::optional<LaminarForest> ScaledForest(const LinOp& op, double scale) {
+  std::shared_ptr<const LaminarTopology> topology = op.Topology(&BuildTopology);
+  if (topology == nullptr) return std::nullopt;
+  if (std::optional<LaminarForest> f = LaminarForest::Weigh(topology, scale))
+    return f;
+  IndicatorRows rows;
+  EK_CHECK(AppendIndicatorRows(op, &rows));
+  for (double& v : rows.coef) v *= scale;
+  return LaminarForest::Build(std::move(rows), op.cols());
+}
+
 /// One measurement of Kron(F, I_k) or Kron(I_k, F), possibly scaled:
 /// the system splits into k independent copies of F's, one per identity
-/// index, so F's forest is built once and solved k times.
+/// index, so F's forest is weighed once and solved k times.
 std::optional<Vec> SeparableTreeLeastSquares(const MeasurementSet& mset,
                                              std::size_t* nodes) {
   if (mset.size() != 1) return std::nullopt;
@@ -199,11 +226,7 @@ std::optional<Vec> SeparableTreeLeastSquares(const MeasurementSet& mset,
     return std::nullopt;
   const LinOp& f = right ? *kr->a() : *kr->b();
   const std::size_t k = right ? kr->b()->cols() : kr->a()->cols();
-  IndicatorRows rows;
-  if (!AppendIndicatorRows(f, &rows)) return std::nullopt;
-  for (double& v : rows.coef) v *= c;
-  std::optional<LaminarForest> forest =
-      LaminarForest::Build(std::move(rows), f.cols());
+  std::optional<LaminarForest> forest = ScaledForest(f, c);
   if (!forest.has_value()) return std::nullopt;
   *nodes = forest->nodes() * k;
   // Copy j reads rows (i, j) and writes cells (l, j) under Kron(F, I_k),
@@ -221,28 +244,37 @@ std::optional<Vec> SeparableTreeLeastSquares(const MeasurementSet& mset,
 }
 
 /// Tree path: every measurement is a stack of scaled indicator rows whose
-/// supports are laminar.
+/// supports are laminar.  A single measurement solves on the topology
+/// cached on its operator; a stack of several builds its forest afresh.
 std::optional<Vec> TreeLeastSquares(const MeasurementSet& mset,
                                     uint64_t t0) {
   const std::size_t n = mset.Domain();
-  if (n > LaminarForest::kMaxCells) return std::nullopt;
+  if (n > LaminarTopology::kMaxCells) return std::nullopt;
   std::size_t nodes = 0;
   std::optional<Vec> x = SeparableTreeLeastSquares(mset, &nodes);
   if (!x.has_value()) {
-    IndicatorRows rows;
+    std::optional<LaminarForest> forest;
     Vec b;
-    rows.Reserve(mset.TotalQueries(), mset.TotalQueries());
     b.reserve(mset.TotalQueries());
-    for (const Measurement& it : mset.items()) {
-      const std::size_t first = rows.rows();
-      if (!AppendIndicatorRows(*it.m, &rows)) return std::nullopt;
+    if (mset.size() == 1) {
+      const Measurement& it = mset.items()[0];
       const double w = mset.WeightFor(it.noise_scale);
-      for (std::size_t r = first; r < rows.rows(); ++r) rows.coef[r] *= w;
+      forest = ScaledForest(*it.m, w);
+      if (!forest.has_value()) return std::nullopt;
       for (double v : it.y) b.push_back(w * v);
+    } else {
+      IndicatorRows rows;
+      rows.Reserve(mset.TotalQueries(), mset.TotalQueries());
+      for (const Measurement& it : mset.items()) {
+        const std::size_t first = rows.rows();
+        if (!AppendIndicatorRows(*it.m, &rows)) return std::nullopt;
+        const double w = mset.WeightFor(it.noise_scale);
+        for (std::size_t r = first; r < rows.rows(); ++r) rows.coef[r] *= w;
+        for (double v : it.y) b.push_back(w * v);
+      }
+      forest = LaminarForest::Build(std::move(rows), n);
+      if (!forest.has_value()) return std::nullopt;
     }
-    std::optional<LaminarForest> forest =
-        LaminarForest::Build(std::move(rows), n);
-    if (!forest.has_value()) return std::nullopt;
     nodes = forest->nodes();
     x = forest->Solve(b);
   }

@@ -19,8 +19,9 @@ std::unique_ptr<Plan> MakeQuadtreePlan() {
   return std::make_unique<PipelinePlan>(
       "QuadTree", PlanTraits{"SQ LM LS", DomainKind::k2D, false},
       std::vector<Stage>{
-          Select([](const SelectInput& in) -> StatusOr<LinOpPtr> {
-            return QuadtreeSelect(in.dims[0], in.dims[1]);
+          SelectByShape([](const std::vector<std::size_t>& dims)
+                            -> StatusOr<LinOpPtr> {
+            return QuadtreeSelect(dims[0], dims[1]);
           }),
           Measure(), Infer(InferKind::kLeastSquares)});
 }

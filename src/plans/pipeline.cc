@@ -9,6 +9,7 @@
 #include "matrix/combinators.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "ops/hierarchy.h"
 #include "ops/inference.h"
 #include "plans/plans.h"
 #include "util/check.h"
@@ -58,15 +59,16 @@ constexpr std::size_t kPreparedMaxBytes = std::size_t{256} << 20;
 struct PreparedEntry {
   std::string plan;
   MatrixMode mode;
-  SelectInput in;  // the key; holds the workload operators alive
+  bool shape_only;  // keyed on dims alone
+  SelectInput in;   // the key; holds the workload operators alive
   LinOpPtr strategy;
   std::size_t bytes;
 };
 
 bool SameKey(const PreparedEntry& e, const std::string& plan,
-             MatrixMode mode, const SelectInput& in) {
-  return e.mode == mode && e.plan == plan && e.in.dims == in.dims &&
-         e.in.workload == in.workload &&
+             MatrixMode mode, bool shape_only, const SelectInput& in) {
+  return e.mode == mode && e.shape_only == shape_only && e.plan == plan &&
+         e.in.dims == in.dims && e.in.workload == in.workload &&
          e.in.workload_factors == in.workload_factors &&
          std::equal(e.in.ranges.begin(), e.in.ranges.end(),
                     in.ranges.begin(), in.ranges.end(),
@@ -75,14 +77,21 @@ bool SameKey(const PreparedEntry& e, const std::string& plan,
                     });
 }
 
-/// Bytes a materialized (SparseOp or DenseOp) strategy keeps resident.
+/// Bytes a prepared strategy keeps resident: its own storage (the matrix
+/// of a materialized one; an implicit one describes at most a rectangle,
+/// four words, per row) plus the tree topology the solver caches on it.
 std::size_t ResidentBytes(const LinOp& op) {
+  std::size_t own;
   if (auto* s = dynamic_cast<const SparseOp*>(&op)) {
     const CsrMatrix& m = s->csr();
-    return (m.indptr().size() + m.indices().size()) * sizeof(std::size_t) +
-           m.values().size() * sizeof(double);
+    own = (m.indptr().size() + m.indices().size()) * sizeof(std::size_t) +
+          m.values().size() * sizeof(double);
+  } else if (dynamic_cast<const DenseOp*>(&op)) {
+    own = op.rows() * op.cols() * sizeof(double);
+  } else {
+    own = op.rows() * 4 * sizeof(std::size_t);
   }
-  return op.rows() * op.cols() * sizeof(double);
+  return own + LaminarTopology::MaxBytes(op.rows(), op.cols());
 }
 
 struct PreparedMemo {
@@ -91,10 +100,10 @@ struct PreparedMemo {
   std::size_t bytes = 0;
 
   /// Must hold mu.  Null on a miss.
-  LinOpPtr Find(const std::string& plan, MatrixMode mode,
+  LinOpPtr Find(const std::string& plan, MatrixMode mode, bool shape_only,
                 const SelectInput& in) {
     for (auto it = lru.begin(); it != lru.end(); ++it)
-      if (SameKey(*it, plan, mode, in)) {
+      if (SameKey(*it, plan, mode, shape_only, in)) {
         lru.splice(lru.begin(), lru, it);
         return it->strategy;
       }
@@ -107,31 +116,31 @@ struct PreparedMemo {
   }
 };
 
-}  // namespace
-
-StatusOr<LinOpPtr> PrepareStrategy(const std::string& plan, MatrixMode mode,
-                                   const SelectInput& in,
-                                   const SelectFn& select, bool* hit) {
+/// ApplyMode(select(), mode) through the memo, keyed on (plan, mode,
+/// shape_only, key).
+StatusOr<LinOpPtr> Prepare(const std::string& plan, MatrixMode mode,
+                           bool shape_only, const SelectInput& key,
+                           const std::function<StatusOr<LinOpPtr>()>& select,
+                           bool* hit) {
   if (hit != nullptr) *hit = false;
-  if (mode == MatrixMode::kImplicit) return select(in);
   PreparedMemo& memo = PreparedMemo::Global();
   {
     std::lock_guard<std::mutex> lock(memo.mu);
-    if (LinOpPtr op = memo.Find(plan, mode, in)) {
+    if (LinOpPtr op = memo.Find(plan, mode, shape_only, key)) {
       if (hit != nullptr) *hit = true;
       return op;
     }
   }
-  // Materialize outside the lock.  When a concurrent preparation of the
-  // same key lands first, its instance wins, so every caller measures one
+  // Select outside the lock.  When a concurrent preparation of the same
+  // key lands first, its instance wins, so every caller measures one
   // operator.
-  EK_ASSIGN_OR_RETURN(LinOpPtr op, select(in));
+  EK_ASSIGN_OR_RETURN(LinOpPtr op, select());
   op = ApplyMode(std::move(op), mode);
   const std::size_t bytes = ResidentBytes(*op);
   std::lock_guard<std::mutex> lock(memo.mu);
-  if (LinOpPtr first = memo.Find(plan, mode, in)) return first;
+  if (LinOpPtr first = memo.Find(plan, mode, shape_only, key)) return first;
   if (bytes > kPreparedMaxBytes) return op;
-  memo.lru.push_front({plan, mode, in, op, bytes});
+  memo.lru.push_front({plan, mode, shape_only, key, op, bytes});
   memo.bytes += bytes;
   while (memo.lru.size() > kPreparedMaxEntries ||
          memo.bytes > kPreparedMaxBytes) {
@@ -139,6 +148,50 @@ StatusOr<LinOpPtr> PrepareStrategy(const std::string& plan, MatrixMode mode,
     memo.lru.pop_back();
   }
   return op;
+}
+
+/// The Select stage's body: before any partition stage the strategy comes
+/// from `prepare` (when the selector may be prepared in this mode), after
+/// one from `select` on the reduced domain.
+Status SetStrategy(StageContext& sc,
+                   const std::function<StatusOr<LinOpPtr>()>& select,
+                   const std::function<StatusOr<LinOpPtr>(bool*)>& prepare) {
+  obs::Span span("plan.select", "plan", &StageSeconds("select"));
+  LinOpPtr op;
+  if (sc.reduce_op || !prepare) {
+    EK_ASSIGN_OR_RETURN(op, select());
+    op = ApplyMode(std::move(op), sc.mode);
+  } else {
+    bool hit = false;
+    EK_ASSIGN_OR_RETURN(op, prepare(&hit));
+    span.Attr("prepared", hit ? "hit" : "miss");
+  }
+  span.Attr("rows", static_cast<double>(op->rows()));
+  span.Attr("cols", static_cast<double>(op->cols()));
+  sc.strategy = std::move(op);
+  return Status::Ok();
+}
+
+}  // namespace
+
+StatusOr<LinOpPtr> PrepareStrategy(const std::string& plan, MatrixMode mode,
+                                   const SelectInput& in,
+                                   const SelectFn& select, bool* hit) {
+  if (mode == MatrixMode::kImplicit) {
+    if (hit != nullptr) *hit = false;
+    return select(in);
+  }
+  return Prepare(plan, mode, /*shape_only=*/false, in,
+                 [&] { return select(in); }, hit);
+}
+
+StatusOr<LinOpPtr> PrepareShapeStrategy(const std::string& plan,
+                                        MatrixMode mode,
+                                        const std::vector<std::size_t>& dims,
+                                        const ShapeSelectFn& select,
+                                        bool* hit) {
+  return Prepare(plan, mode, /*shape_only=*/true, {.dims = dims},
+                 [&] { return select(dims); }, hit);
 }
 
 void ClearPreparedStrategies() {
@@ -152,23 +205,24 @@ void ClearPreparedStrategies() {
 
 Stage Select(SelectFn fn) {
   return [fn = std::move(fn)](StageContext& sc) -> Status {
-    obs::Span span("plan.select", "plan", &StageSeconds("select"));
     const SelectInput in{sc.dims, sc.ranges, sc.in->workload,
                          sc.in->workload_factors};
-    LinOpPtr op;
-    if (sc.reduce_op) {
-      EK_ASSIGN_OR_RETURN(op, fn(in));
-      op = ApplyMode(std::move(op), sc.mode);
-    } else {
-      bool hit = false;
-      EK_ASSIGN_OR_RETURN(op, PrepareStrategy(*sc.plan, sc.mode, in, fn, &hit));
-      if (sc.mode != MatrixMode::kImplicit)
-        span.Attr("prepared", hit ? "hit" : "miss");
-    }
-    span.Attr("rows", static_cast<double>(op->rows()));
-    span.Attr("cols", static_cast<double>(op->cols()));
-    sc.strategy = std::move(op);
-    return Status::Ok();
+    std::function<StatusOr<LinOpPtr>(bool*)> prepare;
+    if (sc.mode != MatrixMode::kImplicit)
+      prepare = [&](bool* hit) {
+        return PrepareStrategy(*sc.plan, sc.mode, in, fn, hit);
+      };
+    return SetStrategy(sc, [&] { return fn(in); }, prepare);
+  };
+}
+
+Stage SelectByShape(ShapeSelectFn fn) {
+  return [fn = std::move(fn)](StageContext& sc) -> Status {
+    return SetStrategy(
+        sc, [&] { return fn(sc.dims); },
+        [&](bool* hit) {
+          return PrepareShapeStrategy(*sc.plan, sc.mode, sc.dims, fn, hit);
+        });
   };
 }
 

@@ -23,12 +23,15 @@
 //
 // Selection (Fig. 2's S*) is a function of public inputs only: a SelectFn
 // sees a SelectInput — domain shape, range workload, workload operators —
-// and no data handle, budget scope or rng.  In the materializing modes
-// (sparse/dense), the strategy a plan selects before any partition stage
-// is therefore the same for every execution with the same public inputs,
-// and PrepareStrategy keeps it: a later execution reuses the materialized
-// operator, and the sensitivity cached on that very instance, instead of
-// re-materializing it.
+// and no data handle, budget scope or rng; a ShapeSelectFn sees the
+// domain shape alone.  The strategy a plan selects before any partition
+// stage is therefore the same for every execution with the same public
+// inputs, and the memo behind PrepareStrategy keeps it: a later execution
+// reuses the operator, and the sensitivity and tree topology cached on
+// that very instance, instead of rebuilding them.  Shape-only strategies
+// are kept in every mode, implicit included; workload-reading ones only
+// in the materializing modes (sparse/dense), where materialization is
+// what a repeat saves.
 #ifndef EKTELO_PLANS_PIPELINE_H_
 #define EKTELO_PLANS_PIPELINE_H_
 
@@ -108,6 +111,12 @@ struct SelectInput {
 /// inputs; Select applies the matrix mode.
 using SelectFn = std::function<StatusOr<LinOpPtr>(const SelectInput&)>;
 
+/// Strategy selector that reads the domain shape alone (Identity, Uniform,
+/// Privelet, H2, HB, QuadTree): its type admits nothing else, so its
+/// strategy is a function of dims.
+using ShapeSelectFn =
+    std::function<StatusOr<LinOpPtr>(const std::vector<std::size_t>& dims)>;
+
 /// ApplyMode(select(in), mode), prepared once per exact public key — plan
 /// name, mode, in.dims, in.ranges and the identities of in.workload and
 /// in.workload_factors — and kept in a small process-wide LRU memo.  An
@@ -121,6 +130,15 @@ StatusOr<LinOpPtr> PrepareStrategy(const std::string& plan, MatrixMode mode,
                                    const SelectInput& in,
                                    const SelectFn& select,
                                    bool* hit = nullptr);
+
+/// ApplyMode(select(dims), mode), prepared once per (plan, mode, dims) in
+/// every mode, implicit included: the strategy's cached sensitivity and
+/// tree topology serve every later execution on the same shape.
+StatusOr<LinOpPtr> PrepareShapeStrategy(const std::string& plan,
+                                        MatrixMode mode,
+                                        const std::vector<std::size_t>& dims,
+                                        const ShapeSelectFn& select,
+                                        bool* hit = nullptr);
 
 /// Drops every prepared strategy: the cold start a fresh process takes.
 void ClearPreparedStrategies();
@@ -139,6 +157,9 @@ enum class InferKind {
 /// PrepareStrategy unless a partition stage ran before it (the reduced
 /// domain and remapped workload then change with every execution).
 Stage Select(SelectFn fn);
+
+/// S* for a shape-only selector: as Select, through PrepareShapeStrategy.
+Stage SelectByShape(ShapeSelectFn fn);
 
 /// LM: measure the selected strategy with the scope's entire remaining
 /// allowance and append to the measurement set.

@@ -22,11 +22,11 @@ namespace {
 /// workload baselines, as a three-stage pipeline.
 std::unique_ptr<Plan> SelectMeasureLsPlan(std::string name,
                                           std::string signature,
-                                          bool mode_sweep, SelectFn select) {
+                                          bool mode_sweep, Stage select) {
   PlanTraits traits{std::move(signature), DomainKind::k1D, mode_sweep};
   return std::make_unique<PipelinePlan>(
       std::move(name), std::move(traits),
-      std::vector<Stage>{Select(std::move(select)), Measure(),
+      std::vector<Stage>{std::move(select), Measure(),
                          Infer(InferKind::kLeastSquares)});
 }
 
@@ -37,8 +37,9 @@ std::unique_ptr<Plan> MakeIdentityPlan() {
   return std::make_unique<PipelinePlan>(
       "Identity", PlanTraits{"SI LM", DomainKind::k1D, true},
       std::vector<Stage>{
-          Select([](const SelectInput& in) -> StatusOr<LinOpPtr> {
-            return IdentitySelect(in.n());
+          SelectByShape([](const std::vector<std::size_t>& dims)
+                            -> StatusOr<LinOpPtr> {
+            return IdentitySelect(DimsProduct(dims).value());
           }),
           Measure(), Infer(InferKind::kNone)});
 }
@@ -47,60 +48,64 @@ std::unique_ptr<Plan> MakeUniformPlan() {
   // ST LM LS: measure the total; min-norm LS spreads it uniformly.
   return SelectMeasureLsPlan(
       "Uniform", "ST LM LS", true,
-      [](const SelectInput& in) -> StatusOr<LinOpPtr> {
-        return TotalSelect(in.n());
-      });
+      SelectByShape(
+          [](const std::vector<std::size_t>& dims) -> StatusOr<LinOpPtr> {
+            return TotalSelect(DimsProduct(dims).value());
+          }));
 }
 
 std::unique_ptr<Plan> MakePriveletPlan() {
   // SP LM LS: per-dimension Haar wavelets composed by Kronecker.
   return SelectMeasureLsPlan(
       "Privelet", "SP LM LS", true,
-      [](const SelectInput& in) -> StatusOr<LinOpPtr> {
-        std::vector<LinOpPtr> factors;
-        for (std::size_t d : in.dims) {
-          if (!IsPowerOfTwo(d))
-            return Status::InvalidArgument(
-                "Privelet requires power-of-two dimensions");
-          factors.push_back(MakeWaveletOp(d));
-        }
-        return MakeKronecker(std::move(factors));
-      });
+      SelectByShape(
+          [](const std::vector<std::size_t>& dims) -> StatusOr<LinOpPtr> {
+            std::vector<LinOpPtr> factors;
+            for (std::size_t d : dims) {
+              if (!IsPowerOfTwo(d))
+                return Status::InvalidArgument(
+                    "Privelet requires power-of-two dimensions");
+              factors.push_back(MakeWaveletOp(d));
+            }
+            return MakeKronecker(std::move(factors));
+          }));
 }
 
 std::unique_ptr<Plan> MakeH2Plan() {
   return SelectMeasureLsPlan(
       "H2", "SH2 LM LS", true,
-      [](const SelectInput& in) -> StatusOr<LinOpPtr> {
-        return H2Select(in.n());
-      });
+      SelectByShape(
+          [](const std::vector<std::size_t>& dims) -> StatusOr<LinOpPtr> {
+            return H2Select(DimsProduct(dims).value());
+          }));
 }
 
 std::unique_ptr<Plan> MakeHbPlan() {
   return SelectMeasureLsPlan(
       "HB", "SHB LM LS", true,
-      [](const SelectInput& in) -> StatusOr<LinOpPtr> {
-        return HbSelect(in.n());
-      });
+      SelectByShape(
+          [](const std::vector<std::size_t>& dims) -> StatusOr<LinOpPtr> {
+            return HbSelect(DimsProduct(dims).value());
+          }));
 }
 
 std::unique_ptr<Plan> MakeGreedyHPlan() {
   return SelectMeasureLsPlan(
       "Greedy-H", "SG LM LS", true,
-      [](const SelectInput& in) -> StatusOr<LinOpPtr> {
+      Select([](const SelectInput& in) -> StatusOr<LinOpPtr> {
         return GreedyHSelect(in.ranges, in.n());
-      });
+      }));
 }
 
 std::unique_ptr<Plan> MakeHdmmPlan() {
   return SelectMeasureLsPlan(
       "HDMM", "SHD LM LS", false,
-      [](const SelectInput& in) -> StatusOr<LinOpPtr> {
+      Select([](const SelectInput& in) -> StatusOr<LinOpPtr> {
         if (in.workload_factors.size() != in.dims.size())
           return Status::InvalidArgument(
               "one workload factor per dimension");
         return HdmmSelect(in.workload_factors, in.dims);
-      });
+      }));
 }
 
 std::unique_ptr<Plan> MakeWorkloadPlan(bool ls_inference) {
@@ -110,11 +115,11 @@ std::unique_ptr<Plan> MakeWorkloadPlan(bool ls_inference) {
   return SelectMeasureLsPlan(
       ls_inference ? "WorkloadLS" : "Workload",
       ls_inference ? "SW LM LS" : "SW LM", false,
-      [](const SelectInput& in) -> StatusOr<LinOpPtr> {
+      Select([](const SelectInput& in) -> StatusOr<LinOpPtr> {
         if (in.workload) return in.workload;
         if (!in.ranges.empty()) return RangeQueryOp(in.ranges, in.n());
         return Status::InvalidArgument("Workload plan needs a workload");
-      });
+      }));
 }
 
 // ------------------------------------------------------------------- AHP
@@ -131,8 +136,9 @@ std::unique_ptr<Plan> MakeAhpPlan(const AhpPlanOptions& opts) {
                 return AhpPartitionSelect(*sc.data, eps, scope, ahp);
               },
               opts.partition_frac, /*remap_ranges=*/false),
-          Select([](const SelectInput& in) -> StatusOr<LinOpPtr> {
-            return IdentitySelect(in.n());
+          SelectByShape([](const std::vector<std::size_t>& dims)
+                            -> StatusOr<LinOpPtr> {
+            return IdentitySelect(DimsProduct(dims).value());
           }),
           Measure(), Infer(InferKind::kClampedLeastSquares)});
 }

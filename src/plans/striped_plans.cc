@@ -17,8 +17,8 @@ namespace ektelo {
 
 namespace {
 
-StatusOr<LinOpPtr> HbStrategy(const SelectInput& in) {
-  return HbSelect(in.n());
+StatusOr<LinOpPtr> HbStrategy(const std::vector<std::size_t>& dims) {
+  return HbSelect(dims[0]);
 }
 
 Status CheckStripe(const std::vector<std::size_t>& dims,
@@ -50,9 +50,9 @@ class HbStripedPlan final : public Plan {
 
     // HB selection is data-independent: one strategy shared by all
     // stripes, and prepared once across executions.
-    EK_ASSIGN_OR_RETURN(LinOpPtr hb, PrepareStrategy(name(), in.mode,
-                                                     {.dims = {ns}},
-                                                     HbStrategy));
+    EK_ASSIGN_OR_RETURN(LinOpPtr hb,
+                        PrepareShapeStrategy(name(), in.mode, {ns},
+                                             HbStrategy));
     const double sens = hb->SensitivityL1();
 
     // Stripes are partition children under a SplitParallel scope:
@@ -101,9 +101,9 @@ class HbStripedKronPlan final : public Plan {
         factors.push_back(ApplyMode(MakeIdentityOp(dims[d]), in.mode));
         continue;
       }
-      EK_ASSIGN_OR_RETURN(LinOpPtr hb, PrepareStrategy(name(), in.mode,
-                                                       {.dims = {dims[d]}},
-                                                       HbStrategy));
+      EK_ASSIGN_OR_RETURN(LinOpPtr hb,
+                          PrepareShapeStrategy(name(), in.mode, {dims[d]},
+                                               HbStrategy));
       factors.push_back(std::move(hb));
     }
     LinOpPtr m = MakeKronecker(std::move(factors));

@@ -93,6 +93,9 @@ bool DecodeInvokeRequest(const std::vector<uint8_t>& bytes,
 
 std::vector<uint8_t> EncodeInvokeReply(const InvokeReply& reply) {
   store::ByteWriter w;
+  // request_id, code, message, coalesced, eps_charged, the estimate.
+  w.Reserve(8 + 1 + (8 + reply.message.size()) + 1 + 8 +
+            (8 + 8 * reply.estimate.size()));
   w.U64(reply.request_id);
   w.U8(uint8_t(reply.code));
   PutString(reply.message, &w);

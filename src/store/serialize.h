@@ -2,12 +2,14 @@
 // records and the serving daemon's wire protocol.  Byte layout is
 // explicit and platform-independent:
 //
-//   * every integer is framed little-endian, byte by byte (no memcpy of
-//     host-endian words), so bytes written on any machine read back on
-//     any other;
+//   * every integer is framed little-endian, byte by byte, so bytes
+//     written on any machine read back on any other;
 //   * doubles are framed by IEEE-754 bit pattern (as a little-endian
 //     uint64), so round-trips are bit-exact — NaN payloads, -0.0 and
-//     denormals included;
+//     denormals included.  A vector of doubles (an estimate, 512 KiB on
+//     a 256x256 domain) moves as one memcpy on little-endian hosts, where
+//     a double's bytes in memory already are its wire bytes, and double
+//     by double elsewhere: the same bytes either way;
 //   * kFormatVersion stamps every ledger file; a layout change bumps it
 //     and cleanly rejects old files instead of misreading them.
 //
@@ -23,6 +25,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "linalg/vec.h"
@@ -44,9 +47,23 @@ inline uint64_t Checksum64(const std::vector<uint8_t>& bytes) {
   return Checksum64(bytes.data(), bytes.size());
 }
 
+/// True where a double's bytes in memory are its little-endian wire
+/// bytes, so vectors of doubles are framed by a bulk copy.
+inline constexpr bool kLittleEndianDoubles =
+#if defined(__BYTE_ORDER__) && defined(__FLOAT_WORD_ORDER__) && \
+    __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__ &&                  \
+    __FLOAT_WORD_ORDER__ == __ORDER_LITTLE_ENDIAN__
+    true;
+#else
+    false;
+#endif
+
 /// Append-only little-endian byte sink.
 class ByteWriter {
  public:
+  /// Reserves room for n more bytes (an encoder that knows its exact
+  /// size appends without regrowing).
+  void Reserve(std::size_t n) { out_.reserve(out_.size() + n); }
   void U8(uint8_t v) { out_.push_back(v); }
   void U32(uint32_t v) {
     for (int i = 0; i < 4; ++i) out_.push_back(uint8_t(v >> (8 * i)));
@@ -58,7 +75,12 @@ class ByteWriter {
   /// Accepts any std::vector<double, Alloc> (plain or AlignedVec).
   template <typename Alloc>
   void F64s(const std::vector<double, Alloc>& vs) {
-    for (double v : vs) F64(v);
+    if constexpr (kLittleEndianDoubles) {
+      Raw(reinterpret_cast<const uint8_t*>(vs.data()),
+          vs.size() * sizeof(double));
+    } else {
+      for (double v : vs) F64(v);
+    }
   }
   /// Appends raw bytes verbatim (already-framed sub-buffers).
   void Raw(const uint8_t* data, std::size_t n) {
@@ -91,6 +113,11 @@ class ByteReader {
   bool F64s(std::size_t count, std::vector<double, Alloc>* vs) {
     if (!ok() || remaining() / 8 < count) return Fail();
     vs->resize(count);
+    if constexpr (kLittleEndianDoubles) {
+      if (count > 0) std::memcpy(vs->data(), p_, count * sizeof(double));
+      p_ += count * sizeof(double);
+      return true;
+    }
     for (std::size_t i = 0; i < count; ++i)
       if (!F64(&(*vs)[i])) return false;
     return true;

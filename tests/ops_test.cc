@@ -1,7 +1,13 @@
 // Tests for the operator library: hierarchies + tree inference, query
 // selection, partition selection, HDMM strategy scoring, measurement sets
 // and the generic inference operators.
+#include <algorithm>
 #include <cmath>
+#include <functional>
+#include <limits>
+#include <memory>
+#include <optional>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "matrix/combinators.h"
@@ -101,6 +107,154 @@ TEST(TreeLsTest, ExactOnNoiselessMeasurements) {
   Vec x_true = {5, 0, 3, 2, 8, 1, 1, 4};
   Vec x = TreeBasedLeastSquares(h, op->Apply(x_true));
   for (std::size_t i = 0; i < 8; ++i) EXPECT_NEAR(x[i], x_true[i], 1e-9);
+}
+
+// --------------------------------------------------------- laminar forest
+
+/// A random laminar family over n cells: nested intervals with gaps
+/// (uncovered cells), some supports repeated, some rows zero, in shuffled
+/// row order and under a random cell permutation (so most supports are
+/// unions of several runs).
+IndicatorRows RandomLaminarRows(std::size_t n, Rng* rng) {
+  std::vector<std::pair<std::size_t, std::size_t>> supports;
+  std::function<void(std::size_t, std::size_t)> split =
+      [&](std::size_t lo, std::size_t hi) {
+        supports.push_back({lo, hi});
+        if (rng->Uniform() < 0.3) supports.push_back({lo, hi});
+        if (hi - lo < 2) return;
+        for (std::size_t pos = lo; pos < hi;) {
+          const std::size_t len = std::min<std::size_t>(
+              hi - pos, 1 + rng->UniformInt(0, (hi - lo) / 2 - 1));
+          if (rng->Uniform() < 0.8) split(pos, pos + len);
+          pos += len;
+        }
+      };
+  split(0, n);
+  std::vector<std::size_t> perm(n);
+  for (std::size_t c = 0; c < n; ++c) perm[c] = c;
+  for (std::size_t c = n; c-- > 1;)
+    std::swap(perm[c], perm[rng->UniformInt(0, int64_t(c))]);
+  for (std::size_t r = supports.size(); r-- > 1;)
+    std::swap(supports[r], supports[rng->UniformInt(0, int64_t(r))]);
+  IndicatorRows rows;
+  for (const auto& [lo, hi] : supports) {
+    std::vector<std::size_t> cells;
+    for (std::size_t c = lo; c < hi; ++c) cells.push_back(perm[c]);
+    std::sort(cells.begin(), cells.end());
+    for (std::size_t c : cells) rows.AddRun(c, c + 1);
+    rows.EndRow(rng->Uniform() < 0.1 ? 0.0 : rng->Uniform(0.5, 3.0));
+  }
+  return rows;
+}
+
+std::shared_ptr<const LaminarTopology> SharedTopology(IndicatorRows rows,
+                                                      std::size_t n) {
+  std::optional<LaminarTopology> t =
+      LaminarTopology::Build(std::move(rows), n);
+  EK_CHECK(t.has_value());
+  return std::make_shared<const LaminarTopology>(*std::move(t));
+}
+
+TEST(LaminarForestTest, TopologyPlusWeightsSolvesLikeBuild) {
+  // Weighing one topology under a scale must give, bit for bit, the
+  // forest Build makes from the rows with their coefficients scaled.
+  Rng rng(9);
+  for (int trial = 0; trial < 40; ++trial) {
+    SCOPED_TRACE(trial);
+    const std::size_t n = std::size_t(rng.UniformInt(1, 200));
+    const IndicatorRows rows = RandomLaminarRows(n, &rng);
+    const auto topology = SharedTopology(rows, n);
+    Vec b(rows.rows());
+    for (double& v : b) v = rng.Laplace(10.0);
+    for (double scale : {1.0, 0.37, 3.0, 1e-3, 1e5}) {
+      IndicatorRows scaled = rows;
+      for (double& c : scaled.coef) c *= scale;
+      std::optional<LaminarForest> built =
+          LaminarForest::Build(std::move(scaled), n);
+      std::optional<LaminarForest> weighed =
+          LaminarForest::Weigh(topology, scale);
+      ASSERT_TRUE(built.has_value());
+      ASSERT_TRUE(weighed.has_value());
+      EXPECT_EQ(built->nodes(), weighed->nodes());
+      EXPECT_TRUE(BitwiseEq(built->Solve(b), weighed->Solve(b)))
+          << "scale " << scale;
+    }
+  }
+}
+
+TEST(LaminarForestTest, SeparableSolveOnCachedTopologyMatchesBuild) {
+  // One measurement of Scale(Kron(F, I_k)) solves on the topology cached
+  // on F: the first solve and a repeat must both equal F's forest built
+  // from its scaled rows and solved copy by copy.
+  const std::size_t nf = 16, k = 3;
+  const Hierarchy h = BuildHierarchy(nf, 2);
+  const LinOpPtr f = HierarchyOp(h);
+  const LinOpPtr m = MakeScaled(MakeKronecker(f, MakeIdentityOp(k)), 2.0);
+  Rng rng(4);
+  for (double noise : {0.5, 3.0}) {
+    SCOPED_TRACE(noise);
+    Vec y(m->rows());
+    for (double& v : y) v = rng.Laplace(5.0);
+    MeasurementSet mset;
+    mset.Add(m, y, noise);
+    const double w = mset.WeightFor(noise);
+    IndicatorRows rows;
+    for (const auto& level : h.levels)
+      for (const HierNode& node : level) {
+        rows.AddRun(node.lo, node.hi);
+        rows.EndRow(1.0 * (w * 2.0));
+      }
+    std::optional<LaminarForest> forest =
+        LaminarForest::Build(std::move(rows), nf);
+    ASSERT_TRUE(forest.has_value());
+    Vec expected(nf * k), b(f->rows());
+    for (std::size_t j = 0; j < k; ++j) {
+      for (std::size_t i = 0; i < b.size(); ++i) b[i] = w * y[i * k + j];
+      const Vec xj = forest->Solve(b);
+      for (std::size_t l = 0; l < nf; ++l) expected[l * k + j] = xj[l];
+    }
+    EXPECT_TRUE(BitwiseEq(LeastSquaresInference(mset), expected));
+    EXPECT_TRUE(BitwiseEq(LeastSquaresInference(mset), expected));
+  }
+}
+
+TEST(LaminarForestTest, ZeroPatternMismatchFallsBackToBuild) {
+  // Row 1's coefficient underflows to zero under the measurement weight,
+  // so Build drops it.  Weigh must refuse the cached topology, and the
+  // solver must build from the scaled rows instead.
+  const std::size_t n = 8;
+  const std::vector<std::pair<std::size_t, std::size_t>> supports = {
+      {0, 8}, {0, 4}, {4, 8}, {0, 2}};
+  const Vec coef = {1.0, 1e-320, 1.0, 2.0};
+  IndicatorRows rows;
+  std::vector<Triplet> entries;
+  for (std::size_t r = 0; r < supports.size(); ++r) {
+    rows.AddRun(supports[r].first, supports[r].second);
+    rows.EndRow(coef[r]);
+    for (std::size_t c = supports[r].first; c < supports[r].second; ++c)
+      entries.push_back({r, c, coef[r]});
+  }
+  MeasurementSet mset;
+  mset.Add(MakeSparse(CsrMatrix::FromTriplets(supports.size(), n, entries)),
+           {40.0, 21.0, 19.0, 9.0}, /*noise_scale=*/1e10);
+  const double w = mset.WeightFor(1e10);
+  const auto topology = SharedTopology(rows, n);
+  EXPECT_FALSE(LaminarForest::Weigh(topology, w).has_value());
+  EXPECT_FALSE(LaminarForest::Weigh(
+                   topology, std::numeric_limits<double>::infinity())
+                   .has_value());
+  EXPECT_TRUE(LaminarForest::Weigh(topology, 1.0).has_value());
+
+  IndicatorRows scaled = rows;
+  for (double& c : scaled.coef) c *= w;
+  std::optional<LaminarForest> built =
+      LaminarForest::Build(std::move(scaled), n);
+  ASSERT_TRUE(built.has_value());
+  EXPECT_EQ(built->nodes(), 3u);
+  const Vec& y = mset.items()[0].y;
+  Vec b(y.size());
+  for (std::size_t r = 0; r < y.size(); ++r) b[r] = w * y[r];
+  EXPECT_TRUE(BitwiseEq(LeastSquaresInference(mset), built->Solve(b)));
 }
 
 // ------------------------------------------------------------- selection

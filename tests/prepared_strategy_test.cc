@@ -1,6 +1,8 @@
 // Prepared strategies (plans/pipeline.h): selection reads public inputs
-// only, so in the materializing modes a plan's strategy is prepared once
-// per public key and reused by every later execution with that key.
+// only, so a plan's strategy is prepared once per public key and reused
+// by every later execution with that key.  Shape-only selectors are keyed
+// on (plan, mode, dims) and prepared in every mode; workload-reading ones
+// on every public field, and only in the materializing modes.
 //
 // The data-independence guard runs every registry PipelinePlan in sparse
 // mode on two different tables.  A plan with no partition stage must
@@ -19,6 +21,7 @@
 #include "matrix/implicit_ops.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "ops/inference.h"
 #include "ops/selection.h"
 #include "plans/pipeline.h"
 #include "plans/registry.h"
@@ -81,10 +84,17 @@ std::string Execute(const Plan& plan, const PlanInput& in, int table) {
   return prepared;
 }
 
-/// The strategy prepared for `plan` under the Select stage's key, or null
-/// when none is: a selector that always fails only answers on a hit.
+/// The strategy prepared for `plan` under its Select stage's key (the
+/// shape key or the full public key), or null when none is: a selector
+/// that always fails only answers on a hit.
 LinOpPtr Prepared(const Plan& plan, const PlanInput& in) {
-  StatusOr<LinOpPtr> op = PrepareStrategy(
+  StatusOr<LinOpPtr> op = PrepareShapeStrategy(
+      plan.name(), in.mode, in.dims,
+      [](const std::vector<std::size_t>&) -> StatusOr<LinOpPtr> {
+        return Status::NotFound("not prepared");
+      });
+  if (op.ok()) return *op;
+  op = PrepareStrategy(
       plan.name(), in.mode,
       {in.dims, in.ranges, in.workload, in.workload_factors},
       [](const SelectInput&) -> StatusOr<LinOpPtr> {
@@ -151,32 +161,67 @@ TEST_F(PreparedStrategyTest, SelectionIsAFunctionOfPublicInputsOnly) {
   EXPECT_GE(checked, 12u);
 }
 
-TEST_F(PreparedStrategyTest, ImplicitModePreparesNothing) {
+TEST_F(PreparedStrategyTest, ImplicitModePreparesShapeSelectorsOnly) {
+  // H2 reads the domain shape alone: its implicit strategy is kept, not
+  // materialized.
   const Plan& h2 = PlanRegistry::Global().MustFind("H2");
   PlanInput in = InputFor(h2);
   in.mode = MatrixMode::kImplicit;
-  EXPECT_EQ(Execute(h2, in, 0), "");
-  in.mode = MatrixMode::kSparse;
-  EXPECT_EQ(Prepared(h2, in), nullptr);
+  EXPECT_EQ(Execute(h2, in, 0), "miss");
+  EXPECT_EQ(Execute(h2, in, 1), "hit");
+  const LinOpPtr op = Prepared(h2, in);
+  ASSERT_NE(op, nullptr);
+  EXPECT_EQ(dynamic_cast<const SparseOp*>(op.get()), nullptr);
+  EXPECT_EQ(dynamic_cast<const DenseOp*>(op.get()), nullptr);
+  // Greedy-H reads the workload: in implicit mode it selects afresh.
+  const Plan& greedy = PlanRegistry::Global().MustFind("Greedy-H");
+  PlanInput gin = InputFor(greedy);
+  gin.mode = MatrixMode::kImplicit;
+  EXPECT_EQ(Execute(greedy, gin, 0), "");
+  EXPECT_EQ(Execute(greedy, gin, 1), "");
+  EXPECT_EQ(Prepared(greedy, gin), nullptr);
+  gin.mode = MatrixMode::kSparse;
+  EXPECT_EQ(Prepared(greedy, gin), nullptr);
 }
 
 TEST_F(PreparedStrategyTest, KeyIsExactOverPublicFields) {
-  const Plan& h2 = PlanRegistry::Global().MustFind("H2");
-  const PlanInput in = InputFor(h2);
-  ASSERT_EQ(Execute(h2, in, 0), "miss");
-  // Each public field is part of the key: change one and the strategy is
-  // prepared afresh.
+  // A workload-reading selector is keyed on every public field: change
+  // one and the strategy is prepared afresh.
+  const Plan& greedy = PlanRegistry::Global().MustFind("Greedy-H");
+  const PlanInput in = InputFor(greedy);
+  ASSERT_EQ(Execute(greedy, in, 0), "miss");
   PlanInput dense = in;
   dense.mode = MatrixMode::kDense;
-  EXPECT_EQ(Execute(h2, dense, 0), "miss");
+  EXPECT_EQ(Execute(greedy, dense, 0), "miss");
   PlanInput other_ranges = in;
   other_ranges.ranges.pop_back();
-  EXPECT_EQ(Execute(h2, other_ranges, 0), "miss");
+  EXPECT_EQ(Execute(greedy, other_ranges, 0), "miss");
   PlanInput other_workload = in;
   other_workload.workload = RangeQueryOp(in.ranges, kN);  // equal, not same
-  EXPECT_EQ(Execute(h2, other_workload, 0), "miss");
+  EXPECT_EQ(Execute(greedy, other_workload, 0), "miss");
   // The original key is still prepared.
-  EXPECT_EQ(Execute(h2, in, 1), "hit");
+  EXPECT_EQ(Execute(greedy, in, 1), "hit");
+
+  // A shape-only selector is keyed on plan, mode and dims alone.
+  const Plan& h2 = PlanRegistry::Global().MustFind("H2");
+  const PlanInput h2_in = InputFor(h2);
+  ASSERT_EQ(Execute(h2, h2_in, 0), "miss");
+  other_ranges = h2_in;
+  other_ranges.ranges.pop_back();
+  EXPECT_EQ(Execute(h2, other_ranges, 0), "hit");
+  other_workload = h2_in;
+  other_workload.workload = RangeQueryOp(h2_in.ranges, kN);
+  EXPECT_EQ(Execute(h2, other_workload, 1), "hit");
+  dense = h2_in;
+  dense.mode = MatrixMode::kDense;
+  EXPECT_EQ(Execute(h2, dense, 0), "miss");
+  PlanInput other_dims = h2_in;
+  other_dims.dims = {kN / 2};
+  other_dims.ranges.clear();
+  other_dims.workload = nullptr;
+  other_dims.workload_factors.clear();
+  EXPECT_EQ(Execute(h2, other_dims, 0), "miss");
+  EXPECT_EQ(Execute(h2, h2_in, 1), "hit");
 }
 
 TEST_F(PreparedStrategyTest, MemoIsBounded) {
@@ -238,6 +283,55 @@ TEST_F(PreparedStrategyTest, StripedPlansShareOnePreparedHbStrategy) {
     Execute(plan, in, 1);
     EXPECT_EQ(Prepared(plan, key).get(), first.get());
   }
+}
+
+TEST_F(PreparedStrategyTest, ConcurrentFirstSolvesShareOneTopology) {
+  // HB-Striped's stripes all solve on its one prepared HB strategy, so
+  // the first use of the tree topology cached on it can come from several
+  // threads at once.  Every solve must match the same rows solved on a
+  // fresh, unshared instance, and the topology must be built once.
+  const std::size_t n = 256;
+  const ShapeSelectFn hb = [](const std::vector<std::size_t>& dims)
+      -> StatusOr<LinOpPtr> { return HbSelect(dims[0]); };
+  const LinOpPtr shared =
+      PrepareShapeStrategy("HB-Striped", MatrixMode::kImplicit, {n}, hb)
+          .value();
+  const LinOpPtr fresh = HbSelect(n);
+  Rng rng(5);
+  std::vector<Vec> ys(4), expected(4), got(4);
+  for (std::size_t t = 0; t < ys.size(); ++t) {
+    ys[t] = rng.LaplaceVector(shared->rows(), 3.0);
+    MeasurementSet mset;
+    mset.Add(fresh, ys[t], 2.0 + double(t));
+    expected[t] = LeastSquaresInference(mset);
+  }
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < ys.size(); ++t)
+    threads.emplace_back([&, t] {
+      MeasurementSet mset;
+      mset.Add(shared, ys[t], 2.0 + double(t));
+      got[t] = LeastSquaresInference(mset);
+    });
+  for (std::thread& th : threads) th.join();
+  for (std::size_t t = 0; t < ys.size(); ++t)
+    EXPECT_TRUE(BitwiseEq(got[t], expected[t])) << "thread " << t;
+  // The topology is cached: a builder that must not run is not called.
+  EXPECT_NE(shared->Topology([](const LinOp&) {
+    ADD_FAILURE() << "topology rebuilt";
+    return std::shared_ptr<const LaminarTopology>();
+  }),
+            nullptr);
+
+  // The plan itself, striped over the pool, on the same prepared strategy.
+  const Plan& plan = PlanRegistry::Global().MustFind("HB-Striped");
+  PlanInput in;
+  in.dims = {16, 4, 4};
+  in.mode = MatrixMode::kImplicit;
+  Execute(plan, in, 0);
+  PlanInput key;
+  key.dims = {16};
+  key.mode = MatrixMode::kImplicit;
+  EXPECT_NE(Prepared(plan, key), nullptr);
 }
 
 }  // namespace

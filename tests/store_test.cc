@@ -81,6 +81,47 @@ TEST(SerializeTest, SpecialDoublesRoundTripBitwise) {
   }
 }
 
+TEST(SerializeTest, BulkVectorFramingIsBitExactAndPerDoubleLittleEndian) {
+  // F64s moves a vector in one copy where the host allows it; its bytes
+  // must be those of framing each double alone, and the read back must
+  // keep every bit: NaN payloads (quiet and signaling, either sign),
+  // -0.0, denormals and infinities.
+  const uint64_t patterns[] = {
+      0x7ff8000000000000ull, 0xfff8000000000001ull, 0x7ff0000000000001ull,
+      0x7ff4dead0000beefull, 0xfff7ffffffffffffull, 0x8000000000000000ull,
+      0x0000000000000001ull, 0x800fffffffffffffull, 0x000ffffffffffffeull,
+      0x7ff0000000000000ull, 0xfff0000000000000ull, 0x3ff0000000000000ull};
+  Vec v;
+  for (uint64_t bits : patterns) {
+    double d;
+    std::memcpy(&d, &bits, sizeof(d));
+    v.push_back(d);
+  }
+  ByteWriter bulk;
+  bulk.F64s(v);
+  ByteWriter one_by_one;
+  for (double d : v) one_by_one.F64(d);
+  EXPECT_EQ(bulk.bytes(), one_by_one.bytes());
+  ASSERT_EQ(bulk.bytes().size(), 8 * v.size());
+  EXPECT_EQ(bulk.bytes()[0], 0x00);  // least-significant byte first
+  EXPECT_EQ(bulk.bytes()[7], 0x7f);
+
+  ByteReader r(bulk.bytes());
+  Vec out;
+  ASSERT_TRUE(r.F64s(v.size(), &out));
+  EXPECT_EQ(r.remaining(), 0u);
+  ASSERT_EQ(out.size(), v.size());
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    uint64_t bits;
+    std::memcpy(&bits, &out[i], sizeof(bits));
+    EXPECT_EQ(bits, patterns[i]) << "entry " << i;
+  }
+  // One double short: refused, nothing read.
+  ByteReader short_reader(bulk.bytes().data(), bulk.bytes().size() - 1);
+  EXPECT_FALSE(short_reader.F64s(v.size(), &out));
+  EXPECT_FALSE(short_reader.ok());
+}
+
 TEST(SerializeTest, FuzzRoundTripIsBitExact) {
   Rng rng(2026);
   for (int it = 0; it < 120; ++it) {
